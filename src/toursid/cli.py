@@ -21,6 +21,7 @@ from typing import Optional
 from . import constructions as cons
 from .counting import (
     BudgetExceededError,
+    CountResult,
     PinnedPattern,
     count_homomorphisms,
     count_labeled,
@@ -242,14 +243,8 @@ def _cmd_count(args) -> int:
     elif args.mode == "homs":
         value = count_homomorphisms(pattern, host)
         bound = Fraction(host.n**pattern.n, 1 << pattern.edge_count)
-        ratio = Fraction(value) / bound
-        doc = {
-            "mode": "homs",
-            "value": str(value),
-            "bound": {"num": str(bound.numerator), "den": str(bound.denominator)},
-            "ratio": {"num": str(ratio.numerator), "den": str(ratio.denominator)},
-            "ratio_approx": float(ratio),
-        }
+        doc = CountResult(value, bound).to_json_dict()
+        doc["mode"] = "homs"
     else:
         res = count_labeled(pattern, host)
         doc = res.to_json_dict()
@@ -274,9 +269,7 @@ def _cmd_check(args) -> int:
     pattern = _load_pattern(args.pattern)
     if args.property == "anti":
         if args.exhaustive is not None:
-            report = check_anti_exhaustive(
-                pattern, args.exhaustive, dedup=args.dedup, jobs=args.jobs
-            )
+            report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
         elif args.family:
             values = _parse_range(args.n)
             base = _load_pattern(args.base) if args.base else None
@@ -394,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int)
     p_check.add_argument("--samples", type=int)
     p_check.add_argument("--pins-set", help="pinned pattern vertices, e.g. 0,2")
-    p_check.add_argument("--jobs", "--threads", type=int, default=1, dest="jobs")
     p_check.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
     p_check.add_argument("--out")
     p_check.set_defaults(func=_cmd_check)

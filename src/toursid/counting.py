@@ -1,10 +1,20 @@
 """Exact counters for homomorphisms, labeled copies, and pinned labeled copies.
 
-The optimized kernel is backtracking over a static pattern-vertex order chosen
-by maximum back-degree (most constraints earliest), with candidate sets kept
-as bit-row intersections of the already-placed images' in/out neighborhoods.
+Two engines, validated against each other and against an oracle:
+
+* the count table, for exhaustive scans. `count_table` compiles a pattern once
+  per host size n into rows (pair-code mask, required bits, multiplicity), one
+  row per distinct constraint set of an injective map into [n], and
+  `labeled_counts` evaluates sum mult * [(code & mask) == req] with numpy
+  over an array of host pair codes, so every host of a size is counted in
+  one pass;
+* the backtracker, for single hosts of any size. It walks a static
+  pattern-vertex order chosen by maximum back-degree (most constraints
+  earliest), with candidate sets kept as bit-row intersections of the
+  already-placed images' in/out neighborhoods.
+
 `oracle_count` is an independent, unpruned full enumeration used to validate
-the kernel; it must never share the kernel's code path.
+both engines; it must never share their code path.
 
 All verdict arithmetic (bounds, ratios) is exact: big integers and Fractions.
 Floating point appears only in convenience report fields.
@@ -18,10 +28,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .digraph import Digraph, Tournament, bits, mask_of
+import numpy as np
+
+from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
+
+# deepest pattern the recursive backtracker accepts; well under Python's
+# default recursion limit of 1000, leaving room for the callers' frames
+SEARCH_DEPTH_LIMIT = 500
+# largest host size of the count table: pair codes and counts fit in int32
+TABLE_HOST_LIMIT = 8
+_TABLE_CHUNK = 1 << 14
 
 
 class BudgetExceededError(RuntimeError):
@@ -133,6 +152,10 @@ def _backtrack(
     ]
     active = [v for v in range(d.n) if d.degree(v) > 0 or v in pins]
     r = len(active)
+    if r > SEARCH_DEPTH_LIMIT:
+        raise SizeLimitError(
+            f"backtracking is guarded at {SEARCH_DEPTH_LIMIT} active pattern vertices"
+        )
     if injective and n < k:
         return 0
 
@@ -258,6 +281,92 @@ def density(d: Digraph, t: Tournament, *, budget: Optional[int] = None) -> Fract
     return Fraction(count_homomorphisms(d, t, budget=budget), t.n ** d.n)
 
 
+def count_table(
+    d: Digraph,
+    n: int,
+    pins: Optional[dict[int, int]] = None,
+    *,
+    budget: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compile the injective maps V(d) -> [n] extending `pins` into rows
+    (mask, req, mult) over n-vertex pair codes.
+
+    An edge (u, v) of d with phi(u) < phi(v) requires bit p(phi(u), phi(v))
+    of the code to be 1, and with phi(u) > phi(v) requires bit
+    p(phi(v), phi(u)) to be 0, where p numbers the pairs i < j in
+    lexicographic order (the `Tournament.code` order). Maps with equal
+    (mask, req) share a row whose multiplicity counts them. The enumeration
+    volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
+    before anything is enumerated.
+    """
+    if n > TABLE_HOST_LIMIT:
+        raise SizeLimitError(f"the count table is guarded at n = {TABLE_HOST_LIMIT}")
+    pins = pins or {}
+    if len(set(pins.values())) != len(pins):
+        raise ValueError("anchor must be injective")
+    if any(not 0 <= h < n for h in pins.values()):
+        raise ValueError("anchor image out of host range")
+    free = [v for v in range(d.n) if v not in pins]
+    spare = [h for h in range(n) if h not in pins.values()]
+    volume = 1
+    for i in range(len(free)):
+        volume *= max(len(spare) - i, 0)
+    ceiling = work_budget(budget)
+    if volume > ceiling:
+        raise BudgetExceededError(
+            f"count table of {volume} maps at n = {n} exceeds the budget {ceiling}"
+        )
+    phi = np.empty((volume, d.n), dtype=np.int64)
+    for v, h in pins.items():
+        phi[:, v] = h
+    if free:
+        maps = itertools.permutations(spare, len(free))
+        phi[:, free] = np.fromiter(
+            itertools.chain.from_iterable(maps), dtype=np.int64, count=volume * len(free)
+        ).reshape(volume, len(free))
+    pair = np.zeros((n, n), dtype=np.int64)
+    for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        pair[i, j] = pair[j, i] = p
+    mask = np.zeros(volume, dtype=np.int64)
+    req = np.zeros(volume, dtype=np.int64)
+    for u, v in d.edges():
+        a, b = phi[:, u], phi[:, v]
+        bit = np.left_shift(1, pair[a, b])
+        mask |= bit
+        req |= np.where(a < b, bit, 0)
+    keys, mult = np.unique(mask << 32 | req, return_counts=True)
+    return keys >> 32, keys & 0xFFFFFFFF, mult
+
+
+def labeled_counts(
+    d: Digraph,
+    n: int,
+    codes,
+    pins: Optional[dict[int, int]] = None,
+    *,
+    budget: Optional[int] = None,
+) -> np.ndarray:
+    """Labeled counts of d (extending `pins`) on the n-vertex hosts with the
+    given pair codes, as an int32 vector aligned with `codes`.
+
+    Each count is sum mult * [(code & mask) == req] over the rows of
+    `count_table`, evaluated over chunks of codes so that temporaries stay
+    small.
+    """
+    masks, reqs, mults = count_table(d, n, pins, budget=budget)
+    rows = list(zip(masks.tolist(), reqs.tolist(), mults.tolist()))
+    codes = np.asarray(codes, dtype=np.int32)
+    counts = np.zeros(codes.shape, dtype=np.int32)
+    for lo in range(0, codes.size, _TABLE_CHUNK):
+        chunk = codes[lo : lo + _TABLE_CHUNK]
+        acc = counts[lo : lo + _TABLE_CHUNK]
+        hit = np.empty(chunk.shape, dtype=bool)
+        for mask, req, mult in rows:
+            np.equal(chunk & mask, req, out=hit)
+            np.add(acc, mult, out=acc, where=hit)
+    return counts
+
+
 def oracle_count(
     d: Digraph,
     t: Tournament,
@@ -308,16 +417,16 @@ def is_impartial_upto(
 
     Scans isomorphism-class representatives (the count is an isomorphism
     invariant, so constancy on representatives is constancy everywhere).
+    The pair is the first representative and the first one whose count
+    differs from it.
     """
     if n_max > 7:
         raise ValueError("impartiality scan is guarded at n_max = 7")
-    from .hosts import tournament_representatives
+    from .properties import scan_counts
 
     for n in range(1, n_max + 1):
-        reps = tournament_representatives(n)
-        first = count_labeled(d, reps[0], budget=budget).value
-        for other in reps[1:]:
-            val = count_labeled(d, other, budget=budget).value
-            if val != first:
-                return False, (reps[0], other)
+        counts, host_at = scan_counts(d, n, dedup=True, budget=budget)
+        differ = np.flatnonzero(counts != counts[0])
+        if differ.size:
+            return False, (host_at(0), host_at(int(differ[0])))
     return True, None

@@ -14,8 +14,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .digraph import Digraph, Tournament, are_isomorphic, bits
+from .digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, bits
 from .rng import coin
+
+# class enumeration at n = 8 (6880 classes) takes seconds; n = 9 is far out
+REPRESENTATIVES_LIMIT = 8
 
 
 def pair_count(n: int) -> int:
@@ -45,6 +48,10 @@ def tournament_representatives(n: int) -> tuple[Tournament, ...]:
     Deterministic: candidates are generated in (parent class, extension
     pattern) order and kept on first appearance of their class.
     """
+    if n > REPRESENTATIVES_LIMIT:
+        raise SizeLimitError(
+            f"class enumeration is guarded at n = {REPRESENTATIVES_LIMIT}"
+        )
     if n == 0:
         return (Tournament.from_rows([]),)
     if n == 1:
@@ -67,13 +74,6 @@ def tournament_representatives(n: int) -> tuple[Tournament, ...]:
                 bucket.append(cand)
                 reps.append(cand)
     return tuple(reps)
-
-
-def scan_hosts(n: int, dedup: bool) -> Iterator[Tournament]:
-    if dedup:
-        yield from tournament_representatives(n)
-    else:
-        yield from all_tournaments(n)
 
 
 def uniform_tournament(n: int, seed: int) -> Tournament:

@@ -11,12 +11,13 @@ over-representation side is reported as ratio scans only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .counting import (
     count_labeled,
     count_labeled_pinned,
     density,
+    labeled_counts,
 )
 from .digraph import (
     Digraph,
@@ -36,7 +38,7 @@ from .digraph import (
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, trn_dumps, trn_loads
-from .hosts import pair_count, scan_hosts
+from .hosts import pair_count, tournament_representatives
 from .rng import below, blend, coin
 
 EXHAUSTIVE_LIMIT = 7
@@ -180,16 +182,30 @@ def _provenance(d: Digraph) -> Optional[dict]:
 # -- exhaustive and family checks -------------------------------------------
 
 
-def _scan_codes(args):
-    dgf, n, lo, hi = args
-    d = dgf_loads(dgf)
-    best_val = -1
-    best_code = -1
-    for code in range(lo, hi):
-        val = count_labeled(d, Tournament.from_code(n, code)).value
-        if val > best_val:
-            best_val, best_code = val, code
-    return best_val, best_code
+def scan_counts(
+    d: Digraph,
+    n: int,
+    *,
+    dedup: bool,
+    pins: Optional[dict[int, int]] = None,
+    budget: Optional[int] = None,
+) -> tuple[np.ndarray, Callable[[int], Tournament]]:
+    """Labeled counts of d (extending `pins`) on every n-vertex host, and the
+    map from a count's index back to its host.
+
+    The hosts are the raw pair codes 0..2^(n(n-1)/2)-1 in code order, or with
+    dedup=True the isomorphism-class representatives in enumeration order.
+    An engine that takes the first extremal index picks the host that a loop
+    over the hosts in this order would pick.
+    """
+    if dedup:
+        reps = tournament_representatives(n)
+        codes = np.fromiter((t.code() for t in reps), dtype=np.int32, count=len(reps))
+        host_at = reps.__getitem__
+    else:
+        codes = np.arange(1 << pair_count(n), dtype=np.int32)
+        host_at = functools.partial(Tournament.from_code, n)
+    return labeled_counts(d, n, codes, pins, budget=budget), host_at
 
 
 def check_anti_exhaustive(
@@ -197,15 +213,14 @@ def check_anti_exhaustive(
     n_max: int,
     *,
     dedup: bool = False,
-    jobs: int = 1,
     budget: Optional[int] = None,
 ) -> PropertyReport:
     """Scan every tournament with n <= n_max against the labeled baseline.
 
     dedup=True walks isomorphism-class representatives instead of the raw
     2^(n(n-1)/2) pair codes; the labeled count is an isomorphism invariant,
-    so the verdict is unchanged. jobs > 1 partitions the raw code ranges
-    over a process pool (merge is deterministic).
+    so the verdict is unchanged. The witness at each n is the first host
+    with the maximal count.
     """
     if n_max > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive scan is guarded at n_max = {EXHAUSTIVE_LIMIT}")
@@ -214,32 +229,13 @@ def check_anti_exhaustive(
     witness: Optional[Tournament] = None
     for n in range(1, n_max + 1):
         bound = Fraction(n**d.n, 1 << d.edge_count)
-        if not dedup and jobs > 1 and pair_count(n) >= 8:
-            import multiprocessing as mp
-
-            total = 1 << pair_count(n)
-            step = -(-total // jobs)
-            chunks = [
-                (dgf_dumps(d), n, lo, min(lo + step, total))
-                for lo in range(0, total, step)
-            ]
-            with mp.Pool(jobs) as pool:
-                results = pool.map(_scan_codes, chunks)
-            best_val, best_code = max(results, key=lambda r: (r[0], -r[1]))
-            n_best = Tournament.from_code(n, best_code)
-            hosts_seen = total
-        else:
-            best_val, n_best, hosts_seen = -1, None, 0
-            for t in scan_hosts(n, dedup):
-                hosts_seen += 1
-                val = count_labeled(d, t, budget=budget).value
-                if val > best_val:
-                    best_val, n_best = val, t
-        ratio = Fraction(best_val) / bound
+        counts, host_at = scan_counts(d, n, dedup=dedup, budget=budget)
+        best = int(np.argmax(counts))
+        ratio = Fraction(int(counts[best])) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": hosts_seen,
+                "hosts": len(counts),
                 "bound": _frac(bound),
                 "max_ratio": _frac(ratio),
                 "max_ratio_approx": float(ratio),
@@ -248,7 +244,7 @@ def check_anti_exhaustive(
         )
         if ratio > best_ratio:
             best_ratio = ratio
-            witness = n_best
+            witness = host_at(best)
     violated = best_ratio > 1
     return PropertyReport(
         property_name="anti-sidorenko-upto",
@@ -443,27 +439,26 @@ def check_strong_anti(
     witness = None
     witness_anchor = None
     for n in range(1, n_max + 1):
-        bound = Fraction(n ** (d.n - len(pinned)), 1 << d.edge_count)
-        best_val = -1
-        n_best = None
-        n_best_anchor = None
-        hosts_seen = 0
-        for t in scan_hosts(n, dedup):
-            hosts_seen += 1
-            if len(pinned) > n:
-                continue
-            for images in itertools.permutations(range(n), len(pinned)):
-                pins = dict(zip(pinned, images))
-                val = count_labeled_pinned(p, t, pins, budget=budget).value
-                if val > best_val:
-                    best_val, n_best, n_best_anchor = val, t, pins
-        if best_val < 0:
+        if len(pinned) > n:
             continue
-        ratio = Fraction(best_val) / bound
+        bound = Fraction(n ** (d.n - len(pinned)), 1 << d.edge_count)
+        anchors = [
+            dict(zip(pinned, images))
+            for images in itertools.permutations(range(n), len(pinned))
+        ]
+        scans = [
+            scan_counts(d, n, dedup=dedup, pins=pins, budget=budget) for pins in anchors
+        ]
+        host_at = scans[0][1]
+        # one row per host, anchors in permutation order: the flat argmax is
+        # the first maximum in host-major order
+        table = np.stack([counts for counts, _ in scans], axis=1)
+        best_host, best_anchor = divmod(int(np.argmax(table)), len(anchors))
+        ratio = Fraction(int(table[best_host, best_anchor])) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": hosts_seen,
+                "hosts": len(table),
                 "bound": _frac(bound),
                 "max_ratio": _frac(ratio),
                 "max_ratio_approx": float(ratio),
@@ -471,7 +466,8 @@ def check_strong_anti(
             }
         )
         if ratio > best_ratio:
-            best_ratio, witness, witness_anchor = ratio, n_best, n_best_anchor
+            best_ratio = ratio
+            witness, witness_anchor = host_at(best_host), anchors[best_anchor]
     violated = best_ratio > 1
     extra = {}
     if violated and witness_anchor is not None:
@@ -504,18 +500,12 @@ def sidorenko_scan_exhaustive(
     curve = []
     for n in range(1, n_max + 1):
         bound = Fraction(n**d.n, 1 << d.edge_count)
-        worst = None
-        hosts_seen = 0
-        for t in scan_hosts(n, dedup):
-            hosts_seen += 1
-            val = count_labeled(d, t, budget=budget).value
-            if worst is None or val < worst:
-                worst = val
-        ratio = Fraction(worst) / bound
+        counts, _ = scan_counts(d, n, dedup=dedup, budget=budget)
+        ratio = Fraction(int(counts.min())) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": hosts_seen,
+                "hosts": len(counts),
                 "bound": _frac(bound),
                 "min_ratio": _frac(ratio),
                 "min_ratio_approx": float(ratio),

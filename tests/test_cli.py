@@ -5,7 +5,14 @@ import jsonschema
 import pytest
 
 from toursid.cli import RunConfig, build_parser, main
-from toursid.constructions import d_family, impartial_four_tree, star, transitive_tournament
+from toursid.constructions import (
+    d_family,
+    directed_cycle,
+    directed_path,
+    impartial_four_tree,
+    star,
+    transitive_tournament,
+)
 from toursid.digraph import transitive_host
 from toursid.formats import dgf_dumps, dgf_loads, trn_dumps
 
@@ -100,6 +107,22 @@ class TestCount:
         ) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "4"
 
+    def test_homs_output_bytes(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, directed_cycle(3), "c3.dgf")
+        host = tmp_path / "t7.trn"
+        host.write_text("7\n100011100010100000111\n")
+        assert main(["count", "--pattern", pattern, "--host", str(host), "--mode", "homs"]) == 0
+        assert capsys.readouterr().out == (
+            '{"bound":{"den":"8","num":"343"},"mode":"homs",'
+            '"ratio":{"den":"343","num":"240"},"ratio_approx":0.6997084548104956,'
+            '"value":"30"}\n'
+        )
+
+    def test_deep_pattern_is_an_error_exit(self, tmp_path, tt4_file, capsys):
+        pattern = write_pattern(tmp_path, directed_path(1200), "p1200.dgf")
+        assert main(["count", "--pattern", pattern, "--host", tt4_file, "--mode", "homs"]) == 1
+        assert "guarded" in capsys.readouterr().err
+
     def test_parse_error_cites_line(self, tmp_path, tt4_file, capsys):
         bad = tmp_path / "bad.dgf"
         bad.write_text("2 1\n0 x\n")
@@ -166,6 +189,12 @@ class TestCheck:
     def test_missing_regime_errors(self, tmp_path, capsys):
         pattern = write_pattern(tmp_path, d_family(1), "p2.dgf")
         assert main(["check", "anti", "--pattern", pattern]) == 1
+
+    def test_exhaustive_budget_abort(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOURSID_BUDGET", "4")
+        pattern = write_pattern(tmp_path, d_family(1), "p2.dgf")
+        assert main(["check", "anti", "--pattern", pattern, "--exhaustive", "5"]) == 1
+        assert "budget" in capsys.readouterr().err
 
 
 class TestQuasi:

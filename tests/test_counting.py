@@ -17,12 +17,24 @@ from toursid.counting import (
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
+    count_table,
     density,
     is_impartial_upto,
+    labeled_counts,
     oracle_count,
 )
-from toursid.digraph import Digraph, Tournament, fill_to_tournament, transitive_host
-from toursid.hosts import all_oriented_graphs, tournament_representatives
+from toursid.digraph import (
+    Digraph,
+    SizeLimitError,
+    Tournament,
+    fill_to_tournament,
+    transitive_host,
+)
+from toursid.hosts import (
+    all_oriented_graphs,
+    tournament_representatives,
+    uniform_tournament,
+)
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -255,3 +267,62 @@ class TestBudget:
         monkeypatch.setenv("TOURSID_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
             count_homomorphisms(directed_path(3), transitive_host(6))
+
+
+class TestCountTable:
+    def test_matches_oracle_on_all_hosts(self, small_catalog):
+        # the unpruned oracle, never the table itself, is the reference
+        for d in small_catalog:
+            for n in range(1, 6):
+                codes = list(range(1 << (n * (n - 1) // 2)))
+                counts = labeled_counts(d, n, codes)
+                expected = [
+                    oracle_count(d, Tournament.from_code(n, c), "labeled") for c in codes
+                ]
+                assert counts.tolist() == expected, (d, n)
+
+    def test_single_pins_match_backtracker(self, small_catalog):
+        hosts = {n: list(range(1 << (n * (n - 1) // 2))) for n in range(1, 5)}
+        hosts[5] = [t.code() for t in tournament_representatives(5)]
+        for d in small_catalog:
+            for v in range(d.n):
+                p = PinnedPattern(d, (v,))
+                for n, codes in hosts.items():
+                    for anchor in range(n):
+                        counts = labeled_counts(d, n, codes, {v: anchor})
+                        expected = [
+                            count_labeled_pinned(p, Tournament.from_code(n, c), {v: anchor}).value
+                            for c in codes
+                        ]
+                        assert counts.tolist() == expected, (d, v, n, anchor)
+
+    def test_rows_merge_equal_constraints(self):
+        # the 5 rotations of a 5-cycle map impose the same constraints
+        masks, reqs, mults = count_table(directed_cycle(5), 6)
+        assert len(masks) == 144 and set(mults.tolist()) == {5}
+        assert int(mults.sum()) == 6 * 5 * 4 * 3 * 2
+
+    def test_budget_projects_the_enumeration(self):
+        with pytest.raises(BudgetExceededError):
+            count_table(directed_path(2), 4, budget=23)
+        assert int(count_table(directed_path(2), 4, budget=24)[2].sum()) == 24
+        # pinned vertices leave P(3, 2) = 6 maps to enumerate
+        assert int(count_table(directed_path(2), 4, {0: 0}, budget=6)[2].sum()) == 6
+
+    def test_guards(self):
+        with pytest.raises(SizeLimitError):
+            count_table(directed_path(1), 9)
+        with pytest.raises(ValueError):
+            count_table(directed_path(2), 4, {0: 1, 2: 1})
+        with pytest.raises(ValueError):
+            count_table(directed_path(2), 4, {0: 4})
+
+
+class TestSizeGuards:
+    def test_deep_pattern_is_a_size_error(self):
+        with pytest.raises(SizeLimitError):
+            count_homomorphisms(directed_path(1200), uniform_tournament(5, 1), limit=1)
+
+    def test_representatives_guard(self):
+        with pytest.raises(SizeLimitError):
+            tournament_representatives(9)

@@ -12,7 +12,13 @@ from toursid.constructions import (
     subset_bipartite,
     transitive_tournament,
 )
-from toursid.counting import PinnedPattern, count_labeled, count_labeled_pinned, oracle_count
+from toursid.counting import (
+    BudgetExceededError,
+    PinnedPattern,
+    count_labeled,
+    count_labeled_pinned,
+    oracle_count,
+)
 from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.formats import trn_loads
 from toursid.hosts import uniform_tournament
@@ -82,11 +88,11 @@ class TestAntiExhaustive:
             assert raw.extremal_ratio == classes.extremal_ratio
             assert raw.verdict == classes.verdict
 
-    def test_jobs_match_sequential(self):
-        d = directed_path(2)
-        seq = check_anti_exhaustive(d, 5, jobs=1)
-        par = check_anti_exhaustive(d, 5, jobs=2)
-        assert seq.to_json() == par.to_json()
+    def test_budget_is_enforced(self):
+        # the count table at n = 4 enumerates P(4, 3) = 24 maps
+        with pytest.raises(BudgetExceededError):
+            check_anti_exhaustive(directed_path(2), 5, budget=12)
+        assert check_anti_exhaustive(directed_path(2), 5, budget=120).verdict == "holds-upto"
 
     def test_guard(self):
         with pytest.raises(ValueError):
