@@ -7,6 +7,11 @@ whether small oriented graphs are systematically under-represented
 impartial, or tied to quasirandom direction in tournament hosts.
 """
 
+import os
+
+# toursid does no BLAS work; OpenBLAS's thread pool only slows start-up
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .counting import (
     BudgetExceededError,
     CountResult,

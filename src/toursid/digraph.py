@@ -1,9 +1,10 @@
 """Oriented-graph and tournament data model.
 
 Vertices are the dense integers 0..n-1. Out-adjacency is stored as packed bit
-rows (Python ints); in-rows are obtained by a single transpose on demand and
-cached. Objects are immutable after construction: every transform returns a
-fresh object, so values are safe to share and send across threads.
+rows (Python ints); in-rows are obtained on demand and cached: by a single
+transpose in general, and as the complement of the out-row in a tournament.
+Objects are immutable after construction: every transform returns a fresh
+object, so values are safe to share and send across threads.
 
 A digraph here is always *oriented*: no self-loops and no antiparallel edge
 pairs. A tournament is a digraph whose orientation is total, i.e. exactly one
@@ -111,7 +112,7 @@ class Digraph:
         return self._out[v]
 
     def inn(self, v: int) -> int:
-        """In-neighbors of v as a packed row (cached transpose)."""
+        """In-neighbors of v as a packed row (cached)."""
         return self.in_rows()[v]
 
     def out_rows(self) -> tuple[int, ...]:
@@ -249,6 +250,14 @@ class Tournament(Digraph):
         if t._m != n * (n - 1) // 2:
             raise ValueError("not a tournament: some pair carries no edge")
         return t
+
+    def in_rows(self) -> tuple[int, ...]:
+        # in(v) is every vertex other than v that v does not beat
+        if self._in is None:
+            full = (1 << self.n) - 1
+            rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(self._out))
+            object.__setattr__(self, "_in", rows)
+        return self._in
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Tournament":

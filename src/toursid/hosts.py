@@ -1,5 +1,6 @@
 """Host-tournament generators: raw enumeration, isomorphism-class
-representatives, and seeded uniform sampling.
+representatives, and seeded coin tournaments (`coin_rows`, shared by the
+uniform hosts here and the planted two-block hosts in `properties`).
 
 Raw enumeration walks the n(n-1)/2-bit pair code directly, so the p-th bit of
 the code matches the p-th character of the TRN/1 wire format. Representative
@@ -14,11 +15,15 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
+import numpy as np
+
 from .digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, bits
-from .rng import coin
+from .rng import blend_array
 
 # class enumeration at n = 8 (6880 classes) takes seconds; n = 9 is far out
 REPRESENTATIVES_LIMIT = 8
+# entries of one coin-matrix chunk; bounds the temporaries at any n
+_COIN_CHUNK = 1 << 12
 
 
 def pair_count(n: int) -> int:
@@ -76,16 +81,31 @@ def tournament_representatives(n: int) -> tuple[Tournament, ...]:
     return tuple(reps)
 
 
+def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
+    """Out-rows of the seeded tournament in which, for every pair i < j,
+    i beats j if i < boundary <= j and otherwise iff coin(seed, i, j) is 1.
+
+    The coins come from `blend_array` over chunks of whole rows, so the bits
+    equal the scalar `coin` and the temporaries stay bounded at any n.
+    """
+    rows: list[int] = []
+    cols = np.arange(n)[None, :]
+    step = max(1, _COIN_CHUNK // max(n, 1))
+    for start in range(0, n, step):
+        i = np.arange(start, min(start + step, n))[:, None]
+        lo, hi = np.minimum(i, cols), np.maximum(i, cols)
+        # win[i, j]: the smaller endpoint of the pair beats the larger one
+        win = (blend_array(seed, lo, hi) & np.uint64(1)).astype(bool)
+        win |= (lo < boundary) & (boundary <= hi)
+        adj = (win ^ (i > cols)) & (i != cols)
+        packed = np.packbits(adj, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+    return rows
+
+
 def uniform_tournament(n: int, seed: int) -> Tournament:
     """Seeded uniform random tournament; each pair is an independent coin."""
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coin(seed, i, j):
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return Tournament.from_rows(rows)
+    return Tournament.from_rows(coin_rows(n, seed))
 
 
 def all_oriented_graphs(n: int) -> Iterator[Digraph]:

@@ -32,18 +32,21 @@ from .counting import (
 from .digraph import (
     Digraph,
     Tournament,
-    bits,
     fill_to_tournament,
     mask_of,
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, trn_dumps, trn_loads
-from .hosts import pair_count, tournament_representatives
-from .rng import below, blend, coin
+from .hosts import coin_rows, pair_count, tournament_representatives
+from .rng import blend, blend_array
 
 EXHAUSTIVE_LIMIT = 7
 STRONG_ANTI_LIMIT = 6
 QUASI_EXACT_LIMIT = 20
+# entries of one sampling or subset-scan block; bounds the temporaries
+# independently of the sample count and of 2^n
+_BLOCK = 1 << 14
+_BLOCK_ROWS = 1 << 10
 
 REPORT_SCHEMA = "toursid/report-v1"
 
@@ -283,17 +286,34 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     if samples < 1:
         raise ValueError("need at least one sample")
     n, k = t.n, d.n
-    edges = tuple(d.edges())
-    rows = t.out_rows()
+    if n == 0 and k > 0:
+        raise ValueError("cannot map a nonempty pattern into an empty host")
+    tails, heads = np.array(d.edges(), dtype=np.intp).reshape(-1, 2).T
+    adj = _packed_rows(t)
+    slots = np.arange(k)
+    step = _block_rows(k)
     hits = 0
-    for j in range(samples):
-        phi = [below(seed, n, j, slot) for slot in range(k)]
-        for u, v in edges:
-            if not rows[phi[u]] >> phi[v] & 1:
-                break
-        else:
-            hits += 1
+    for start in range(0, samples, step):
+        j = np.arange(start, min(start + step, samples))[:, None]
+        # phi[j, slot] = below(seed, n, j, slot), one row per sampled map
+        phi = (blend_array(seed, j, slots) % np.uint64(n)).astype(np.intp)
+        u, v = phi[:, tails], phi[:, heads]
+        hit = adj[u, v >> 6] >> (v & 63).astype(np.uint64) & np.uint64(1)
+        hits += int(hit.all(axis=1).sum())
     return SampledDensity(hits, samples)
+
+
+def _block_rows(width: int) -> int:
+    """Rows per streamed block whose rows hold `width` entries each."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK // max(width, 1)))
+
+
+def _packed_rows(t: Digraph) -> np.ndarray:
+    """The out-rows of t as an n x ceil(n / 64) uint64 array: bit b of word w
+    in row u is the edge u -> 64 w + b."""
+    words = (t.n + 63) // 64
+    buf = b"".join(row.to_bytes(8 * words, "little") for row in t.out_rows())
+    return np.frombuffer(buf, dtype="<u8").reshape(t.n, words).astype(np.uint64)
 
 
 def check_anti_on_family(
@@ -586,17 +606,7 @@ def two_block_tournament(n: int, c, seed: int) -> Tournament:
     frac = Fraction(c)
     if not 0 <= frac <= 1:
         raise ValueError("block fraction must lie in [0, 1]")
-    boundary = math.floor(frac * n)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i < boundary <= j:
-                rows[i] |= 1 << j
-            elif coin(seed, i, j):
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return Tournament.from_rows(rows)
+    return Tournament.from_rows(coin_rows(n, seed, math.floor(frac * n)))
 
 
 def star_two_block_profile(c, d_out: int, d_in: int) -> Fraction:
@@ -631,7 +641,9 @@ def quasirandom_epsilon(
     Exact mode scans all 2^n subsets A (guarded at n = 20); for fixed A the
     optimal B takes every vertex outside A with positive signed in-degree
     toward A. Sampled mode evaluates seeded random subsets A and returns the
-    high-water value, an exact lower bound on the true eps.
+    high-water value, an exact lower bound on the true eps. Both modes stream
+    the subsets as 64-bit word masks in fixed-size blocks and count with
+    bitwise popcounts, so memory stays bounded at any n and sample count.
     """
     n = t.n
     if n <= 1:
@@ -639,56 +651,44 @@ def quasirandom_epsilon(
     if mode == "exact":
         if n > QUASI_EXACT_LIMIT:
             raise ValueError(f"exact scan is guarded at n = {QUASI_EXACT_LIMIT}")
-        out_rows = t.out_rows()
-        in_rows = t.in_rows()
-        # delta[w][v] = [v in out(w)] - [v in in(w)]; toggling w in A shifts
-        # every signed degree s(v) = |in(v) & A| - |out(v) & A| by that much
-        delta = np.zeros((n, n), dtype=np.int32)
-        for w in range(n):
-            for v in bits(out_rows[w]):
-                delta[w, v] = 1
-            for v in bits(in_rows[w]):
-                delta[w, v] = -1
-        cur = np.zeros(n, dtype=np.int32)
-        outside = np.ones(n, dtype=bool)
-        member = 0
-        best = 0
-        for i in range(1, 1 << n):
-            w = (i & -i).bit_length() - 1
-            member ^= 1 << w
-            if member >> w & 1:
-                cur += delta[w]
-                outside[w] = False
-            else:
-                cur -= delta[w]
-                outside[w] = True
-            tot = int(np.clip(cur[outside], 0, None).sum())
-            if tot > best:
-                best = tot
-        return Fraction(best, n * n)
-    if mode == "sampled":
+        step = _block_rows(n)
+        blocks = (
+            np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
+            for lo in range(0, 1 << n, step)
+        )
+    elif mode == "sampled":
         if samples is None or seed is None:
             raise ValueError("sampled mode needs samples and seed")
-        in_rows = t.in_rows()
-        out_rows = t.out_rows()
-        words = (n + 63) // 64
-        best = 0
-        for j in range(samples):
-            a = 0
-            for w in range(words):
-                a |= blend(seed, j, w) << (64 * w)
-            a &= (1 << n) - 1
-            tot = 0
-            for v in range(n):
-                if a >> v & 1:
-                    continue
-                s = (in_rows[v] & a).bit_count() - (out_rows[v] & a).bit_count()
-                if s > 0:
-                    tot += s
-            if tot > best:
-                best = tot
-        return Fraction(best, n * n)
-    raise ValueError(f"unknown mode {mode!r}")
+        blocks = _sampled_subsets(n, samples, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    out_words = _packed_rows(t)
+    v = np.arange(n)
+    word_of, bit_of = v >> 6, (v & 63).astype(np.uint64)
+    best = 0
+    for a in blocks:
+        # for v outside A the signed in-degree toward A is
+        # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
+        size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
+        meet = np.bitwise_count(a[:, None, :] & out_words).sum(axis=2, dtype=np.int32)
+        signed = size[:, None] - 2 * meet
+        signed[(a[:, word_of] >> bit_of & np.uint64(1)).astype(bool)] = 0
+        np.maximum(signed, 0, out=signed)
+        best = max(best, int(signed.sum(axis=1).max()))
+    return Fraction(best, n * n)
+
+
+def _sampled_subsets(n: int, samples: int, seed: int):
+    """Blocks of the seeded subsets A_j, as rows of 64-bit words: word w of
+    A_j is blend(seed, j, w), cut to the n vertices."""
+    words = (n + 63) // 64
+    word_ix = np.arange(words)
+    step = _block_rows(n * words)
+    for start in range(0, samples, step):
+        a = blend_array(seed, np.arange(start, min(start + step, samples))[:, None], word_ix)
+        if n % 64:
+            a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+        yield a
 
 
 @dataclass(frozen=True)

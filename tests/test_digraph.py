@@ -249,3 +249,20 @@ class TestDisjointUnion:
         for p in parts[1:]:
             u = disjoint_union(u, p)
         assert (u.n, u.edge_count) == (12, 8)
+
+
+class TestTournamentInRows:
+    @staticmethod
+    def transposed(t: Tournament) -> tuple[int, ...]:
+        # the general transpose, on a plain digraph with the same rows
+        return Digraph.from_rows(t.out_rows()).in_rows()
+
+    def test_complement_equals_transpose_on_small_hosts(self, hosts_upto_5):
+        for t in hosts_upto_5:
+            assert t.in_rows() == self.transposed(t)
+
+    def test_complement_equals_transpose_on_uniform_hosts(self):
+        for seed in range(5):
+            t = uniform_tournament(40, seed)
+            assert t.in_rows() == self.transposed(t)
+            assert [t.in_degree(v) for v in range(40)] == [39 - t.out_degree(v) for v in range(40)]
