@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import constructions as cons
 from .counting import (
@@ -43,53 +41,6 @@ from .properties import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated job description; identical configs give byte-identical
-    reports. Round-trips exactly through its JSON form."""
-
-    command: str
-    options: dict
-    seed: Optional[int]
-    out: Optional[str]
-    fmt: str
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        skip = {"func", "command", "seed", "out", "fmt"}
-        options = {
-            k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-        }
-        return RunConfig(
-            command=args.command,
-            options=options,
-            seed=getattr(args, "seed", None),
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "fmt", "json"),
-        )
-
-    def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "options": self.options,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.fmt,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        doc = json.loads(text)
-        return RunConfig(
-            command=doc["command"],
-            options=doc["options"],
-            seed=doc["seed"],
-            out=doc["out"],
-            fmt=doc["format"],
-        )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -214,7 +165,6 @@ def _cmd_construct(args) -> int:
             )
             return EXIT_ERROR
         d = builder(*args.params)
-    cfg = args.run_config
     if d.meta and d.meta.get("eligible") is False:
         print(
             "warning: j-i == 2; this deletion is outside the over-representation guarantee",
@@ -225,12 +175,11 @@ def _cmd_construct(args) -> int:
         params = d.meta.get("params", {})
         rendered = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
         header = f"constructed: {d.meta['family']} {rendered}".rstrip()
-    _emit(dgf_dumps(d, header=header), cfg.out)
+    _emit(dgf_dumps(d, header=header), args.out)
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    cfg = args.run_config
     pattern = _load_pattern(args.pattern)
     host = _load_host(args.host)
     if args.pins:
@@ -249,10 +198,10 @@ def _cmd_count(args) -> int:
         res = count_labeled(pattern, host)
         doc = res.to_json_dict()
         doc["mode"] = "labeled"
-    if cfg.fmt == "text":
-        _emit(_render_count_text(doc), cfg.out)
+    if args.fmt == "text":
+        _emit(_render_count_text(doc), args.out)
     else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.out)
+        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     return EXIT_OK
 
 
@@ -265,7 +214,6 @@ def _report_exit(report: PropertyReport, out: str | None, fmt: str = "json") -> 
 
 
 def _cmd_check(args) -> int:
-    cfg = args.run_config
     pattern = _load_pattern(args.pattern)
     if args.property == "anti":
         if args.exhaustive is not None:
@@ -305,11 +253,10 @@ def _cmd_check(args) -> int:
     else:
         print(f"error: unknown property {args.property!r}", file=sys.stderr)
         return EXIT_ERROR
-    return _report_exit(report, cfg.out, cfg.fmt)
+    return _report_exit(report, args.out, args.fmt)
 
 
 def _cmd_quasi(args) -> int:
-    cfg = args.run_config
     if args.two_block:
         if args.seed is None:
             print("error: --two-block requires --seed", file=sys.stderr)
@@ -342,10 +289,10 @@ def _cmd_quasi(args) -> int:
         "epsilon": {"num": str(eps.numerator), "den": str(eps.denominator)},
         "epsilon_approx": float(eps),
     }
-    if cfg.fmt == "text":
-        _emit(_render_quasi_text(doc), cfg.out)
+    if args.fmt == "text":
+        _emit(_render_quasi_text(doc), args.out)
     else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", cfg.out)
+        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     return EXIT_OK
 
 
@@ -407,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the validated job description; persisting it reproduces the run exactly
-    args.run_config = RunConfig.from_args(args)
     try:
         return args.func(args)
     except (FormatError, ValueError) as exc:

@@ -11,7 +11,12 @@ Two engines, validated against each other and against an oracle:
 * the backtracker, for single hosts of any size. It walks a static
   pattern-vertex order chosen by maximum back-degree (most constraints
   earliest), with candidate sets kept as bit-row intersections of the
-  already-placed images' in/out neighborhoods.
+  already-placed images' in/out neighborhoods. The largest class of twins
+  (unpinned vertices with equal in- and out-rows, hence pairwise
+  non-adjacent) goes last, and that trailing group is counted in closed form
+  from its one candidate row: (c)_k injective maps or c^k homomorphisms for
+  k twins with c candidates. A star's leaves are such a class, so a star
+  costs one walk over its centre and its other leaf class.
 
 `oracle_count` is an independent, unpruned full enumeration used to validate
 both engines; it must never share their code path.
@@ -23,6 +28,7 @@ Floating point appears only in convenience report fields.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,11 +120,26 @@ class PinnedPattern:
 
 def _search_order(d: Digraph, active: list[int], first: tuple[int, ...] = ()) -> list[int]:
     """Static order: pinned prefix first, then greedily max back-degree, ties
-    by larger total degree then smaller index."""
+    by larger total degree then smaller index; the largest twin class goes
+    last.
+
+    Twins are unpinned active vertices with equal out- and in-rows. The
+    largest class of at least two of them (ties: the class holding the
+    smallest vertex) is taken out of the greedy order and appended after it,
+    so `_backtrack` can count it in closed form. Without such a class the
+    order is the plain greedy one.
+    """
     adj = [d.out(v) | d.inn(v) for v in range(d.n)]
     placed_mask = mask_of(first)
     order = list(first)
     remaining = [v for v in active if not placed_mask >> v & 1]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for v in remaining:
+        classes.setdefault((d.out(v), d.inn(v)), []).append(v)
+    twins = max(classes.values(), key=lambda c: (len(c), -c[0]), default=[])
+    if len(twins) < 2:
+        twins = []
+    remaining = [v for v in remaining if v not in twins]
     while remaining:
         best = max(
             remaining,
@@ -127,7 +148,7 @@ def _search_order(d: Digraph, active: list[int], first: tuple[int, ...] = ()) ->
         order.append(best)
         placed_mask |= 1 << best
         remaining.remove(best)
-    return order
+    return order + twins
 
 
 def _backtrack(
@@ -141,8 +162,15 @@ def _backtrack(
 ) -> int:
     """Count maps V(d) -> V(host) preserving directed edges.
 
-    Degree-0 unpinned pattern vertices are factored out in closed form. With
-    `limit` set, the count saturates there (early exit).
+    Degree-0 unpinned pattern vertices are factored out in closed form, and
+    so is the trailing group: the maximal suffix of the search order whose
+    vertices are unpinned and share one constraint list (the twins that
+    `_search_order` puts last, or else just the last vertex). That list
+    refers only to earlier positions, so the k group vertices draw from one
+    candidate row: with c candidates, c^k homomorphisms, and with c unused
+    candidates, (c)_k injective maps. Each expansion of a search position counts against the
+    work budget, and the trailing group is one expansion however large it
+    is. With `limit` set, the count saturates there (early exit).
     """
     pins = pins or {}
     n = host.n
@@ -181,6 +209,11 @@ def _backtrack(
             if d.has_edge(v, u):
                 cons.append((s, False))
         plan.append(cons)
+    # the trailing group occupies positions group .. len(order) - 1
+    group = len(order)
+    while group and order[group - 1] not in pins and plan[group - 1] == plan[-1]:
+        group -= 1
+    size = len(order) - group
 
     out_rows = host.out_rows()
     in_rows = host.in_rows()
@@ -209,6 +242,10 @@ def _backtrack(
             cand &= 1 << pins[v]
         if injective:
             cand &= ~used
+        if t == group:
+            free = cand.bit_count()
+            total += math.perm(free, size) if injective else free**size
+            return limit is not None and total >= limit
         while cand:
             b = cand & -cand
             cand ^= b

@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from toursid.cli import RunConfig, build_parser, main
+from toursid.cli import main
 from toursid.constructions import (
     d_family,
     directed_cycle,
@@ -239,29 +239,6 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
-
-
-class TestRunConfig:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check", "anti", "--pattern", "p.dgf", "--exhaustive", "5", "--dedup"],
-            ["check", "anti", "--pattern", "p.dgf", "--family", "two-block", "--n", "120", "--c", "1/10", "--seed", "7", "--samples", "100"],
-            ["count", "--pattern", "p.dgf", "--host", "h.trn", "--mode", "homs"],
-            ["quasi", "--two-block", "0.3", "200", "--seed", "7", "--format", "text"],
-        ],
-    )
-    def test_round_trip(self, argv):
-        args = build_parser().parse_args(argv)
-        config = RunConfig.from_args(args)
-        assert RunConfig.from_json(config.to_json()) == config
-
-    def test_seed_and_format_captured(self):
-        args = build_parser().parse_args(
-            ["quasi", "--two-block", "0.3", "200", "--seed", "9", "--format", "text"]
-        )
-        config = RunConfig.from_args(args)
-        assert config.seed == 9 and config.fmt == "text" and config.command == "quasi"
 
 
 class TestTextFormat:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from toursid.constructions import (
     transitive_tournament,
 )
 from toursid.counting import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     PinnedPattern,
+    _backtrack,
+    _search_order,
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
@@ -35,6 +39,7 @@ from toursid.hosts import (
     tournament_representatives,
     uniform_tournament,
 )
+from toursid.properties import two_block_tournament
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -268,6 +273,17 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             count_homomorphisms(directed_path(3), transitive_host(6))
 
+    def test_twin_group_still_charges_its_prefix(self):
+        # the trailing twins cost one expansion, the centre and the other
+        # leaf class are still walked one candidate at a time
+        with pytest.raises(BudgetExceededError):
+            count_labeled(star(2, 2), transitive_host(40), budget=10)
+
+    def test_acceptance_host_fits_the_default_budget(self):
+        # about 1.5e9 embeddings, beyond the 10^9 default if walked one by one
+        host = two_block_tournament(120, Fraction(1, 10), 7)
+        assert count_labeled(star(1, 3), host, budget=DEFAULT_BUDGET).value == 1544688720
+
 
 class TestCountTable:
     def test_matches_oracle_on_all_hosts(self, small_catalog):
@@ -326,3 +342,103 @@ class TestSizeGuards:
     def test_representatives_guard(self):
         with pytest.raises(SizeLimitError):
             tournament_representatives(9)
+
+
+def relabellings(d):
+    """Every distinct digraph obtained from d by a vertex bijection."""
+    seen = {}
+    for perm in itertools.permutations(range(d.n)):
+        r = d.relabel(perm)
+        seen.setdefault(tuple(sorted(r.edges())), r)
+    return list(seen.values())
+
+
+def star_labeled(t, a, b):
+    # sum over centres v of (out v)_a (in v)_b, written out without the kernel
+    return sum(
+        math.perm(t.out(v).bit_count(), a) * math.perm(t.inn(v).bit_count(), b)
+        for v in range(t.n)
+    )
+
+
+def star_homs(t, a, b):
+    return sum(t.out(v).bit_count() ** a * t.inn(v).bit_count() ** b for v in range(t.n))
+
+
+STARS = [(a, s - a) for s in range(1, 5) for a in range(s + 1)]
+
+
+class TestTwinClosedForm:
+    """The trailing twin group is counted in closed form; these compare the
+    backtracker with references that share none of its code."""
+
+    def test_twin_class_goes_last(self):
+        # star(2, 2): out-leaves {1, 2} and in-leaves {3, 4} tie in size, so
+        # the class holding the smaller vertex goes last
+        assert _search_order(star(2, 2), list(range(5))) == [0, 3, 4, 1, 2]
+        assert _search_order(star(1, 3), list(range(5))) == [0, 1, 2, 3, 4]
+        assert _search_order(star(3, 1), list(range(5))) == [0, 4, 1, 2, 3]
+        # a pinned leaf leaves the class and joins the prefix
+        assert _search_order(star(1, 3), list(range(5)), (2,)) == [2, 0, 1, 3, 4]
+        # no twins: the plain greedy order
+        assert _search_order(directed_path(3), list(range(4))) == [1, 2, 0, 3]
+
+    def test_pinned_vertices_stay_out_of_the_group(self):
+        # two pinned isolated vertices share an empty constraint list but
+        # have fixed images; only the unpinned isolated vertex is free
+        p = PinnedPattern(Digraph(3), (0, 1))
+        assert count_labeled_pinned(p, TT4, {0: 0, 1: 2}).value == 2
+
+    @pytest.mark.parametrize("a, b", STARS)
+    def test_relabelled_stars_match_oracle(self, a, b, hosts_upto_5):
+        patterns = relabellings(star(a, b))
+        for t in hosts_upto_5:
+            homs = oracle_count(star(a, b), t, "homs")
+            labeled = oracle_count(star(a, b), t, "labeled")
+            for d in patterns:
+                assert _backtrack(d, t, injective=False) == homs, (d.edges(), t.code())
+                assert _backtrack(d, t, injective=True) == labeled, (d.edges(), t.code())
+
+    def test_catalog_matches_oracle_on_all_hosts(self, small_catalog, hosts_upto_5):
+        for d in small_catalog:
+            for t in hosts_upto_5:
+                assert _backtrack(d, t, injective=False) == oracle_count(d, t, "homs")
+                assert _backtrack(d, t, injective=True) == oracle_count(d, t, "labeled")
+
+    @pytest.mark.parametrize("a, b, pins", [(2, 2, (1,)), (1, 3, (2,)), (1, 3, (2, 4)), (0, 4, (3,))])
+    def test_pin_inside_a_twin_class(self, a, b, pins):
+        d = star(a, b)
+        p = PinnedPattern(d, pins)
+        for n in range(len(pins), 6):
+            codes = list(range(1 << (n * (n - 1) // 2)))
+            for images in itertools.permutations(range(n), len(pins)):
+                anchor = dict(zip(pins, images))
+                expected = labeled_counts(d, n, codes, anchor).tolist()
+                got = [
+                    count_labeled_pinned(p, Tournament.from_code(n, c), anchor).value
+                    for c in codes
+                ]
+                assert got == expected, (a, b, anchor, n)
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (1, 3), (3, 1), (0, 4), (1, 1), (2, 3)])
+    def test_stars_match_degree_sums(self, a, b):
+        hosts = [transitive_host(n) for n in (1, 5, 17, 32)]
+        hosts += [uniform_tournament(n, s) for n, s in ((9, 1), (30, 2), (64, 3))]
+        for t in hosts:
+            assert count_labeled(star(a, b), t).value == star_labeled(t, a, b)
+            assert count_homomorphisms(star(a, b), t) == star_homs(t, a, b)
+
+    def test_acceptance_host(self):
+        t = two_block_tournament(120, Fraction(1, 10), 7)
+        res = count_labeled(star(1, 3), t)
+        assert res.value == star_labeled(t, 1, 3) == 1544688720
+        assert res.ratio == Fraction(2145401, 2160000)
+        assert round(float(res.ratio), 4) == 0.9932
+        assert count_homomorphisms(star(1, 3), t) == star_homs(t, 1, 3) == 1617760072
+
+    def test_limit_saturates_around_the_exact_count(self):
+        t = uniform_tournament(20, 5)
+        for d in (star(2, 2), star(1, 3), directed_path(2)):
+            exact = count_homomorphisms(d, t)
+            for limit in (1, exact - 1, exact, exact + 1, 2 * exact):
+                assert count_homomorphisms(d, t, limit=limit) == min(limit, exact)

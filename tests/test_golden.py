@@ -2,9 +2,12 @@
 
 The values were recorded from the scalar pure-Python implementation (one
 `blend` call per coin, map slot and subset word, and a Gray-code walk for the
-exact quasirandom scan) before the vectorised one replaced it. Seeded outputs
-are part of the determinism contract, so these literals never change. Large
-codes and long outputs are pinned by the first 16 hex digits of their SHA-256.
+exact quasirandom scan) before the vectorised one replaced it. The outputs of
+the backtracking counter (`TestBacktrackerBytes`) were recorded before it
+learned to count a trailing group of twin vertices in closed form. Seeded
+outputs are part of the determinism contract, so these literals never change.
+Large codes and long outputs are pinned by the first 16 hex digits of their
+SHA-256.
 """
 
 import hashlib
@@ -261,6 +264,80 @@ class TestCliBytes:
         assert capsys.readouterr().out == (
             f"host: {host16} (n=16)\nmode: exact\nepsilon: 11/128 (~0.0859375)\n"
         )
+
+
+class TestBacktrackerBytes:
+    """Family checks and counts that run the backtracker on hosts up to 40
+    vertices, under several vertex relabellings of the pattern."""
+
+    @staticmethod
+    def write(tmp_path, d, name):
+        path = tmp_path / name
+        path.write_text(dgf_dumps(d))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "perm, length, expected",
+        [
+            ((0, 1, 2, 3, 4), 5170, "111da4923d6510be"),
+            ((4, 3, 2, 1, 0), 5170, "53f8345a8417b391"),
+            ((2, 0, 4, 1, 3), 5170, "58f1a3a8ead60d79"),
+        ],
+    )
+    def test_transitive_star22(self, tmp_path, capsys, perm, length, expected):
+        pattern = self.write(tmp_path, star(2, 2).relabel(perm), "s22.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "transitive", "--n", "4..32"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (len(out), digest(out)) == (length, expected)
+
+    @pytest.mark.parametrize(
+        "perm, length, expected",
+        [
+            ((0, 1, 2, 3, 4), 1139, "52d8fb2c90e2db80"),
+            ((3, 0, 4, 2, 1), 1139, "d3b5e1024c075f42"),
+        ],
+    )
+    def test_blowup_cycle5(self, tmp_path, capsys, perm, length, expected):
+        pattern = self.write(tmp_path, directed_cycle(5).relabel(perm), "c5.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "blowup", "--n", "2..6"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (len(out), digest(out)) == (length, expected)
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (("--mode", "homs"),
+             '{"bound":{"den":"1","num":"6400000"},"mode":"homs",'
+             '"ratio":{"den":"800000","num":"693777"},"ratio_approx":0.86722125,'
+             '"value":"5550216"}\n'),
+            ((),
+             '{"bound":{"den":"1","num":"6400000"},"mode":"labeled",'
+             '"ratio":{"den":"2500","num":"1947"},"ratio_approx":0.7788,'
+             '"value":"4984320"}\n'),
+            (("--format", "text"),
+             "mode: labeled\nvalue: 4984320\nbound: 6400000/1\nratio: 1947/2500 (~0.7788)\n"),
+            (("--mode", "homs", "--format", "text"),
+             "mode: homs\nvalue: 5550216\nbound: 6400000/1\nratio: 693777/800000 (~0.867221)\n"),
+            # pins on the centre, on one out-leaf, and on both out-leaves
+            (("--pins", "0:5"),
+             '{"bound":{"den":"1","num":"160000"},"mode":"labeled-pinned","pins":{"0":5},'
+             '"ratio":{"den":"5000","num":"3927"},"ratio_approx":0.7854,"value":"125664"}\n'),
+            (("--pins", "1:7"),
+             '{"bound":{"den":"1","num":"160000"},"mode":"labeled-pinned","pins":{"1":7},'
+             '"ratio":{"den":"40000","num":"31719"},"ratio_approx":0.792975,"value":"126876"}\n'),
+            (("--pins", "1:7,2:9"),
+             '{"bound":{"den":"1","num":"4000"},"mode":"labeled-pinned","pins":{"1":7,"2":9},'
+             '"ratio":{"den":"2000","num":"2063"},"ratio_approx":1.0315,"value":"4126"}\n'),
+        ],
+    )
+    def test_count_star22_uniform40(self, tmp_path, capsys, extra, expected):
+        pattern = self.write(tmp_path, star(2, 2), "s22.dgf")
+        host = tmp_path / "u40.trn"
+        host.write_text(trn_dumps(uniform_tournament(40, 4)))
+        assert main(["count", "--pattern", pattern, "--host", str(host), *extra]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestScalarReference:
