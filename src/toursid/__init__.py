@@ -20,7 +20,6 @@ from .counting import (
     count_labeled,
     count_labeled_pinned,
     density,
-    is_impartial_upto,
     oracle_count,
 )
 from .digraph import (
@@ -49,6 +48,7 @@ from .properties import (
     forcing_probe,
     impartiality_report,
     interpolate_to_density,
+    is_impartial_upto,
     quasirandom_epsilon,
     sampled_density,
     sidorenko_scan_exhaustive,

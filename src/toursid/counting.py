@@ -445,25 +445,3 @@ def oracle_count(
             c += 1
     return c
 
-
-def is_impartial_upto(
-    d: Digraph, n_max: int = 7, *, budget: Optional[int] = None
-) -> tuple[bool, Optional[tuple[Tournament, Tournament]]]:
-    """True iff the labeled count is constant over all tournaments at each
-    n <= n_max; on False, returns two hosts with differing counts.
-
-    Scans isomorphism-class representatives (the count is an isomorphism
-    invariant, so constancy on representatives is constancy everywhere).
-    The pair is the first representative and the first one whose count
-    differs from it.
-    """
-    if n_max > 7:
-        raise ValueError("impartiality scan is guarded at n_max = 7")
-    from .properties import scan_counts
-
-    for n in range(1, n_max + 1):
-        counts, host_at = scan_counts(d, n, dedup=True, budget=budget)
-        differ = np.flatnonzero(counts != counts[0])
-        if differ.size:
-            return False, (host_at(0), host_at(int(differ[0])))
-    return True, None

@@ -3,16 +3,24 @@ representatives, and seeded coin tournaments (`coin_rows`, shared by the
 uniform hosts here and the planted two-block hosts in `properties`).
 
 Raw enumeration walks the n(n-1)/2-bit pair code directly, so the p-th bit of
-the code matches the p-th character of the TRN/1 wire format. Representative
-enumeration extends the (n-1)-vertex class list by every in/out pattern of a
-new vertex and dedups with the exact isomorphism backtracker; the checked
-quantities in scans that use it are isomorphism-invariant.
+the code matches the p-th character of the TRN/1 wire format.
+
+Class representatives for n <= 8 are read from the package-data file
+`tournament_classes.bin`: the representatives' pair codes as little-endian
+int32, n-major, CLASS_COUNTS[n] codes per n (OEIS A000568). `class_codes` is
+the only reader of that file; it loads it on first use. The table was written
+once by `_enumerate_representatives`, which extends the (n-1)-vertex class
+list by every in/out pattern of a new vertex and dedups with the exact
+isomorphism backtracker. That enumeration stays as the reference the tests
+compare the table against; no scan runs it. The checked quantities in scans
+over representatives are isomorphism-invariant.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -20,8 +28,11 @@ import numpy as np
 from .digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, bits
 from .rng import blend_array
 
-# class enumeration at n = 8 (6880 classes) takes seconds; n = 9 is far out
-REPRESENTATIVES_LIMIT = 8
+# tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
+# holds one code per class, and enumerating n = 9 (191536 classes) is far out
+CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
+REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
+_CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
 # entries of one coin-matrix chunk; bounds the temporaries at any n
 _COIN_CHUNK = 1 << 12
 
@@ -47,23 +58,48 @@ def _invariant_key(t: Tournament) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _class_table() -> np.ndarray:
+    data = _CLASS_TABLE.read_bytes()
+    size = 4 * sum(CLASS_COUNTS)
+    if len(data) != size:
+        raise ValueError(
+            f"{_CLASS_TABLE.name} holds {len(data)} bytes, expected {size}: "
+            f"one int32 code per class for n <= {REPRESENTATIVES_LIMIT}"
+        )
+    table = np.frombuffer(data, dtype="<i4").astype(np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def class_codes(n: int) -> np.ndarray:
+    """Pair codes of one representative per isomorphism class of n-vertex
+    tournaments, as a read-only int32 array in enumeration order."""
+    if n > REPRESENTATIVES_LIMIT:
+        raise SizeLimitError(f"class table is guarded at n = {REPRESENTATIVES_LIMIT}")
+    if n < 0:
+        raise ValueError("host size must be nonnegative")
+    start = sum(CLASS_COUNTS[:n])
+    return _class_table()[start : start + CLASS_COUNTS[n]]
+
+
+@lru_cache(maxsize=None)
 def tournament_representatives(n: int) -> tuple[Tournament, ...]:
-    """One representative per isomorphism class of n-vertex tournaments.
+    """One representative per isomorphism class of n-vertex tournaments,
+    decoded from `class_codes(n)`."""
+    return tuple(Tournament.from_code(n, int(code)) for code in class_codes(n))
+
+
+def _enumerate_representatives(n: int) -> list[Tournament]:
+    """The enumeration that wrote the class table; the tests' reference.
 
     Deterministic: candidates are generated in (parent class, extension
     pattern) order and kept on first appearance of their class.
     """
-    if n > REPRESENTATIVES_LIMIT:
-        raise SizeLimitError(
-            f"class enumeration is guarded at n = {REPRESENTATIVES_LIMIT}"
-        )
-    if n == 0:
-        return (Tournament.from_rows([]),)
-    if n == 1:
-        return (Tournament.from_rows([0]),)
+    if n <= 1:
+        return [Tournament.from_rows([0] * n)]
     reps: list[Tournament] = []
     buckets: dict[tuple, list[Tournament]] = {}
-    for parent in tournament_representatives(n - 1):
+    for parent in _enumerate_representatives(n - 1):
         base = parent.out_rows()
         for pattern in range(1 << (n - 1)):
             # new vertex n-1 beats exactly the pattern bits
@@ -78,7 +114,7 @@ def tournament_representatives(n: int) -> tuple[Tournament, ...]:
             if not any(are_isomorphic(cand, seen) for seen in bucket):
                 bucket.append(cand)
                 reps.append(cand)
-    return tuple(reps)
+    return reps
 
 
 def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:

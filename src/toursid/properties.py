@@ -37,7 +37,7 @@ from .digraph import (
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, trn_dumps, trn_loads
-from .hosts import coin_rows, pair_count, tournament_representatives
+from .hosts import REPRESENTATIVES_LIMIT, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
 
 EXHAUSTIVE_LIMIT = 7
@@ -197,18 +197,42 @@ def scan_counts(
     map from a count's index back to its host.
 
     The hosts are the raw pair codes 0..2^(n(n-1)/2)-1 in code order, or with
-    dedup=True the isomorphism-class representatives in enumeration order.
-    An engine that takes the first extremal index picks the host that a loop
-    over the hosts in this order would pick.
+    dedup=True the isomorphism-class representatives' codes from the class
+    table, in enumeration order. An engine that takes the first extremal
+    index picks the host that a loop over the hosts in this order would pick.
     """
     if dedup:
-        reps = tournament_representatives(n)
-        codes = np.fromiter((t.code() for t in reps), dtype=np.int32, count=len(reps))
-        host_at = reps.__getitem__
+        codes = class_codes(n)
+        host_at = lambda i: Tournament.from_code(n, int(codes[i]))
     else:
         codes = np.arange(1 << pair_count(n), dtype=np.int32)
         host_at = functools.partial(Tournament.from_code, n)
     return labeled_counts(d, n, codes, pins, budget=budget), host_at
+
+
+def is_impartial_upto(
+    d: Digraph, n_max: int = 7, *, budget: Optional[int] = None
+) -> tuple[bool, Optional[tuple[Tournament, Tournament]]]:
+    """True iff the labeled count is constant over all tournaments at each
+    n <= n_max; on False, returns two hosts with differing counts.
+
+    Scans isomorphism-class representatives (the count is an isomorphism
+    invariant, so constancy on representatives is constancy everywhere).
+    The pair is the first representative and the first one whose count
+    differs from it.
+    """
+    if n_max > REPRESENTATIVES_LIMIT:
+        raise ValueError(f"impartiality scan is guarded at n_max = {REPRESENTATIVES_LIMIT}")
+    for n in range(1, n_max + 1):
+        counts, host_at = scan_counts(d, n, dedup=True, budget=budget)
+        differ = np.flatnonzero(counts != counts[0])
+        if differ.size:
+            return False, (host_at(0), host_at(int(differ[0])))
+    return True, None
+
+
+def _scan_limit(dedup: bool) -> int:
+    return REPRESENTATIVES_LIMIT if dedup else EXHAUSTIVE_LIMIT
 
 
 def check_anti_exhaustive(
@@ -222,11 +246,13 @@ def check_anti_exhaustive(
 
     dedup=True walks isomorphism-class representatives instead of the raw
     2^(n(n-1)/2) pair codes; the labeled count is an isomorphism invariant,
-    so the verdict is unchanged. The witness at each n is the first host
-    with the maximal count.
+    so the verdict is unchanged. Raw scans are guarded at n_max = 7 and
+    class scans at n_max = 8. The witness at each n is the first host with
+    the maximal count.
     """
-    if n_max > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive scan is guarded at n_max = {EXHAUSTIVE_LIMIT}")
+    limit = _scan_limit(dedup)
+    if n_max > limit:
+        raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
     curve = []
     best_ratio = Fraction(0)
     witness: Optional[Tournament] = None
@@ -515,8 +541,9 @@ def sidorenko_scan_exhaustive(
 ) -> PropertyReport:
     """Minimum labeled ratio per host size; measurement only, never a boolean
     over-representation verdict at fixed n."""
-    if n_max > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive scan is guarded at n_max = {EXHAUSTIVE_LIMIT}")
+    limit = _scan_limit(dedup)
+    if n_max > limit:
+        raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
     curve = []
     for n in range(1, n_max + 1):
         bound = Fraction(n**d.n, 1 << d.edge_count)
@@ -545,8 +572,6 @@ def sidorenko_scan_exhaustive(
 
 def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
     """Constant-count check across isomorphism classes at each n <= n_max."""
-    from .counting import is_impartial_upto
-
     ok, pair = is_impartial_upto(d, n_max)
     extra = {}
     if not ok and pair is not None:

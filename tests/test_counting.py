@@ -23,7 +23,6 @@ from toursid.counting import (
     count_labeled_pinned,
     count_table,
     density,
-    is_impartial_upto,
     labeled_counts,
     oracle_count,
 )
@@ -39,7 +38,7 @@ from toursid.hosts import (
     tournament_representatives,
     uniform_tournament,
 )
-from toursid.properties import two_block_tournament
+from toursid.properties import is_impartial_upto, two_block_tournament
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -256,7 +255,7 @@ class TestImpartiality:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            is_impartial_upto(Digraph(1), 8)
+            is_impartial_upto(Digraph(1), 9)
 
 
 class TestBudget:

@@ -6,6 +6,9 @@ exact quasirandom scan) before the vectorised one replaced it. The outputs of
 the backtracking counter (`TestBacktrackerBytes`) were recorded before it
 learned to count a trailing group of twin vertices in closed form. Seeded
 outputs are part of the determinism contract, so these literals never change.
+The class-scan reports (`TestClassScanBytes`) were recorded while the class
+representatives were still enumerated in every process, before they were read
+from the committed code table.
 Large codes and long outputs are pinned by the first 16 hex digits of their
 SHA-256.
 """
@@ -19,7 +22,16 @@ from fractions import Fraction
 import pytest
 
 from toursid.cli import main
-from toursid.constructions import directed_cycle, star
+from toursid.constructions import (
+    d_family,
+    directed_cycle,
+    directed_path,
+    impartial_four_tree,
+    iterated_balanced_star,
+    star,
+    transitive_minus_edge,
+    transitive_tournament,
+)
 from toursid.digraph import Digraph
 from toursid.formats import dgf_dumps, trn_dumps
 from toursid.hosts import coin_rows, uniform_tournament
@@ -338,6 +350,71 @@ class TestBacktrackerBytes:
         host.write_text(trn_dumps(uniform_tournament(40, 4)))
         assert main(["count", "--pattern", pattern, "--host", str(host), *extra]) == 0
         assert capsys.readouterr().out == expected
+
+
+class TestClassScanBytes:
+    """Reports of the scans over isomorphism-class representatives: their
+    witness hosts are representatives, so the bytes pin the table's order."""
+
+    ANTI = ("check", "anti", "--dedup", "--exhaustive", "7")
+
+    @staticmethod
+    def run(tmp_path, capsys, d, argv):
+        path = tmp_path / "pattern.dgf"
+        path.write_text(dgf_dumps(d))
+        code = main([*argv[:2], "--pattern", str(path), *argv[2:]])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "make, argv, length, expected",
+        [
+            (lambda: directed_cycle(7), ANTI, 1260, "c588a7eaef52208b"),
+            (lambda: directed_cycle(5), ANTI, 1257, "e4ca6009ee33b446"),
+            (lambda: directed_cycle(5).relabel((3, 0, 4, 2, 1)), ANTI, 1257, "557dabd2cdff504f"),
+            (lambda: directed_cycle(5), (*ANTI, "--format", "text"), 244, "01dc3bb3103a60cb"),
+            (lambda: d_family(2), ANTI, 1247, "1013b94e43a35be7"),
+            (lambda: transitive_minus_edge(5, 1, 5), ANTI, 1284, "a59d39e1afd350fd"),
+            (lambda: iterated_balanced_star(2), ANTI, 1219, "2a3f5dc876149639"),
+            (lambda: transitive_tournament(4),
+             ("check", "sidorenko-scan", "--dedup", "--exhaustive", "7"), 1055, "6063e7bd36a88689"),
+            (impartial_four_tree, ("check", "impartial", "--n", "7"), 286, "32287cff9764f246"),
+            (lambda: star(2, 2),
+             ("check", "strong-anti", "--dedup", "--exhaustive", "6", "--pins-set", "0"),
+             1121, "c92add239dd88a5d"),
+        ],
+    )
+    def test_holding_scans(self, tmp_path, capsys, make, argv, length, expected):
+        code, out = self.run(tmp_path, capsys, make(), argv)
+        assert (code, len(out), digest(out)) == (0, length, expected)
+
+    def test_impartial_witness_pair(self, tmp_path, capsys):
+        code, out = self.run(
+            tmp_path, capsys, directed_path(2), ("check", "impartial", "--n", "7")
+        )
+        assert code == 2
+        assert out == (
+            '{"curve":[],"extra":{"witness_counts":["1","3"],'
+            '"witness_pair":["3\\n111\\n","3\\n101\\n"]},'
+            '"extremal_ratio":null,"extremal_ratio_approx":null,'
+            '"pattern":{"dgf":"3 2\\n0 1\\n1 2\\n","provenance":null},"property":"impartial",'
+            '"regime":{"dedup":true,"kind":"impartial-scan","n_max":7},'
+            '"schema":"toursid/report-v1","verdict":"violated","witness_trn":"3\\n111\\n"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "perm, pins, anchor, expected",
+        [
+            ((0, 1, 2), "1,2", '{"1":5,"2":0}', "84a4cfa71167f708"),
+            ((2, 0, 1), "0,1", None, "e725d3265742304d"),
+        ],
+    )
+    def test_strong_anti_witness(self, tmp_path, capsys, perm, pins, anchor, expected):
+        argv = ("check", "strong-anti", "--dedup", "--exhaustive", "6", "--pins-set", pins)
+        code, out = self.run(tmp_path, capsys, star(1, 1).relabel(perm), argv)
+        assert (code, len(out), digest(out)) == (2, 1031, expected)
+        assert out.endswith('"witness_trn":"6\\n111111111111111\\n"}\n')
+        if anchor is not None:
+            assert f'"extra":{{"witness_anchor":{anchor}}}' in out
 
 
 class TestScalarReference:
