@@ -11,7 +11,6 @@ overridden with the TOURSID_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,9 +23,10 @@ from .counting import (
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
+    labeled_bound,
 )
 from .digraph import Digraph, Tournament
-from .formats import FormatError, dgf_dumps, dgf_loads, trn_loads
+from .formats import FormatError, dgf_dumps, dgf_loads, json_dumps, trn_loads
 from .properties import (
     PropertyReport,
     check_anti_exhaustive,
@@ -48,6 +48,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_doc(doc: dict, render, args) -> int:
+    """Write doc as canonical JSON, or rendered by `render` under --format text."""
+    _emit(render(doc) if args.fmt == "text" else json_dumps(doc), args.out)
+    return EXIT_OK
 
 
 def _rational_str(doc) -> str:
@@ -191,18 +197,13 @@ def _cmd_count(args) -> int:
         doc["pins"] = {str(k): v for k, v in sorted(pins.items())}
     elif args.mode == "homs":
         value = count_homomorphisms(pattern, host)
-        bound = Fraction(host.n**pattern.n, 1 << pattern.edge_count)
-        doc = CountResult(value, bound).to_json_dict()
+        doc = CountResult(value, labeled_bound(pattern, host.n)).to_json_dict()
         doc["mode"] = "homs"
     else:
         res = count_labeled(pattern, host)
         doc = res.to_json_dict()
         doc["mode"] = "labeled"
-    if args.fmt == "text":
-        _emit(_render_count_text(doc), args.out)
-    else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    return EXIT_OK
+    return _emit_doc(doc, _render_count_text, args)
 
 
 def _report_exit(report: PropertyReport, out: str | None, fmt: str = "json") -> int:
@@ -289,11 +290,7 @@ def _cmd_quasi(args) -> int:
         "epsilon": {"num": str(eps.numerator), "den": str(eps.denominator)},
         "epsilon_approx": float(eps),
     }
-    if args.fmt == "text":
-        _emit(_render_quasi_text(doc), args.out)
-    else:
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    return EXIT_OK
+    return _emit_doc(doc, _render_quasi_text, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,10 @@ Two engines, validated against each other and against an oracle:
 `oracle_count` is an independent, unpruned full enumeration used to validate
 both engines; it must never share their code path.
 
+`labeled_bound` is the one baseline 2^(-e(D)) n^(v(D)-|I|) of every labeled
+count, I being the pinned set (empty unless `count_labeled_pinned` is given
+the required anchor of I).
+
 All verdict arithmetic (bounds, ratios) is exact: big integers and Fractions.
 Floating point appears only in convenience report fields.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -60,12 +64,26 @@ def work_budget(budget: Optional[int] = None) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
+def labeled_bound(d: Digraph, n: int, pinned: int = 0) -> Fraction:
+    """2^(-e(D)) n^(v(D) - pinned): the expected number of labeled copies of
+    d extending one anchor of `pinned` vertices in a random n-vertex host."""
+    return Fraction(n ** (d.n - pinned), 1 << d.edge_count)
+
+
+def _check_anchor(pins: dict[int, int], n: int) -> None:
+    """Reject an anchor that is not injective or leaves the n-vertex host."""
+    if len(set(pins.values())) != len(pins):
+        raise ValueError("anchor must be injective")
+    for hv in pins.values():
+        if not 0 <= hv < n:
+            raise ValueError(f"anchor image {hv} out of host range")
+
+
 @dataclass(frozen=True)
 class CountResult:
     """An exact count next to its random-orientation baseline.
 
-    bound is 2^(-e(D)) * n^(v(D)) (or the pinned variant with exponent
-    v(D) - |I|); ratio is value/bound, exact.
+    bound is `labeled_bound` (pinned or not); ratio is value/bound, exact.
     """
 
     value: int
@@ -86,17 +104,16 @@ class CountResult:
 
 @dataclass(frozen=True)
 class PinnedPattern:
-    """A pattern digraph with an independent pinned set and optional anchor.
+    """A pattern digraph with an independent pinned set.
 
-    `pinned` may be given as a bit mask or an iterable of vertices. The anchor,
-    when present, maps pinned pattern vertices to host vertices injectively.
+    `pinned` may be given as a bit mask or an iterable of vertices. The
+    counters take the anchor of the pinned set as a separate argument.
     """
 
     pattern: Digraph
     pinned: int
-    anchor: Optional[dict[int, int]] = field(default=None)
 
-    def __init__(self, pattern: Digraph, pinned, anchor: Optional[dict[int, int]] = None):
+    def __init__(self, pattern: Digraph, pinned):
         if not isinstance(pinned, int):
             pinned = mask_of(pinned)
         if pinned >> pattern.n:
@@ -104,14 +121,8 @@ class PinnedPattern:
         for v in bits(pinned):
             if (pattern.out(v) | pattern.inn(v)) & pinned:
                 raise ValueError("pinned set must be independent in the pattern")
-        if anchor is not None:
-            if set(anchor) - set(bits(pinned)):
-                raise ValueError("anchor keys must lie in the pinned set")
-            if len(set(anchor.values())) != len(anchor):
-                raise ValueError("anchor must be injective")
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "pinned", pinned)
-        object.__setattr__(self, "anchor", dict(anchor) if anchor else None)
 
     @property
     def pinned_vertices(self) -> tuple[int, ...]:
@@ -279,14 +290,13 @@ def count_labeled(d: Digraph, t: Tournament, *, budget: Optional[int] = None) ->
     """Exact number of injective edge-preserving maps, with its baseline
     bound 2^(-e(D)) n^(v(D))."""
     value = _backtrack(d, t, injective=True, budget=budget)
-    bound = Fraction(t.n ** d.n, 1 << d.edge_count)
-    return CountResult(value, bound)
+    return CountResult(value, labeled_bound(d, t.n))
 
 
 def count_labeled_pinned(
     p: PinnedPattern,
     t: Tournament,
-    anchor: Optional[dict[int, int]] = None,
+    anchor: dict[int, int],
     *,
     budget: Optional[int] = None,
 ) -> CountResult:
@@ -295,20 +305,12 @@ def count_labeled_pinned(
     The bound is 2^(-e(D)) n^(v(D)-|I|). The anchor must be total on the
     pinned set and injective into the host.
     """
-    pins = anchor if anchor is not None else p.anchor
     pinned = p.pinned_vertices
-    if pins is None or set(pins) != set(pinned):
+    if set(anchor) != set(pinned):
         raise ValueError("anchor must be defined on exactly the pinned set")
-    if len(set(pins.values())) != len(pins):
-        raise ValueError("anchor must be injective")
-    for hv in pins.values():
-        if not 0 <= hv < t.n:
-            raise ValueError(f"anchor image {hv} out of host range")
-    value = _backtrack(p.pattern, t, injective=True, pins=pins, budget=budget)
-    bound = Fraction(
-        t.n ** (p.pattern.n - len(pinned)), 1 << p.pattern.edge_count
-    )
-    return CountResult(value, bound)
+    _check_anchor(anchor, t.n)
+    value = _backtrack(p.pattern, t, injective=True, pins=anchor, budget=budget)
+    return CountResult(value, labeled_bound(p.pattern, t.n, len(pinned)))
 
 
 def density(d: Digraph, t: Tournament, *, budget: Optional[int] = None) -> Fraction:
@@ -339,10 +341,7 @@ def count_table(
     if n > TABLE_HOST_LIMIT:
         raise SizeLimitError(f"the count table is guarded at n = {TABLE_HOST_LIMIT}")
     pins = pins or {}
-    if len(set(pins.values())) != len(pins):
-        raise ValueError("anchor must be injective")
-    if any(not 0 <= h < n for h in pins.values()):
-        raise ValueError("anchor image out of host range")
+    _check_anchor(pins, n)
     free = [v for v in range(d.n) if v not in pins]
     spare = [h for h in range(n) if h not in pins.values()]
     volume = 1

@@ -40,6 +40,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _trusted(cls, rows: tuple[int, ...], m: int):
+    """An instance of cls over out-rows already known to be valid, with m
+    edges; no validation."""
+    d = cls.__new__(cls)
+    object.__setattr__(d, "n", len(rows))
+    object.__setattr__(d, "_out", rows)
+    object.__setattr__(d, "_in", None)
+    object.__setattr__(d, "_m", m)
+    object.__setattr__(d, "meta", None)
+    return d
+
+
 class Digraph:
     """An oriented graph on vertices 0..n-1.
 
@@ -82,7 +94,6 @@ class Digraph:
         """Build from out-neighbor bit rows, validating orientedness."""
         rows = tuple(rows)
         n = len(rows)
-        d = cls.__new__(cls)
         m = 0
         for u, row in enumerate(rows):
             if row >> n:
@@ -94,12 +105,7 @@ class Digraph:
             for v in bits(rows[u]):
                 if rows[v] >> u & 1:
                     raise ValueError(f"antiparallel pair on {{{u},{v}}}")
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "_out", rows)
-        object.__setattr__(d, "_in", None)
-        object.__setattr__(d, "_m", m)
-        object.__setattr__(d, "meta", None)
-        return d
+        return _trusted(cls, rows, m)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -167,17 +173,7 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         """The digraph with every edge reversed. An involution."""
-        rows = [0] * self.n
-        for u, row in enumerate(self._out):
-            for v in bits(row):
-                rows[v] |= 1 << u
-        out = type(self).__new__(type(self))
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "_out", tuple(rows))
-        object.__setattr__(out, "_in", None)
-        object.__setattr__(out, "_m", self._m)
-        object.__setattr__(out, "meta", None)
-        return out
+        return _trusted(type(self), self.in_rows(), self._m)
 
     def underlying(self) -> "UndirectedGraph":
         """The underlying undirected graph: {u,v} iff u->v or v->u."""
@@ -272,13 +268,7 @@ class Tournament(Digraph):
                 else:
                     rows[j] |= 1 << i
                 p += 1
-        t = cls.__new__(cls)
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "_out", tuple(rows))
-        object.__setattr__(t, "_in", None)
-        object.__setattr__(t, "_m", n * (n - 1) // 2)
-        object.__setattr__(t, "meta", None)
-        return t
+        return _trusted(cls, tuple(rows), n * (n - 1) // 2)
 
     def code(self) -> int:
         c = 0

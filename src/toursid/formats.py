@@ -14,6 +14,8 @@ byte for byte.
 
 from __future__ import annotations
 
+import json
+
 from .digraph import Digraph, Tournament
 
 
@@ -23,6 +25,12 @@ class FormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def json_dumps(doc) -> str:
+    """Canonical JSON, the encoding of every report and CLI document: equal
+    documents give equal bytes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _payload_lines(text: str) -> list[tuple[int, str]]:

@@ -27,6 +27,7 @@ from .counting import (
     count_labeled,
     count_labeled_pinned,
     density,
+    labeled_bound,
     labeled_counts,
 )
 from .digraph import (
@@ -36,7 +37,7 @@ from .digraph import (
     mask_of,
     transitive_host,
 )
-from .formats import dgf_dumps, dgf_loads, trn_dumps, trn_loads
+from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
 from .hosts import REPRESENTATIVES_LIMIT, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
 
@@ -108,7 +109,7 @@ class PropertyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json_dumps(self.to_json_dict())
 
     @staticmethod
     def from_json(text: str, verify: bool = True) -> "PropertyReport":
@@ -158,13 +159,8 @@ class PropertyReport:
             if not est.violates(bound):
                 raise ValueError("sampled witness no longer violates the bound")
             return
-        anchor_doc = self.extra.get("witness_anchor")
-        if anchor_doc is not None:
-            pins = {int(k): int(v) for k, v in anchor_doc.items()}
-            pat = PinnedPattern(pattern, tuple(pins))
-            res = count_labeled_pinned(pat, host, pins)
-        else:
-            res = count_labeled(pattern, host)
+        pins = {int(k): int(v) for k, v in self.extra.get("witness_anchor", {}).items()}
+        res = count_labeled_pinned(PinnedPattern(pattern, tuple(pins)), host, pins)
         if res.ratio <= 1:
             raise ValueError("witness failed re-verification: ratio not above 1")
         # exhaustive witnesses are the scan maximizer; a family witness is the
@@ -235,6 +231,49 @@ def _scan_limit(dedup: bool) -> int:
     return REPRESENTATIVES_LIMIT if dedup else EXHAUSTIVE_LIMIT
 
 
+def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
+    """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
+    n_max, with I the pinned vertices, yields n, the baseline, the labeled
+    counts as a hosts x anchors table (anchors of I in permutation order; one
+    column when I is empty), the anchors, and the map from a row to its host."""
+    for n in range(max(len(pinned), 1), n_max + 1):
+        anchors = [
+            dict(zip(pinned, images))
+            for images in itertools.permutations(range(n), len(pinned))
+        ]
+        scans = [scan_counts(d, n, dedup=dedup, pins=a, budget=budget) for a in anchors]
+        table = np.stack([counts for counts, _ in scans], axis=1)
+        yield n, labeled_bound(d, n, len(pinned)), table, anchors, scans[0][1]
+
+
+def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
+    """The max-ratio curve over `_scan_steps`, its largest ratio, and the
+    witness host and anchor: the first maximum in host-major order (the flat
+    argmax of the table), replaced at a later n only by a larger ratio."""
+    curve = []
+    best_ratio = Fraction(0)
+    witness = witness_anchor = None
+    for n, bound, table, anchors, host_at in _scan_steps(
+        d, n_max, pinned, dedup=dedup, budget=budget
+    ):
+        best_host, best_anchor = divmod(int(np.argmax(table)), len(anchors))
+        ratio = Fraction(int(table[best_host, best_anchor])) / bound
+        curve.append(
+            {
+                "n": n,
+                "hosts": len(table),
+                "bound": _frac(bound),
+                "max_ratio": _frac(ratio),
+                "max_ratio_approx": float(ratio),
+                "violated": ratio > 1,
+            }
+        )
+        if ratio > best_ratio:
+            best_ratio = ratio
+            witness, witness_anchor = host_at(best_host), anchors[best_anchor]
+    return tuple(curve), best_ratio, witness, witness_anchor
+
+
 def check_anti_exhaustive(
     d: Digraph,
     n_max: int,
@@ -247,33 +286,13 @@ def check_anti_exhaustive(
     dedup=True walks isomorphism-class representatives instead of the raw
     2^(n(n-1)/2) pair codes; the labeled count is an isomorphism invariant,
     so the verdict is unchanged. Raw scans are guarded at n_max = 7 and
-    class scans at n_max = 8. The witness at each n is the first host with
-    the maximal count.
+    class scans at n_max = 8. This is the scan of `check_strong_anti` with
+    no pinned vertex; the witness is the first host with the maximal count.
     """
     limit = _scan_limit(dedup)
     if n_max > limit:
         raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
-    curve = []
-    best_ratio = Fraction(0)
-    witness: Optional[Tournament] = None
-    for n in range(1, n_max + 1):
-        bound = Fraction(n**d.n, 1 << d.edge_count)
-        counts, host_at = scan_counts(d, n, dedup=dedup, budget=budget)
-        best = int(np.argmax(counts))
-        ratio = Fraction(int(counts[best])) / bound
-        curve.append(
-            {
-                "n": n,
-                "hosts": len(counts),
-                "bound": _frac(bound),
-                "max_ratio": _frac(ratio),
-                "max_ratio_approx": float(ratio),
-                "violated": ratio > 1,
-            }
-        )
-        if ratio > best_ratio:
-            best_ratio = ratio
-            witness = host_at(best)
+    curve, best_ratio, witness, _ = _max_scan(d, n_max, (), dedup=dedup, budget=budget)
     violated = best_ratio > 1
     return PropertyReport(
         property_name="anti-sidorenko-upto",
@@ -282,8 +301,8 @@ def check_anti_exhaustive(
         regime={"kind": "exhaustive", "n_max": n_max, "dedup": dedup},
         verdict="violated" if violated else "holds-upto",
         extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if violated and witness is not None else None,
-        curve=tuple(curve),
+        witness_trn=trn_dumps(witness) if violated else None,
+        curve=curve,
     )
 
 
@@ -480,43 +499,12 @@ def check_strong_anti(
         raise ValueError(f"pinned scan is guarded at n_max = {STRONG_ANTI_LIMIT}")
     pinned = p.pinned_vertices
     d = p.pattern
-    curve = []
-    best_ratio = Fraction(0)
-    witness = None
-    witness_anchor = None
-    for n in range(1, n_max + 1):
-        if len(pinned) > n:
-            continue
-        bound = Fraction(n ** (d.n - len(pinned)), 1 << d.edge_count)
-        anchors = [
-            dict(zip(pinned, images))
-            for images in itertools.permutations(range(n), len(pinned))
-        ]
-        scans = [
-            scan_counts(d, n, dedup=dedup, pins=pins, budget=budget) for pins in anchors
-        ]
-        host_at = scans[0][1]
-        # one row per host, anchors in permutation order: the flat argmax is
-        # the first maximum in host-major order
-        table = np.stack([counts for counts, _ in scans], axis=1)
-        best_host, best_anchor = divmod(int(np.argmax(table)), len(anchors))
-        ratio = Fraction(int(table[best_host, best_anchor])) / bound
-        curve.append(
-            {
-                "n": n,
-                "hosts": len(table),
-                "bound": _frac(bound),
-                "max_ratio": _frac(ratio),
-                "max_ratio_approx": float(ratio),
-                "violated": ratio > 1,
-            }
-        )
-        if ratio > best_ratio:
-            best_ratio = ratio
-            witness, witness_anchor = host_at(best_host), anchors[best_anchor]
+    curve, best_ratio, witness, witness_anchor = _max_scan(
+        d, n_max, pinned, dedup=dedup, budget=budget
+    )
     violated = best_ratio > 1
     extra = {}
-    if violated and witness_anchor is not None:
+    if violated:
         extra["witness_anchor"] = {str(k): v for k, v in witness_anchor.items()}
     return PropertyReport(
         property_name="strong-anti-sidorenko-upto",
@@ -530,8 +518,8 @@ def check_strong_anti(
         },
         verdict="violated" if violated else "holds-upto",
         extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if violated and witness is not None else None,
-        curve=tuple(curve),
+        witness_trn=trn_dumps(witness) if violated else None,
+        curve=curve,
         extra=extra,
     )
 
@@ -545,14 +533,12 @@ def sidorenko_scan_exhaustive(
     if n_max > limit:
         raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
     curve = []
-    for n in range(1, n_max + 1):
-        bound = Fraction(n**d.n, 1 << d.edge_count)
-        counts, _ = scan_counts(d, n, dedup=dedup, budget=budget)
-        ratio = Fraction(int(counts.min())) / bound
+    for n, bound, table, _, _ in _scan_steps(d, n_max, (), dedup=dedup, budget=budget):
+        ratio = Fraction(int(table.min())) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": len(counts),
+                "hosts": len(table),
                 "bound": _frac(bound),
                 "min_ratio": _frac(ratio),
                 "min_ratio_approx": float(ratio),

@@ -8,7 +8,8 @@ learned to count a trailing group of twin vertices in closed form. Seeded
 outputs are part of the determinism contract, so these literals never change.
 The class-scan reports (`TestClassScanBytes`) were recorded while the class
 representatives were still enumerated in every process, before they were read
-from the committed code table.
+from the committed code table. The raw-scan reports (`TestRawScanBytes`)
+were recorded while plain, pinned and Sidorenko scans still had a loop each.
 Large codes and long outputs are pinned by the first 16 hex digits of their
 SHA-256.
 """
@@ -415,6 +416,32 @@ class TestClassScanBytes:
         assert out.endswith('"witness_trn":"6\\n111111111111111\\n"}\n')
         if anchor is not None:
             assert f'"extra":{{"witness_anchor":{anchor}}}' in out
+
+
+class TestRawScanBytes:
+    """Reports of the scans over every raw pair code, recorded before the
+    plain and pinned scans shared one loop. The violated strong-anti report
+    pins which maximum is the witness: the first in host-major order."""
+
+    @pytest.mark.parametrize(
+        "make, argv, code, length, expected",
+        [
+            (lambda: directed_cycle(5), ("check", "anti", "--exhaustive", "6"),
+             0, 1111, "b85672274af3c0b6"),
+            (lambda: directed_path(2), ("check", "anti", "--exhaustive", "6"),
+             0, 1096, "f2118d01b524e163"),
+            (lambda: transitive_tournament(3), ("check", "sidorenko-scan", "--exhaustive", "6"),
+             0, 951, "03eab0f74f4ac8fa"),
+            (lambda: star(1, 1),
+             ("check", "strong-anti", "--pins-set", "1,2", "--exhaustive", "5"),
+             2, 879, "4cea25f51418ddc1"),
+        ],
+    )
+    def test_raw_scans(self, tmp_path, capsys, make, argv, code, length, expected):
+        got, out = TestClassScanBytes.run(tmp_path, capsys, make(), argv)
+        assert (got, len(out), digest(out)) == (code, length, expected)
+        if code == 2:
+            assert '"extra":{"witness_anchor":{"1":0,"2":4}}' in out
 
 
 class TestScalarReference:

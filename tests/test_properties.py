@@ -183,11 +183,14 @@ class TestStrongAnti:
             assert res.value == 4  # in-degree times out-degree, both 2
 
     def test_empty_pin_matches_plain_check(self):
-        d = directed_cycle(3)
-        pinned = check_strong_anti(PinnedPattern(d, ()), 5)
-        plain = check_anti_exhaustive(d, 5)
-        assert pinned.verdict == plain.verdict
-        assert pinned.extremal_ratio == plain.extremal_ratio
+        for d in (directed_cycle(3), directed_path(3), star(2, 1)):
+            for dedup, n_max in ((False, 5), (True, 6)):
+                pinned = check_strong_anti(PinnedPattern(d, ()), n_max, dedup=dedup)
+                plain = check_anti_exhaustive(d, n_max, dedup=dedup)
+                assert pinned.verdict == plain.verdict
+                assert pinned.extremal_ratio == plain.extremal_ratio
+                assert pinned.curve == plain.curve
+                assert pinned.witness_trn == plain.witness_trn
 
     def test_guard(self):
         with pytest.raises(ValueError):
