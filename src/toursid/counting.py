@@ -36,11 +36,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
@@ -84,6 +85,7 @@ class CountResult:
     """An exact count next to its random-orientation baseline.
 
     bound is `labeled_bound` (pinned or not); ratio is value/bound, exact.
+    The bound is 0 only on the empty host, where the ratio is undefined.
     """
 
     value: int
@@ -91,6 +93,8 @@ class CountResult:
 
     @property
     def ratio(self) -> Fraction:
+        if not self.bound:
+            raise ValueError("the labeled ratio is undefined on the empty host")
         return Fraction(self.value) / self.bound
 
     def to_json_dict(self) -> dict:
@@ -338,6 +342,8 @@ def count_table(
     volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
     before anything is enumerated.
     """
+    import numpy as np
+
     if n > TABLE_HOST_LIMIT:
         raise SizeLimitError(f"the count table is guarded at n = {TABLE_HOST_LIMIT}")
     pins = pins or {}
@@ -389,6 +395,8 @@ def labeled_counts(
     `count_table`, evaluated over chunks of codes so that temporaries stay
     small.
     """
+    import numpy as np
+
     masks, reqs, mults = count_table(d, n, pins, budget=budget)
     rows = list(zip(masks.tolist(), reqs.tolist(), mults.tolist()))
     codes = np.asarray(codes, dtype=np.int32)

@@ -1,8 +1,11 @@
 """Oriented-graph and tournament data model.
 
 Vertices are the dense integers 0..n-1. Out-adjacency is stored as packed bit
-rows (Python ints); in-rows are obtained on demand and cached: by a single
-transpose in general, and as the complement of the out-row in a tournament.
+rows (Python ints); in-rows are obtained on demand and cached: by one
+`_transpose` of the packed rows in general, and as the complement of the
+out-row in a tournament. `Digraph.from_rows` checks orientedness exactly on
+every input, with the same transpose instead of a loop over the edges, so
+building a large host stays pure Python and never loads numpy.
 Objects are immutable after construction: every transform returns a fresh
 object, so values are safe to share and send across threads.
 
@@ -38,6 +41,17 @@ def bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The in-rows of the n packed out-rows, none with a bit at or past n.
+
+    Row u is rendered as its n-character bit string, lowest vertex first, and
+    the rows are concatenated; column v is then every n-th character from v,
+    read back as an integer with vertex 0 as its lowest bit.
+    """
+    flat = "".join(format(row, "b").zfill(n)[::-1] for row in rows)
+    return tuple(int(flat[v::n][::-1], 2) for v in range(n))
 
 
 def _trusted(cls, rows: tuple[int, ...], m: int):
@@ -101,10 +115,12 @@ class Digraph:
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
             m += row.bit_count()
+        cols = _transpose(rows, n)
         for u in range(n):
-            for v in bits(rows[u]):
-                if rows[v] >> u & 1:
-                    raise ValueError(f"antiparallel pair on {{{u},{v}}}")
+            both = rows[u] & cols[u]
+            if both:
+                v = (both & -both).bit_length() - 1
+                raise ValueError(f"antiparallel pair on {{{u},{v}}}")
         return _trusted(cls, rows, m)
 
     # -- basic accessors ---------------------------------------------------
@@ -126,11 +142,7 @@ class Digraph:
 
     def in_rows(self) -> tuple[int, ...]:
         if self._in is None:
-            rows = [0] * self.n
-            for u, row in enumerate(self._out):
-                for v in bits(row):
-                    rows[v] |= 1 << u
-            object.__setattr__(self, "_in", tuple(rows))
+            object.__setattr__(self, "_in", _transpose(self._out, self.n))
         return self._in
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -14,6 +14,10 @@ list by every in/out pattern of a new vertex and dedups with the exact
 isomorphism backtracker. That enumeration stays as the reference the tests
 compare the table against; no scan runs it. The checked quantities in scans
 over representatives are isomorphism-invariant.
+
+Only the class table and the seeded coin tournaments use numpy, and they
+import it when first called; raw enumeration and the class enumeration are
+pure Python.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, bits
 from .rng import blend_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
 # holds one code per class, and enumerating n = 9 (191536 classes) is far out
@@ -59,6 +64,8 @@ def _invariant_key(t: Tournament) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_table() -> np.ndarray:
+    import numpy as np
+
     data = _CLASS_TABLE.read_bytes()
     size = 4 * sum(CLASS_COUNTS)
     if len(data) != size:
@@ -124,6 +131,8 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
     The coins come from `blend_array` over chunks of whole rows, so the bits
     equal the scalar `coin` and the temporaries stay bounded at any n.
     """
+    import numpy as np
+
     rows: list[int] = []
     cols = np.arange(n)[None, :]
     step = max(1, _COIN_CHUNK // max(n, 1))

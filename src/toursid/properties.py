@@ -17,9 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .counting import (
     PinnedPattern,
@@ -40,6 +38,9 @@ from .digraph import (
 from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
 from .hosts import REPRESENTATIVES_LIMIT, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_LIMIT = 7
 STRONG_ANTI_LIMIT = 6
@@ -197,6 +198,8 @@ def scan_counts(
     table, in enumeration order. An engine that takes the first extremal
     index picks the host that a loop over the hosts in this order would pick.
     """
+    import numpy as np
+
     if dedup:
         codes = class_codes(n)
         host_at = lambda i: Tournament.from_code(n, int(codes[i]))
@@ -217,6 +220,8 @@ def is_impartial_upto(
     The pair is the first representative and the first one whose count
     differs from it.
     """
+    import numpy as np
+
     if n_max > REPRESENTATIVES_LIMIT:
         raise ValueError(f"impartiality scan is guarded at n_max = {REPRESENTATIVES_LIMIT}")
     for n in range(1, n_max + 1):
@@ -231,11 +236,24 @@ def _scan_limit(dedup: bool) -> int:
     return REPRESENTATIVES_LIMIT if dedup else EXHAUSTIVE_LIMIT
 
 
+def _guard_scan(n_max: int, limit: int, pinned: int = 0, scan: str = "exhaustive scan") -> None:
+    """The size guard of the exhaustive scans: n_max at most `limit`, and at
+    least the first size `_scan_steps` scans, max(|I|, 1) for `pinned` = |I|
+    pinned vertices, so that no scan is vacuous."""
+    if n_max > limit:
+        raise ValueError(f"{scan} is guarded at n_max = {limit}")
+    first = max(pinned, 1)
+    if n_max < first:
+        raise ValueError(f"{scan} needs n_max >= {first}, got {n_max}")
+
+
 def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
     n_max, with I the pinned vertices, yields n, the baseline, the labeled
     counts as a hosts x anchors table (anchors of I in permutation order; one
     column when I is empty), the anchors, and the map from a row to its host."""
+    import numpy as np
+
     for n in range(max(len(pinned), 1), n_max + 1):
         anchors = [
             dict(zip(pinned, images))
@@ -250,6 +268,8 @@ def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The max-ratio curve over `_scan_steps`, its largest ratio, and the
     witness host and anchor: the first maximum in host-major order (the flat
     argmax of the table), replaced at a later n only by a larger ratio."""
+    import numpy as np
+
     curve = []
     best_ratio = Fraction(0)
     witness = witness_anchor = None
@@ -289,9 +309,7 @@ def check_anti_exhaustive(
     class scans at n_max = 8. This is the scan of `check_strong_anti` with
     no pinned vertex; the witness is the first host with the maximal count.
     """
-    limit = _scan_limit(dedup)
-    if n_max > limit:
-        raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
+    _guard_scan(n_max, _scan_limit(dedup))
     curve, best_ratio, witness, _ = _max_scan(d, n_max, (), dedup=dedup, budget=budget)
     violated = best_ratio > 1
     return PropertyReport(
@@ -328,6 +346,8 @@ class SampledDensity:
 
 def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> SampledDensity:
     """Estimate the homomorphism density by seeded uniform map sampling."""
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     n, k = t.n, d.n
@@ -356,6 +376,8 @@ def _block_rows(width: int) -> int:
 def _packed_rows(t: Digraph) -> np.ndarray:
     """The out-rows of t as an n x ceil(n / 64) uint64 array: bit b of word w
     in row u is the edge u -> 64 w + b."""
+    import numpy as np
+
     words = (t.n + 63) // 64
     buf = b"".join(row.to_bytes(8 * words, "little") for row in t.out_rows())
     return np.frombuffer(buf, dtype="<u8").reshape(t.n, words).astype(np.uint64)
@@ -382,6 +404,8 @@ def check_anti_on_family(
     density is estimated by seeded map sampling and a violation is called only
     at three standard errors past the baseline.
     """
+    if not values:
+        raise ValueError("family scan needs at least one host value")
     hosts: list[tuple[int, Tournament]] = []
     if family == "transitive":
         hosts = [(n, transitive_host(n)) for n in values]
@@ -495,9 +519,8 @@ def check_strong_anti(
     """Pinned exhaustive check: for every tournament with n <= n_max and every
     injective anchor of the pinned set, the pinned count stays at or below
     2^(-e) n^(v-|I|)."""
-    if n_max > STRONG_ANTI_LIMIT:
-        raise ValueError(f"pinned scan is guarded at n_max = {STRONG_ANTI_LIMIT}")
     pinned = p.pinned_vertices
+    _guard_scan(n_max, STRONG_ANTI_LIMIT, len(pinned), "pinned scan")
     d = p.pattern
     curve, best_ratio, witness, witness_anchor = _max_scan(
         d, n_max, pinned, dedup=dedup, budget=budget
@@ -529,9 +552,7 @@ def sidorenko_scan_exhaustive(
 ) -> PropertyReport:
     """Minimum labeled ratio per host size; measurement only, never a boolean
     over-representation verdict at fixed n."""
-    limit = _scan_limit(dedup)
-    if n_max > limit:
-        raise ValueError(f"exhaustive scan is guarded at n_max = {limit}")
+    _guard_scan(n_max, _scan_limit(dedup))
     curve = []
     for n, bound, table, _, _ in _scan_steps(d, n_max, (), dedup=dedup, budget=budget):
         ratio = Fraction(int(table.min())) / bound
@@ -656,6 +677,8 @@ def quasirandom_epsilon(
     the subsets as 64-bit word masks in fixed-size blocks and count with
     bitwise popcounts, so memory stays bounded at any n and sample count.
     """
+    import numpy as np
+
     n = t.n
     if n <= 1:
         return Fraction(0)
@@ -692,6 +715,8 @@ def quasirandom_epsilon(
 def _sampled_subsets(n: int, samples: int, seed: int):
     """Blocks of the seeded subsets A_j, as rows of 64-bit words: word w of
     A_j is blend(seed, j, w), cut to the n vertices."""
+    import numpy as np
+
     words = (n + 63) // 64
     word_ix = np.arange(words)
     step = _block_rows(n * words)

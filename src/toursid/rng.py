@@ -9,12 +9,17 @@ anywhere.
 The scalar `blend`, `coin` and `below` are the reference. `blend_array` is
 their vectorised numpy twin: it broadcasts arrays of indices and returns
 exactly `blend`'s bits as `uint64`, so every hot loop draws its bits through
-it without changing a single output.
+it without changing a single output. The scalar functions are pure Python;
+numpy is imported by the array functions when they are first called, so a
+process that only uses the scalars never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,6 +57,8 @@ def below(seed: int, bound: int, *indices: int) -> int:
 
 def _mix_array(x: np.ndarray) -> np.ndarray:
     """`_mix` in place on a uint64 array (array arithmetic wraps silently)."""
+    import numpy as np
+
     x ^= x >> np.uint64(30)
     x *= np.uint64(_M1)
     x ^= x >> np.uint64(27)
@@ -61,6 +68,8 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
 
 
 def _as_uint64(ix) -> np.ndarray:
+    import numpy as np
+
     if isinstance(ix, int):
         ix &= _MASK
     arr = np.asarray(ix)
@@ -76,6 +85,8 @@ def blend_array(seed: int, *indices) -> np.ndarray:
     modulo 2**64 exactly as in `blend`. Returns a uint64 array of the
     broadcast shape whose entries equal the scalar `blend` bit for bit.
     """
+    import numpy as np
+
     arrays = np.broadcast_arrays(*(_as_uint64(ix) for ix in indices))
     shape = arrays[0].shape if arrays else ()
     # work on 1-d copies: 0-d operands would decay to numpy scalars, whose

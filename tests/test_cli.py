@@ -197,6 +197,58 @@ class TestCheck:
         assert "budget" in capsys.readouterr().err
 
 
+class TestEmptyInputs:
+    """An empty host or an empty scan is an error exit, never a traceback or
+    a vacuous "holds-upto"."""
+
+    @staticmethod
+    def error(capsys, argv) -> str:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_count_on_empty_host(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        host = tmp_path / "empty.trn"
+        host.write_text(trn_dumps(transitive_host(0)))
+        for mode in ("labeled", "homs"):
+            argv = ["count", "--pattern", pattern, "--host", str(host), "--mode", mode]
+            assert "empty host" in self.error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--family", "transitive", "--n", "0..3"),
+            ("--family", "two-block", "--n", "0", "--c", "1/10", "--seed", "1"),
+        ],
+        ids=["transitive", "two-block"],
+    )
+    def test_family_with_empty_host(self, tmp_path, capsys, extra):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", "anti", "--pattern", pattern, *extra]
+        assert "empty host" in self.error(capsys, argv)
+
+    def test_empty_family_range(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "transitive", "--n", "5..2"]
+        assert "at least one host value" in self.error(capsys, argv)
+
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    @pytest.mark.parametrize("prop", ["anti", "sidorenko-scan"])
+    def test_exhaustive_below_one(self, tmp_path, capsys, prop, n_max):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", prop, "--pattern", pattern, "--exhaustive", n_max]
+        assert self.error(capsys, argv) == f"error: exhaustive scan needs n_max >= 1, got {n_max}"
+
+    def test_pinned_scan_below_the_pinned_set(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["check", "strong-anti", "--pattern", pattern, "--pins-set", "1,2", "--exhaustive", "1"]
+        assert self.error(capsys, argv) == "error: pinned scan needs n_max >= 2, got 1"
+
+
 class TestQuasi:
     def test_exact_transitive_ten(self, tmp_path, capsys):
         host = tmp_path / "tt10.trn"

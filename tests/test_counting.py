@@ -204,6 +204,14 @@ class TestEdgeCases:
         assert count_labeled(Digraph(1), t0).value == 0
         assert count_homomorphisms(Digraph(0), t0) == 1
 
+    def test_empty_host_ratio_is_an_error(self):
+        res = count_labeled(Digraph(1), Tournament(0))
+        assert res.bound == 0
+        with pytest.raises(ValueError, match="empty host"):
+            res.ratio
+        # the empty pattern's baseline on the empty host is 0^0 = 1
+        assert count_labeled(Digraph(0), Tournament(0)).ratio == 1
+
 
 class TestInvariants:
     def test_hom_labeled_sandwich(self, small_catalog):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,13 @@ from toursid.digraph import (
     Tournament,
     UndirectedGraph,
     are_isomorphic,
+    bits,
     disjoint_union,
     fill_to_tournament,
     transitive_host,
 )
 from toursid.hosts import all_oriented_graphs, uniform_tournament
+from toursid.properties import two_block_tournament
 from toursid.rng import below
 
 
@@ -266,3 +269,98 @@ class TestTournamentInRows:
             t = uniform_tournament(40, seed)
             assert t.in_rows() == self.transposed(t)
             assert [t.in_degree(v) for v in range(40)] == [39 - t.out_degree(v) for v in range(40)]
+
+
+class TestTransposeReference:
+    """The per-edge loops that `Digraph.from_rows` and `Digraph.in_rows` ran
+    before the packed transpose, kept as the reference it must equal."""
+
+    @staticmethod
+    def check_rows(rows) -> int:
+        """The old validation: the edge count, or the first error raised."""
+        n = len(rows)
+        m = 0
+        for u, row in enumerate(rows):
+            if row >> n:
+                raise ValueError(f"row {u} has bits beyond vertex {n - 1}")
+            if row >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+            m += row.bit_count()
+        for u in range(n):
+            for v in bits(rows[u]):
+                if rows[v] >> u & 1:
+                    raise ValueError(f"antiparallel pair on {{{u},{v}}}")
+        return m
+
+    @staticmethod
+    def in_rows(rows) -> tuple[int, ...]:
+        cols = [0] * len(rows)
+        for u, row in enumerate(rows):
+            for v in bits(row):
+                cols[v] |= 1 << u
+        return tuple(cols)
+
+    def assert_matches(self, rows):
+        try:
+            m = self.check_rows(rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Digraph.from_rows(rows)
+            assert str(got.value) == str(exc)
+            return
+        d = Digraph.from_rows(rows)
+        assert (d.out_rows(), d.edge_count) == (tuple(rows), m)
+        assert d.in_rows() == self.in_rows(rows)
+
+    @staticmethod
+    @st.composite
+    def damaged_rows(draw):
+        """Rows of a random oriented graph with up to four injected
+        antiparallel pairs, self-loops or bits past the last vertex."""
+        n = draw(st.integers(0, 20))
+        pairs = list(itertools.combinations(range(n), 2))
+        states = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)))
+        rows = [0] * n
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                rows[i] |= 1 << j
+            elif state == 2:
+                rows[j] |= 1 << i
+        kinds = st.sampled_from(("antiparallel", "self-loop", "out-of-range"))
+        for kind, a, b in draw(st.lists(st.tuples(kinds, st.integers(0, 99), st.integers(0, 99)), max_size=4)):
+            if not n:
+                break
+            u, v = a % n, b % n
+            if kind == "antiparallel" and u != v:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            elif kind == "self-loop":
+                rows[u] |= 1 << u
+            elif kind == "out-of-range":
+                rows[u] |= 1 << (n + b % 3)
+        return rows
+
+    @given(damaged_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_random_rows(self, rows):
+        self.assert_matches(rows)
+
+    def test_first_antiparallel_pair_has_the_lowest_v(self):
+        # vertex 0 meets 3 and then 1 in both directions; {0,1} comes first
+        rows = [0b1010, 0b0001, 0, 0b0001]
+        with pytest.raises(ValueError, match=r"antiparallel pair on \{0,1\}"):
+            Digraph.from_rows(rows)
+        self.assert_matches(rows)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_two_block_host(self, seed):
+        t = two_block_tournament(768, Fraction(3, 10), seed)
+        rows = list(t.out_rows())
+        self.assert_matches(rows)
+        assert t.in_rows() == self.in_rows(rows)
+        # reverse two of the edges leaving vertex 300 as well: the first pair
+        # reported is the one with the lower second vertex
+        outs = list(bits(rows[300] >> 301 << 301))
+        for v in outs[1:3]:
+            rows[v] |= 1 << 300
+        self.assert_matches(rows)

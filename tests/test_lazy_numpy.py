@@ -1,0 +1,87 @@
+"""numpy loads on first use: the commands that run only the backtracker over
+packed rows (`check anti --family transitive` and `blowup`, and `count`)
+never import it, while the table scans do, after `toursid/__init__.py` has
+set OPENBLAS_NUM_THREADS. Each case runs in a fresh interpreter, since this
+test process has long imported numpy."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from toursid.constructions import directed_cycle, star
+from toursid.digraph import transitive_host
+from toursid.formats import dgf_dumps, trn_dumps
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints one JSON object: per step, whether numpy is in sys.modules after it
+# and the step's exit code, and OPENBLAS_NUM_THREADS as it was when numpy's
+# import began.
+PROBE = textwrap.dedent(
+    """
+    import importlib.abc
+    import json
+    import os
+    import sys
+
+    class Watch(importlib.abc.MetaPathFinder):
+        blas = "not imported"
+
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy" and Watch.blas == "not imported":
+                Watch.blas = os.environ.get("OPENBLAS_NUM_THREADS")
+            return None
+
+    sys.meta_path.insert(0, Watch())
+    import toursid.cli
+
+    steps = [["import", None, "numpy" in sys.modules]]
+    for name, argv in json.loads(sys.argv[1]):
+        code = toursid.cli.main(argv + ["--out", name + ".out"])
+        steps.append([name, code, "numpy" in sys.modules])
+    print(json.dumps({"steps": steps, "blas": Watch.blas}))
+    """
+)
+
+
+def run_probe(tmp_path, blas):
+    (tmp_path / "star22.dgf").write_text(dgf_dumps(star(2, 2)))
+    (tmp_path / "c5.dgf").write_text(dgf_dumps(directed_cycle(5)))
+    (tmp_path / "tt6.trn").write_text(trn_dumps(transitive_host(6)))
+    steps = [
+        ("transitive", ["check", "anti", "--pattern", "star22.dgf",
+                        "--family", "transitive", "--n", "4..12"]),
+        ("blowup", ["check", "anti", "--pattern", "c5.dgf", "--family", "blowup", "--n", "2..3"]),
+        ("count", ["count", "--pattern", "c5.dgf", "--host", "tt6.trn"]),
+        ("count-homs", ["count", "--pattern", "c5.dgf", "--host", "tt6.trn", "--mode", "homs"]),
+        ("exhaustive", ["check", "anti", "--pattern", "c5.dgf", "--exhaustive", "5"]),
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(steps)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("blas, expected", [(None, "1"), ("3", "3")], ids=["unset", "caller-set"])
+def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
+    got = run_probe(tmp_path, blas)
+    assert got["steps"] == [
+        ["import", None, False],
+        ["transitive", 0, False],
+        ["blowup", 0, False],
+        ["count", 0, False],
+        ["count-homs", 0, False],
+        ["exhaustive", 0, True],
+    ]
+    assert got["blas"] == expected
