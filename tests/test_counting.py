@@ -42,6 +42,7 @@ from toursid.properties import is_impartial_upto, two_block_tournament
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
+U20 = uniform_tournament(20, 3)
 
 
 class TestHomomorphisms:
@@ -290,6 +291,44 @@ class TestBudget:
         # about 1.5e9 embeddings, beyond the 10^9 default if walked one by one
         host = two_block_tournament(120, Fraction(1, 10), 7)
         assert count_labeled(star(1, 3), host, budget=DEFAULT_BUDGET).value == 1544688720
+
+    # (count, smallest budget it fits, value): the expansion accounting is
+    # part of the contract, so a faster search must charge the same work
+    PINNED_BUDGETS = [
+        (lambda b: count_labeled(directed_cycle(5), U20, budget=b).value, 17320, 66610),
+        (lambda b: count_homomorphisms(directed_cycle(5), U20, budget=b), 18247, 66610),
+        (
+            lambda b: count_labeled(
+                star(2, 2), two_block_tournament(24, Fraction(1, 10), 7), budget=b
+            ).value,
+            3577,
+            290568,
+        ),
+        (lambda b: count_labeled(directed_path(4), U20, budget=b).value, 17320, 126196),
+        (lambda b: count_labeled(transitive_tournament(4), U20, budget=b).value, 1042, 1608),
+        (lambda b: count_homomorphisms(directed_path(4), U20, limit=5000, budget=b), 597, 5000),
+        (
+            lambda b: count_labeled_pinned(
+                PinnedPattern(star(2, 1), [1, 2]), U20, {1: 0, 2: 5}, budget=b
+            ).value,
+            7,
+            38,
+        ),
+    ]
+
+    @pytest.mark.parametrize("count, smallest, value", PINNED_BUDGETS)
+    def test_smallest_budget_is_pinned(self, count, smallest, value):
+        assert count(smallest) == value
+        with pytest.raises(BudgetExceededError):
+            count(smallest - 1)
+
+    def test_limit_stops_inside_the_last_position(self):
+        c5 = directed_cycle(5)
+        exact = count_homomorphisms(c5, U20)
+        labeled = count_labeled(c5, U20).value
+        for k in (1, 2, 3, 7, 100, 1234, 30001, exact - 1, exact, exact + 1):
+            assert count_homomorphisms(c5, U20, limit=k) == min(k, exact)
+            assert _backtrack(c5, U20, injective=True, limit=k) == min(k, labeled)
 
 
 class TestCountTable:
