@@ -220,6 +220,9 @@ def _cmd_check(args) -> int:
         if args.exhaustive is not None:
             report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
         elif args.family:
+            if args.n is None:
+                print("error: check anti --family needs --n", file=sys.stderr)
+                return EXIT_ERROR
             values = _parse_range(args.n)
             base = _load_pattern(args.base) if args.base else None
             report = check_anti_on_family(
@@ -246,8 +249,14 @@ def _cmd_check(args) -> int:
             PinnedPattern(pattern, pinned), args.exhaustive, dedup=args.dedup
         )
     elif args.property == "impartial":
+        if args.n is None:
+            print("error: check impartial needs --n", file=sys.stderr)
+            return EXIT_ERROR
         report = impartiality_report(pattern, int(args.n))
     elif args.property == "sidorenko-scan":
+        if args.exhaustive is None:
+            print("error: check sidorenko-scan needs --exhaustive", file=sys.stderr)
+            return EXIT_ERROR
         report = sidorenko_scan_exhaustive(
             pattern, args.exhaustive, dedup=args.dedup
         )

@@ -15,8 +15,10 @@ Two engines, validated against each other and against an oracle:
   (unpinned vertices with equal in- and out-rows, hence pairwise
   non-adjacent) goes last, and that trailing group is counted in closed form
   from its one candidate row: (c)_k injective maps or c^k homomorphisms for
-  k twins with c candidates. A star's leaves are such a class, so a star
-  costs one walk over its centre and its other leaf class.
+  k twins with c candidates. The last walked position counts the group in
+  its own candidate loop, one expansion per candidate, so the search makes
+  no call per leaf. A star's leaves are such a class, so a star costs one
+  walk over its centre and its other leaf class.
 
 `oracle_count` is an independent, unpruned full enumeration used to validate
 both engines; it must never share their code path.
@@ -183,9 +185,15 @@ def _backtrack(
     `_search_order` puts last, or else just the last vertex). That list
     refers only to earlier positions, so the k group vertices draw from one
     candidate row: with c candidates, c^k homomorphisms, and with c unused
-    candidates, (c)_k injective maps. Each expansion of a search position counts against the
-    work budget, and the trailing group is one expansion however large it
-    is. With `limit` set, the count saturates there (early exit).
+    candidates, (c)_k injective maps. The last walked position counts the
+    group for each of its candidates in place: the group's constraints on
+    earlier positions are ANDed into one base row once, and each candidate
+    only adds its own constraint row.
+
+    Each expansion of a search position counts against the work budget. The
+    trailing group is one expansion per candidate of the last walked
+    position, however large the group is. With `limit` set, the count
+    saturates there (early exit), checked after each candidate.
     """
     pins = pins or {}
     n = host.n
@@ -229,11 +237,21 @@ def _backtrack(
     while group and order[group - 1] not in pins and plan[group - 1] == plan[-1]:
         group -= 1
     size = len(order) - group
-
     out_rows = host.out_rows()
     in_rows = host.in_rows()
+    # The last walked position counts the group for each of its candidates.
+    # A nonempty group follows at least one walked position (its vertices
+    # have edges, and only to earlier positions), and in an oriented pattern
+    # at most one group constraint falls on the last walked position.
+    last = group - 1 if size else -1
+    group_plan = plan[-1] if size else []
+    head = [(s, forward) for s, forward in group_plan if s < last]
+    tail = [out_rows if forward else in_rows for s, forward in group_plan if s == last]
+    tail_rows = tail[0] if tail else None
+
     full = (1 << n) - 1
     ceiling = work_budget(budget)
+    exceeded = f"search exceeded the work budget of {ceiling} expansions"
     images = [0] * len(order)
     nodes = 0
     total = 0
@@ -246,9 +264,7 @@ def _backtrack(
             return limit is not None and total >= limit
         nodes += 1
         if nodes > ceiling:
-            raise BudgetExceededError(
-                f"search exceeded the work budget of {ceiling} expansions"
-            )
+            raise BudgetExceededError(exceeded)
         v = order[t]
         cand = full
         for s, forward in plan[t]:
@@ -257,10 +273,29 @@ def _backtrack(
             cand &= 1 << pins[v]
         if injective:
             cand &= ~used
-        if t == group:
-            free = cand.bit_count()
-            total += math.perm(free, size) if injective else free**size
-            return limit is not None and total >= limit
+        if t == last:
+            # each candidate x is one expansion: the group's row is the base
+            # row cut by x's constraint row, without x itself when injective
+            base = full
+            for s, forward in head:
+                base &= out_rows[images[s]] if forward else in_rows[images[s]]
+            if injective:
+                base &= ~used
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                nodes += 1
+                if nodes > ceiling:
+                    raise BudgetExceededError(exceeded)
+                row = base if tail_rows is None else base & tail_rows[b.bit_length() - 1]
+                if injective:
+                    free = (row & ~b).bit_count()
+                    total += math.perm(free, size)
+                else:
+                    total += row.bit_count() ** size
+                if limit is not None and total >= limit:
+                    return True
+            return False
         while cand:
             b = cand & -cand
             cand ^= b

@@ -38,8 +38,9 @@ if TYPE_CHECKING:
 CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
 REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
-# entries of one coin-matrix chunk; bounds the temporaries at any n
-_COIN_CHUNK = 1 << 12
+# entries of one coin-matrix chunk; bounds the temporaries at any n (21 rows
+# of 768 coins at n = 768)
+_COIN_CHUNK = 1 << 14
 
 
 def pair_count(n: int) -> int:

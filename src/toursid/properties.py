@@ -46,8 +46,10 @@ EXHAUSTIVE_LIMIT = 7
 STRONG_ANTI_LIMIT = 6
 QUASI_EXACT_LIMIT = 20
 # entries of one sampling or subset-scan block; bounds the temporaries
-# independently of the sample count and of 2^n
-_BLOCK = 1 << 14
+# independently of the sample count and of 2^n. At n = 768 a sampled quasi
+# block holds 7 subsets, whose 7 x 768 x 12 word meet (about 0.5 MB) is the
+# largest temporary; exact quasi up to n = 20 fills _BLOCK_ROWS subsets.
+_BLOCK = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 REPORT_SCHEMA = "toursid/report-v1"
@@ -222,8 +224,7 @@ def is_impartial_upto(
     """
     import numpy as np
 
-    if n_max > REPRESENTATIVES_LIMIT:
-        raise ValueError(f"impartiality scan is guarded at n_max = {REPRESENTATIVES_LIMIT}")
+    _guard_scan(n_max, REPRESENTATIVES_LIMIT, scan="impartiality scan")
     for n in range(1, n_max + 1):
         counts, host_at = scan_counts(d, n, dedup=True, budget=budget)
         differ = np.flatnonzero(counts != counts[0])

@@ -248,6 +248,26 @@ class TestEmptyInputs:
         argv = ["check", "strong-anti", "--pattern", pattern, "--pins-set", "1,2", "--exhaustive", "1"]
         assert self.error(capsys, argv) == "error: pinned scan needs n_max >= 2, got 1"
 
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_impartial_below_one(self, tmp_path, capsys, n_max):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", "impartial", "--pattern", pattern, "--n", n_max]
+        assert self.error(capsys, argv) == f"error: impartiality scan needs n_max >= 1, got {n_max}"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("impartial",), "check impartial needs --n"),
+            (("anti", "--family", "transitive"), "check anti --family needs --n"),
+            (("anti", "--family", "blowup"), "check anti --family needs --n"),
+            (("sidorenko-scan",), "check sidorenko-scan needs --exhaustive"),
+        ],
+    )
+    def test_missing_size_option(self, tmp_path, capsys, extra, message):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", extra[0], "--pattern", pattern, *extra[1:]]
+        assert self.error(capsys, argv) == f"error: {message}"
+
 
 class TestQuasi:
     def test_exact_transitive_ten(self, tmp_path, capsys):

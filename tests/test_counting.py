@@ -265,6 +265,8 @@ class TestImpartiality:
     def test_guard(self):
         with pytest.raises(ValueError):
             is_impartial_upto(Digraph(1), 9)
+        with pytest.raises(ValueError, match="needs n_max >= 1"):
+            is_impartial_upto(Digraph(1), 0)
 
 
 class TestBudget:

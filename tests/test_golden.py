@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+from toursid import hosts, properties
 from toursid.cli import main
 from toursid.constructions import (
     d_family,
@@ -498,16 +499,47 @@ class TestScalarReference:
             t = uniform_tournament(n, 100 + n)
             assert quasirandom_epsilon(t) == self.quasi_epsilon(t, range(1 << n))
 
+    @staticmethod
+    def sampled_subsets(n, samples, seed):
+        words = (n + 63) // 64
+        return [
+            sum(blend(seed, j, w) << (64 * w) for w in range(words)) & ((1 << n) - 1)
+            for j in range(samples)
+        ]
+
     def test_quasi_sampled(self):
         for n in (3, 64, 65, 130):
             t = uniform_tournament(n, n)
-            words = (n + 63) // 64
-            subsets = [
-                sum(blend(2, j, w) << (64 * w) for w in range(words)) & ((1 << n) - 1)
-                for j in range(40)
-            ]
             got = quasirandom_epsilon(t, "sampled", samples=40, seed=2)
-            assert got == self.quasi_epsilon(t, subsets)
+            assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
+
+    @pytest.mark.parametrize(
+        "block, block_rows, coin_chunk",
+        [(1 << 6, 4, 64), (1 << 16, 1 << 10, 1 << 14)],
+        ids=["tiny", "default"],
+    )
+    def test_block_sizes_do_not_change_results(
+        self, monkeypatch, block, block_rows, coin_chunk
+    ):
+        # tiny blocks split every stream into many blocks, so a result kept
+        # from one block only, or a row lost at a block edge, shows here
+        monkeypatch.setattr(properties, "_BLOCK", block)
+        monkeypatch.setattr(properties, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(hosts, "_COIN_CHUNK", coin_chunk)
+        for n in (0, 5, 65, 130, 768):
+            assert coin_rows(n, 3, n // 3) == self.coin_rows(n, 3, n // 3)
+        for n in (7, 70):
+            host = uniform_tournament(n, n)
+            for d in (star(2, 2), directed_cycle(4)):
+                got = sampled_density(d, host, 300, 1).hits
+                assert got == self.sampled_hits(d, host, 300, 1)
+        for n in (3, 9):
+            t = uniform_tournament(n, 100 + n)
+            assert quasirandom_epsilon(t) == self.quasi_epsilon(t, range(1 << n))
+        for n in (3, 65, 130, 768):
+            t = uniform_tournament(n, n)
+            got = quasirandom_epsilon(t, "sampled", samples=40, seed=2)
+            assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
 
 
 # Runs in a fresh interpreter. A warm-up on small inputs first pages in the
