@@ -186,14 +186,13 @@ def _backtrack(
     refers only to earlier positions, so the k group vertices draw from one
     candidate row: with c candidates, c^k homomorphisms, and with c unused
     candidates, (c)_k injective maps. The last walked position counts the
-    group for each of its candidates in place: the group's constraints on
-    earlier positions are ANDed into one base row once, and each candidate
-    only adds its own constraint row.
+    group in its own candidate loop, from one base row of the group's
+    constraints on earlier positions cut by each candidate's row.
 
-    Each expansion of a search position counts against the work budget. The
-    trailing group is one expansion per candidate of the last walked
-    position, however large the group is. With `limit` set, the count
-    saturates there (early exit), checked after each candidate.
+    Each expansion of a search position counts against the work budget, and
+    the trailing group is one expansion per candidate of the last walked
+    position, however large it is. With `limit` set, the count saturates
+    there (early exit), checked after each candidate.
     """
     pins = pins or {}
     n = host.n
@@ -239,7 +238,6 @@ def _backtrack(
     size = len(order) - group
     out_rows = host.out_rows()
     in_rows = host.in_rows()
-    # The last walked position counts the group for each of its candidates.
     # A nonempty group follows at least one walked position (its vertices
     # have edges, and only to earlier positions), and in an oriented pattern
     # at most one group constraint falls on the last walked position.
@@ -274,8 +272,6 @@ def _backtrack(
         if injective:
             cand &= ~used
         if t == last:
-            # each candidate x is one expansion: the group's row is the base
-            # row cut by x's constraint row, without x itself when injective
             base = full
             for s, forward in head:
                 base &= out_rows[images[s]] if forward else in_rows[images[s]]
