@@ -46,10 +46,15 @@ EXHAUSTIVE_LIMIT = 7
 STRONG_ANTI_LIMIT = 6
 QUASI_EXACT_LIMIT = 20
 # entries of one sampling or subset-scan block; bounds the temporaries
-# independently of the sample count and of 2^n. At n = 768 a sampled quasi
-# block holds 7 subsets, whose 7 x 768 x 12 word meet (about 0.5 MB) is the
-# largest temporary; exact quasi up to n = 20 fills _BLOCK_ROWS subsets.
-_BLOCK = 1 << 16
+# independently of the sample count and of 2^n. 2^14 uint64 entries keep
+# each temporary within 128 KiB, glibc's default mmap threshold; larger
+# narrow blocks (1024 subsets instead of 910 at n = 18) made the exact quasi
+# scan slower, the time going to the allocator.
+_BLOCK = 1 << 14
+# entries of one sampled quasi block, whose rows are wide (768 x 12 words at
+# n = 768): 7 subsets per block instead of 1, so the per-block calls stop
+# dominating; the largest temporary is about 0.5 MB
+_WIDE_BLOCK = 1 << 16
 _BLOCK_ROWS = 1 << 10
 
 REPORT_SCHEMA = "toursid/report-v1"
@@ -357,7 +362,7 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     tails, heads = np.array(d.edges(), dtype=np.intp).reshape(-1, 2).T
     adj = _packed_rows(t)
     slots = np.arange(k)
-    step = _block_rows(k)
+    step = _block_rows(k, _BLOCK)
     hits = 0
     for start in range(0, samples, step):
         j = np.arange(start, min(start + step, samples))[:, None]
@@ -369,9 +374,10 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     return SampledDensity(hits, samples)
 
 
-def _block_rows(width: int) -> int:
-    """Rows per streamed block whose rows hold `width` entries each."""
-    return max(1, min(_BLOCK_ROWS, _BLOCK // max(width, 1)))
+def _block_rows(width: int, entries: int) -> int:
+    """Rows per streamed block of about `entries` entries whose rows hold
+    `width` entries each."""
+    return max(1, min(_BLOCK_ROWS, entries // max(width, 1)))
 
 
 def _packed_rows(t: Digraph) -> np.ndarray:
@@ -686,7 +692,7 @@ def quasirandom_epsilon(
     if mode == "exact":
         if n > QUASI_EXACT_LIMIT:
             raise ValueError(f"exact scan is guarded at n = {QUASI_EXACT_LIMIT}")
-        step = _block_rows(n)
+        step = _block_rows(n, _BLOCK)
         blocks = (
             np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
             for lo in range(0, 1 << n, step)
@@ -720,7 +726,7 @@ def _sampled_subsets(n: int, samples: int, seed: int):
 
     words = (n + 63) // 64
     word_ix = np.arange(words)
-    step = _block_rows(n * words)
+    step = _block_rows(n * words, _WIDE_BLOCK)
     for start in range(0, samples, step):
         a = blend_array(seed, np.arange(start, min(start + step, samples))[:, None], word_ix)
         if n % 64:

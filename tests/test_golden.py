@@ -514,16 +514,17 @@ class TestScalarReference:
             assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
 
     @pytest.mark.parametrize(
-        "block, block_rows, coin_chunk",
-        [(1 << 6, 4, 64), (1 << 16, 1 << 10, 1 << 14)],
+        "block, wide_block, block_rows, coin_chunk",
+        [(1 << 6, 1 << 6, 4, 64), (1 << 14, 1 << 16, 1 << 10, 1 << 14)],
         ids=["tiny", "default"],
     )
     def test_block_sizes_do_not_change_results(
-        self, monkeypatch, block, block_rows, coin_chunk
+        self, monkeypatch, block, wide_block, block_rows, coin_chunk
     ):
         # tiny blocks split every stream into many blocks, so a result kept
         # from one block only, or a row lost at a block edge, shows here
         monkeypatch.setattr(properties, "_BLOCK", block)
+        monkeypatch.setattr(properties, "_WIDE_BLOCK", wide_block)
         monkeypatch.setattr(properties, "_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(hosts, "_COIN_CHUNK", coin_chunk)
         for n in (0, 5, 65, 130, 768):
