@@ -51,11 +51,13 @@ QUASI_EXACT_LIMIT = 20
 # narrow blocks (1024 subsets instead of 910 at n = 18) made the exact quasi
 # scan slower, the time going to the allocator.
 _BLOCK = 1 << 14
-# entries of one sampled quasi block, whose rows are wide (768 x 12 words at
-# n = 768): 7 subsets per block instead of 1, so the per-block calls stop
-# dominating; the largest temporary is about 0.5 MB
-_WIDE_BLOCK = 1 << 16
+# rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
+# wide a row is. The floor binds only for rows of more than 2^11 entries, the
+# sampled quasi subsets from n = 342 on: at n = 768 a block holds 8 subsets of
+# 768 x 12 words instead of 1, so the per-block calls stop dominating, and the
+# largest temporary is about 0.6 MB
 _BLOCK_ROWS = 1 << 10
+_MIN_BLOCK_ROWS = 8
 
 REPORT_SCHEMA = "toursid/report-v1"
 
@@ -362,7 +364,7 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     tails, heads = np.array(d.edges(), dtype=np.intp).reshape(-1, 2).T
     adj = _packed_rows(t)
     slots = np.arange(k)
-    step = _block_rows(k, _BLOCK)
+    step = _block_rows(k)
     hits = 0
     for start in range(0, samples, step):
         j = np.arange(start, min(start + step, samples))[:, None]
@@ -374,10 +376,9 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     return SampledDensity(hits, samples)
 
 
-def _block_rows(width: int, entries: int) -> int:
-    """Rows per streamed block of about `entries` entries whose rows hold
-    `width` entries each."""
-    return max(1, min(_BLOCK_ROWS, entries // max(width, 1)))
+def _block_rows(width: int) -> int:
+    """Rows per streamed block whose rows hold `width` entries each."""
+    return min(_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK // max(width, 1)))
 
 
 def _packed_rows(t: Digraph) -> np.ndarray:
@@ -692,7 +693,7 @@ def quasirandom_epsilon(
     if mode == "exact":
         if n > QUASI_EXACT_LIMIT:
             raise ValueError(f"exact scan is guarded at n = {QUASI_EXACT_LIMIT}")
-        step = _block_rows(n, _BLOCK)
+        step = _block_rows(n)
         blocks = (
             np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
             for lo in range(0, 1 << n, step)
@@ -726,7 +727,7 @@ def _sampled_subsets(n: int, samples: int, seed: int):
 
     words = (n + 63) // 64
     word_ix = np.arange(words)
-    step = _block_rows(n * words, _WIDE_BLOCK)
+    step = _block_rows(n * words)
     for start in range(0, samples, step):
         a = blend_array(seed, np.arange(start, min(start + step, samples))[:, None], word_ix)
         if n % 64:

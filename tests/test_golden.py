@@ -480,7 +480,7 @@ class TestScalarReference:
             best = max(best, tot)
         return Fraction(best, t.n * t.n)
 
-    @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 64, 65, 70))
+    @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 64, 65, 70, 130))
     def test_coin_rows(self, n):
         for seed in (0, 3, BIG_SEED):
             for boundary in (0, n // 3, n):
@@ -508,26 +508,21 @@ class TestScalarReference:
         ]
 
     def test_quasi_sampled(self):
-        for n in (3, 64, 65, 130):
+        # n = 768 streams 8 subsets per block, the floor on wide rows
+        for n in (3, 64, 65, 130, 768):
             t = uniform_tournament(n, n)
             got = quasirandom_epsilon(t, "sampled", samples=40, seed=2)
             assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
 
-    @pytest.mark.parametrize(
-        "block, wide_block, block_rows, coin_chunk",
-        [(1 << 6, 1 << 6, 4, 64), (1 << 14, 1 << 16, 1 << 10, 1 << 14)],
-        ids=["tiny", "default"],
-    )
-    def test_block_sizes_do_not_change_results(
-        self, monkeypatch, block, wide_block, block_rows, coin_chunk
-    ):
-        # tiny blocks split every stream into many blocks, so a result kept
-        # from one block only, or a row lost at a block edge, shows here
-        monkeypatch.setattr(properties, "_BLOCK", block)
-        monkeypatch.setattr(properties, "_WIDE_BLOCK", wide_block)
-        monkeypatch.setattr(properties, "_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(hosts, "_COIN_CHUNK", coin_chunk)
-        for n in (0, 5, 65, 130, 768):
+    def test_tiny_blocks_do_not_change_results(self, monkeypatch):
+        # tiny blocks split every stream into blocks of one to three rows, so
+        # a result kept from one block only, or a row lost at a block edge,
+        # shows here
+        monkeypatch.setattr(properties, "_BLOCK", 1 << 6)
+        monkeypatch.setattr(properties, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(properties, "_MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(hosts, "_COIN_CHUNK", 64)
+        for n in (0, 5, 65, 130):
             assert coin_rows(n, 3, n // 3) == self.coin_rows(n, 3, n // 3)
         for n in (7, 70):
             host = uniform_tournament(n, n)
