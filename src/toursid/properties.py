@@ -53,9 +53,9 @@ QUASI_EXACT_LIMIT = 20
 _BLOCK = 1 << 14
 # rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
 # wide a row is. The floor binds only for rows of more than 2^11 entries, the
-# sampled quasi subsets from n = 342 on: at n = 768 a block holds 8 subsets of
-# 768 x 12 words instead of 1, so the per-block calls stop dominating, and the
-# largest temporary is about 0.6 MB
+# sampled quasi subsets from n = 342 on. At n = 768 a block holds 8 subsets
+# of 768 x 12 words and its largest temporary is about 0.6 MB; with fewer
+# rows the per-block calls dominate the scan
 _BLOCK_ROWS = 1 << 10
 _MIN_BLOCK_ROWS = 8
 
