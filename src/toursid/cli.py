@@ -4,8 +4,9 @@ Subcommands: construct, count, check, quasi. Reports are canonical JSON
 (identical inputs and seeds give byte-identical output); exact rationals are
 emitted as {"num": ..., "den": ...} string pairs and every floating-point
 field is suffixed "_approx". Exit codes: 0 = holds / success, 2 = violated,
-1 = error. Randomized runs require an explicit --seed; the work budget can be
-overridden with the TOURSID_BUDGET environment variable.
+1 = error (usage errors included). Randomized runs require an explicit
+--seed; the work budget can be overridden with the TOURSID_BUDGET environment
+variable.
 """
 
 from __future__ import annotations
@@ -125,8 +126,10 @@ def _parse_range(spec: str) -> list[int]:
 def _parse_pins(spec: str) -> dict[int, int]:
     pins = {}
     for piece in spec.split(","):
-        k, v = piece.split(":")
-        pins[int(k)] = int(v)
+        k, v = (int(x) for x in piece.split(":"))
+        if k in pins:
+            raise ValueError(f"pattern vertex {k} is pinned twice")
+        pins[k] = v
     return pins
 
 
@@ -280,7 +283,7 @@ def _cmd_quasi(args) -> int:
     else:
         print("error: quasi needs --host or --two-block", file=sys.stderr)
         return EXIT_ERROR
-    if args.samples:
+    if args.samples is not None:
         if args.seed is None:
             print("error: sampled mode requires --seed", file=sys.stderr)
             return EXIT_ERROR
@@ -302,8 +305,16 @@ def _cmd_quasi(args) -> int:
     return _emit_doc(doc, _render_quasi_text, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 1, keeping 2 for "violated"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toursid",
         description="Exact counting and extremal search in tournaments.",
     )

@@ -38,13 +38,30 @@ if TYPE_CHECKING:
 CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
 REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
-# entries of one coin-matrix chunk; bounds the temporaries at any n (21 rows
-# of 768 coins at n = 768)
-_COIN_CHUNK = 1 << 14
+# entries of one streamed block: a coin chunk here (21 rows of 768 coins at
+# n = 768), a block of sampled maps or of quasirandom subsets in
+# `properties`; bounds the temporaries independently of n, of the sample
+# count and of 2^n. 2^14 uint64 entries keep each temporary within 128 KiB,
+# glibc's default mmap threshold; larger narrow blocks (1024 subsets instead
+# of 910 at n = 18) made the exact quasi scan slower, the time going to the
+# allocator.
+_BLOCK = 1 << 14
+# rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
+# wide a row is. The floor binds only for rows of more than 2^11 entries: the
+# sampled quasi subsets from n = 342 on, and coin chunks past n = 2048. At
+# n = 768 a block holds 8 subsets of 768 x 12 words and its largest temporary
+# is about 0.6 MB; with fewer rows the per-block calls dominate the scan
+_BLOCK_ROWS = 1 << 10
+_MIN_BLOCK_ROWS = 8
 
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _block_rows(width: int) -> int:
+    """Rows per streamed block whose rows hold `width` entries each."""
+    return min(_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK // max(width, 1)))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
@@ -136,7 +153,7 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
 
     rows: list[int] = []
     cols = np.arange(n)[None, :]
-    step = max(1, _COIN_CHUNK // max(n, 1))
+    step = _block_rows(n)
     for start in range(0, n, step):
         i = np.arange(start, min(start + step, n))[:, None]
         lo, hi = np.minimum(i, cols), np.maximum(i, cols)

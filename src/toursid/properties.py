@@ -11,13 +11,12 @@ over-representation side is reported as ratio scans only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .counting import (
     PinnedPattern,
@@ -36,7 +35,7 @@ from .digraph import (
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
-from .hosts import REPRESENTATIVES_LIMIT, class_codes, coin_rows, pair_count
+from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
 
 if TYPE_CHECKING:
@@ -45,19 +44,9 @@ if TYPE_CHECKING:
 EXHAUSTIVE_LIMIT = 7
 STRONG_ANTI_LIMIT = 6
 QUASI_EXACT_LIMIT = 20
-# entries of one sampling or subset-scan block; bounds the temporaries
-# independently of the sample count and of 2^n. 2^14 uint64 entries keep
-# each temporary within 128 KiB, glibc's default mmap threshold; larger
-# narrow blocks (1024 subsets instead of 910 at n = 18) made the exact quasi
-# scan slower, the time going to the allocator.
-_BLOCK = 1 << 14
-# rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
-# wide a row is. The floor binds only for rows of more than 2^11 entries, the
-# sampled quasi subsets from n = 342 on. At n = 768 a block holds 8 subsets
-# of 768 x 12 words and its largest temporary is about 0.6 MB; with fewer
-# rows the per-block calls dominate the scan
-_BLOCK_ROWS = 1 << 10
-_MIN_BLOCK_ROWS = 8
+# hosts with at most this many pattern maps get an exact density in
+# `forcing_probe`; larger ones are sampled
+FORCING_EXACT_MAPS = 10**8
 
 REPORT_SCHEMA = "toursid/report-v1"
 
@@ -191,33 +180,6 @@ def _provenance(d: Digraph) -> Optional[dict]:
 # -- exhaustive and family checks -------------------------------------------
 
 
-def scan_counts(
-    d: Digraph,
-    n: int,
-    *,
-    dedup: bool,
-    pins: Optional[dict[int, int]] = None,
-    budget: Optional[int] = None,
-) -> tuple[np.ndarray, Callable[[int], Tournament]]:
-    """Labeled counts of d (extending `pins`) on every n-vertex host, and the
-    map from a count's index back to its host.
-
-    The hosts are the raw pair codes 0..2^(n(n-1)/2)-1 in code order, or with
-    dedup=True the isomorphism-class representatives' codes from the class
-    table, in enumeration order. An engine that takes the first extremal
-    index picks the host that a loop over the hosts in this order would pick.
-    """
-    import numpy as np
-
-    if dedup:
-        codes = class_codes(n)
-        host_at = lambda i: Tournament.from_code(n, int(codes[i]))
-    else:
-        codes = np.arange(1 << pair_count(n), dtype=np.int32)
-        host_at = functools.partial(Tournament.from_code, n)
-    return labeled_counts(d, n, codes, pins, budget=budget), host_at
-
-
 def is_impartial_upto(
     d: Digraph, n_max: int = 7, *, budget: Optional[int] = None
 ) -> tuple[bool, Optional[tuple[Tournament, Tournament]]]:
@@ -229,15 +191,8 @@ def is_impartial_upto(
     The pair is the first representative and the first one whose count
     differs from it.
     """
-    import numpy as np
-
-    _guard_scan(n_max, REPRESENTATIVES_LIMIT, scan="impartiality scan")
-    for n in range(1, n_max + 1):
-        counts, host_at = scan_counts(d, n, dedup=True, budget=budget)
-        differ = np.flatnonzero(counts != counts[0])
-        if differ.size:
-            return False, (host_at(0), host_at(int(differ[0])))
-    return True, None
+    found = _impartiality_witness(d, n_max, budget)
+    return (True, None) if found is None else (False, found[0])
 
 
 def _scan_limit(dedup: bool) -> int:
@@ -259,17 +214,25 @@ def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
     n_max, with I the pinned vertices, yields n, the baseline, the labeled
     counts as a hosts x anchors table (anchors of I in permutation order; one
-    column when I is empty), the anchors, and the map from a row to its host."""
+    column when I is empty), the anchors, and the map from a row to its host.
+
+    The hosts are the raw pair codes in code order, or with dedup=True the
+    class representatives' codes in class-table order, so the first extremal
+    row is the host that a loop over the hosts in that order would pick.
+    """
     import numpy as np
 
     for n in range(max(len(pinned), 1), n_max + 1):
+        codes = class_codes(n) if dedup else np.arange(1 << pair_count(n), dtype=np.int32)
         anchors = [
             dict(zip(pinned, images))
             for images in itertools.permutations(range(n), len(pinned))
         ]
-        scans = [scan_counts(d, n, dedup=dedup, pins=a, budget=budget) for a in anchors]
-        table = np.stack([counts for counts, _ in scans], axis=1)
-        yield n, labeled_bound(d, n, len(pinned)), table, anchors, scans[0][1]
+        table = np.stack(
+            [labeled_counts(d, n, codes, a, budget=budget) for a in anchors], axis=1
+        )
+        host_at = lambda row, n=n, codes=codes: Tournament.from_code(n, int(codes[row]))
+        yield n, labeled_bound(d, n, len(pinned)), table, anchors, host_at
 
 
 def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
@@ -376,11 +339,6 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     return SampledDensity(hits, samples)
 
 
-def _block_rows(width: int) -> int:
-    """Rows per streamed block whose rows hold `width` entries each."""
-    return min(_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK // max(width, 1)))
-
-
 def _packed_rows(t: Digraph) -> np.ndarray:
     """The out-rows of t as an n x ceil(n / 64) uint64 array: bit b of word w
     in row u is the edge u -> 64 w + b."""
@@ -408,12 +366,14 @@ def check_anti_on_family(
     family "blowup": hosts are lexicographically filled balanced blowups of
     `base` (default: the pattern itself) at each multiplier value.
     family "two-block": hosts are the planted two-block tournaments at sizes
-    `values` with left fraction `c` and the given seed; with `samples` set the
-    density is estimated by seeded map sampling and a violation is called only
-    at three standard errors past the baseline.
+    `values` with left fraction `c` and the given seed. With `samples` set (any
+    family; it needs the seed) the density is estimated by seeded map sampling
+    and a violation is called only at three standard errors past the baseline.
     """
     if not values:
         raise ValueError("family scan needs at least one host value")
+    if samples is not None and seed is None:
+        raise ValueError("sampled family scan needs a seed")
     hosts: list[tuple[int, Tournament]] = []
     if family == "transitive":
         hosts = [(n, transitive_host(n)) for n in values]
@@ -447,7 +407,7 @@ def check_anti_on_family(
                 "violated": ratio > 1,
             }
         else:
-            map_seed = blend(seed if seed is not None else 0, host.n, samples)
+            map_seed = blend(seed, host.n, samples)
             est = sampled_density(d, host, samples, map_seed)
             ratio = est.estimate / bound_unit
             row = {
@@ -585,24 +545,39 @@ def sidorenko_scan_exhaustive(
     )
 
 
+def _impartiality_witness(d: Digraph, n_max: int, budget: Optional[int] = None):
+    """The impartiality reduction over `_scan_steps` on class representatives.
+    At the first size whose counts are not all equal: the pair of the first
+    representative and the first one whose count differs from it, and their
+    two counts. None when the count is constant at every n <= n_max."""
+    import numpy as np
+
+    _guard_scan(n_max, REPRESENTATIVES_LIMIT, scan="impartiality scan")
+    for _, _, table, _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
+        counts = table[:, 0]
+        differ = np.flatnonzero(counts != counts[0])
+        if differ.size:
+            j = int(differ[0])
+            return (host_at(0), host_at(j)), (int(counts[0]), int(counts[j]))
+    return None
+
+
 def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
     """Constant-count check across isomorphism classes at each n <= n_max."""
-    ok, pair = is_impartial_upto(d, n_max)
+    found = _impartiality_witness(d, n_max)
     extra = {}
-    if not ok and pair is not None:
-        extra["witness_pair"] = [trn_dumps(pair[0]), trn_dumps(pair[1])]
-        extra["witness_counts"] = [
-            str(count_labeled(d, pair[0]).value),
-            str(count_labeled(d, pair[1]).value),
-        ]
+    if found is not None:
+        pair, counts = found
+        extra["witness_pair"] = [trn_dumps(t) for t in pair]
+        extra["witness_counts"] = [str(c) for c in counts]
     return PropertyReport(
         property_name="impartial",
         pattern_dgf=dgf_dumps(d),
         provenance=_provenance(d),
         regime={"kind": "impartial-scan", "n_max": n_max, "dedup": True},
-        verdict="holds-upto" if ok else "violated",
+        verdict="holds-upto" if found is None else "violated",
         extremal_ratio=None,
-        witness_trn=extra["witness_pair"][0] if not ok else None,
+        witness_trn=extra["witness_pair"][0] if extra else None,
         curve=(),
         extra=extra,
     )
@@ -701,6 +676,8 @@ def quasirandom_epsilon(
     elif mode == "sampled":
         if samples is None or seed is None:
             raise ValueError("sampled mode needs samples and seed")
+        if samples < 1:
+            raise ValueError("need at least one sample")
         blocks = _sampled_subsets(n, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -820,7 +797,6 @@ def forcing_probe(
     *,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    exact_map_limit: int = 10**8,
     budget: Optional[int] = None,
 ) -> list[ForcingRow]:
     """For each labeled host, the density deviation |t_D - 2^(-e(D))| next to
@@ -833,7 +809,7 @@ def forcing_probe(
     bound = Fraction(1, 1 << d.edge_count)
     out = []
     for label, host in hosts:
-        exact_density = host.n**d.n <= exact_map_limit
+        exact_density = host.n**d.n <= FORCING_EXACT_MAPS
         if exact_density:
             dens: Fraction | float = density(d, host, budget=budget)
             deviation = abs(dens - bound)

@@ -42,8 +42,8 @@ from toursid.properties import (
     check_anti_exhaustive,
     check_strong_anti,
     impartiality_report,
+    _scan_steps,
     is_impartial_upto,
-    scan_counts,
     sidorenko_scan_exhaustive,
 )
 
@@ -147,9 +147,10 @@ class TestScansAtEight:
 
     @pytest.mark.parametrize("d", [directed_cycle(5), transitive_tournament(4)], ids=["C5", "TT4"])
     def test_counts_equal_the_backtracker(self, d):
-        counts, host_at = scan_counts(d, 8, dedup=True)
+        n, _, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True, budget=None))[-1]
         reps = tournament_representatives(8)
-        assert counts.tolist() == [count_labeled(d, t).value for t in reps]
+        assert n == 8 and table.shape == (6880, 1)
+        assert table[:, 0].tolist() == [count_labeled(d, t).value for t in reps]
         assert host_at(6879) == reps[6879]
 
     def test_impartiality_at_eight(self):

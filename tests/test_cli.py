@@ -269,6 +269,47 @@ class TestEmptyInputs:
         assert self.error(capsys, argv) == f"error: {message}"
 
 
+class TestInvalidOptions:
+    """Usage errors and malformed option values exit 1, never 2 ("violated")."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--exhaustive", "5"),
+            ("--pattern", "p.dgf", "--exhaustive", "x"),
+            ("--pattern", "p.dgf", "--family", "foo"),
+        ],
+        ids=["no-pattern", "bad-int", "bad-choice"],
+    )
+    def test_usage_error_exits_one(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "anti", *extra])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+
+    def test_sampled_family_needs_a_seed(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, star(2, 0), "out2.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "transitive",
+                "--n", "4..6", "--samples", "100"]
+        assert "needs a seed" in TestEmptyInputs.error(capsys, argv)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sampled_quasi_needs_a_sample(self, capsys, samples):
+        argv = ["quasi", "--two-block", "0.3", "25", "--seed", "1", "--samples", samples]
+        assert TestEmptyInputs.error(capsys, argv) == "error: need at least one sample"
+
+    def test_repeated_pin_is_an_error(self, tmp_path, tt4_file, capsys):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["count", "--pattern", pattern, "--host", tt4_file, "--pins", "0:1,0:2"]
+        assert "pinned twice" in TestEmptyInputs.error(capsys, argv)
+
+
 class TestQuasi:
     def test_exact_transitive_ten(self, tmp_path, capsys):
         host = tmp_path / "tt10.trn"

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from toursid import hosts, properties
+from toursid import hosts
 from toursid.cli import main
 from toursid.constructions import (
     d_family,
@@ -518,10 +518,9 @@ class TestScalarReference:
         # tiny blocks split every stream into blocks of one to three rows, so
         # a result kept from one block only, or a row lost at a block edge,
         # shows here
-        monkeypatch.setattr(properties, "_BLOCK", 1 << 6)
-        monkeypatch.setattr(properties, "_BLOCK_ROWS", 3)
-        monkeypatch.setattr(properties, "_MIN_BLOCK_ROWS", 1)
-        monkeypatch.setattr(hosts, "_COIN_CHUNK", 64)
+        monkeypatch.setattr(hosts, "_BLOCK", 1 << 6)
+        monkeypatch.setattr(hosts, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(hosts, "_MIN_BLOCK_ROWS", 1)
         for n in (0, 5, 65, 130):
             assert coin_rows(n, 3, n // 3) == self.coin_rows(n, 3, n // 3)
         for n in (7, 70):

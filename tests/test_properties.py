@@ -138,6 +138,10 @@ class TestFamilyScan:
         assert report.verdict == "violated"
         assert report.regime["kind"] == "sampled-family"
 
+    def test_sampled_family_needs_a_seed(self):
+        with pytest.raises(ValueError, match="needs a seed"):
+            check_anti_on_family(star(2, 0), "transitive", [4, 5, 6], samples=100)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             check_anti_on_family(Digraph(1), "nope", [3])
@@ -293,6 +297,11 @@ class TestQuasirandomEpsilon:
         t = uniform_tournament(200, 17)
         est = quasirandom_epsilon(t, "sampled", samples=500, seed=8)
         assert 0 <= est < Fraction(1, 10)  # random hosts show no large bias
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            quasirandom_epsilon(uniform_tournament(25, 1), "sampled", samples=samples, seed=1)
 
     def test_exact_guard(self):
         with pytest.raises(ValueError):
