@@ -217,12 +217,24 @@ def _report_exit(report: PropertyReport, out: str | None, fmt: str = "json") -> 
     return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
 
+# options of `check anti`'s family regime, which its exhaustive regime refuses
+_FAMILY_OPTIONS = ("family", "n", "base", "c", "samples", "seed")
+
+
 def _cmd_check(args) -> int:
     pattern = _load_pattern(args.pattern)
     if args.property == "anti":
         if args.exhaustive is not None:
+            mixed = [k for k in _FAMILY_OPTIONS if getattr(args, k) is not None]
+            if mixed:
+                given = ", ".join(f"--{k}" for k in mixed)
+                print(f"error: check anti --exhaustive does not take {given}", file=sys.stderr)
+                return EXIT_ERROR
             report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
         elif args.family:
+            if args.dedup:
+                print("error: check anti --dedup needs --exhaustive", file=sys.stderr)
+                return EXIT_ERROR
             if args.n is None:
                 print("error: check anti --family needs --n", file=sys.stderr)
                 return EXIT_ERROR

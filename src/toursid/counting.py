@@ -5,9 +5,11 @@ Two engines, validated against each other and against an oracle:
 * the count table, for exhaustive scans. `count_table` compiles a pattern once
   per host size n into rows (pair-code mask, required bits, multiplicity), one
   row per distinct constraint set of an injective map into [n], and
-  `labeled_counts` evaluates sum mult * [(code & mask) == req] with numpy
-  over an array of host pair codes, so every host of a size is counted in
-  one pass;
+  `labeled_counts` evaluates sum mult * [(code & mask) == req] bit-sliced in
+  plain Python ints: the hosts are `HostColumns` (one int per pair bit, one
+  bit per host), a row's hosts are the AND of its columns, and the counts
+  are a `HostCounts` vertical counter (one int per count bit), so every host
+  of a size is counted at once and no numpy is imported;
 * the backtracker, for single hosts of any size. It walks a static
   pattern-vertex order chosen by maximum back-degree (most constraints
   earliest), with candidate sets kept as bit-row intersections of the
@@ -36,14 +38,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional
+from functools import reduce
+from itertools import compress, groupby
+from operator import and_, or_
+from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
@@ -51,9 +54,9 @@ _BUDGET_ENV = "TOURSID_BUDGET"
 # deepest pattern the recursive backtracker accepts; well under Python's
 # default recursion limit of 1000, leaving room for the callers' frames
 SEARCH_DEPTH_LIMIT = 500
-# largest host size of the count table: pair codes and counts fit in int32
+# largest host size of the count table, that of the class table; the raw
+# scans stop at n = 7, whose 2^21 hosts make 256 KiB columns
 TABLE_HOST_LIMIT = 8
-_TABLE_CHUNK = 1 << 14
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,8 +115,8 @@ class CountResult:
 class PinnedPattern:
     """A pattern digraph with an independent pinned set.
 
-    `pinned` may be given as a bit mask or an iterable of vertices. The
-    counters take the anchor of the pinned set as a separate argument.
+    `pinned` may be given as a bit mask or an iterable of distinct vertices.
+    The counters take the anchor of the pinned set as a separate argument.
     """
 
     pattern: Digraph
@@ -121,7 +124,11 @@ class PinnedPattern:
 
     def __init__(self, pattern: Digraph, pinned):
         if not isinstance(pinned, int):
-            pinned = mask_of(pinned)
+            vertices = list(pinned)
+            pinned = mask_of(vertices)
+            if pinned.bit_count() != len(vertices):
+                twice = next(v for v in vertices if vertices.count(v) > 1)
+                raise ValueError(f"pattern vertex {twice} is pinned twice")
         if pinned >> pattern.n:
             raise ValueError("pinned set is not a subset of the pattern vertices")
         for v in bits(pinned):
@@ -355,15 +362,101 @@ def density(d: Digraph, t: Tournament, *, budget: Optional[int] = None) -> Fract
     return Fraction(count_homomorphisms(d, t, budget=budget), t.n ** d.n)
 
 
+class HostColumns:
+    """A list of n-vertex hosts, bit-sliced: bit h of `cols[p]` is bit p of
+    host h's pair code, `ncols[p]` is its complement within `full`, and
+    `full` has one bit per host. Built once per host list and shared by every
+    anchor counted on it."""
+
+    __slots__ = ("n", "size", "full", "cols", "ncols")
+
+    def __init__(self, n: int, size: int, cols: Iterable[int]):
+        self.n, self.size, self.full = n, size, (1 << size) - 1
+        self.cols = tuple(cols)
+        self.ncols = tuple(c ^ self.full for c in self.cols)
+
+    @classmethod
+    def raw(cls, n: int) -> HostColumns:
+        """Every n-vertex pair code in code order: host h has code h."""
+        pairs = n * (n - 1) // 2
+        cols = []
+        for p in range(pairs):
+            # bit p of h: 2^p zeros, then 2^p ones, repeated
+            col, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+            while width < 1 << pairs:
+                col |= col << width
+                width <<= 1
+            cols.append(col)
+        return cls(n, 1 << pairs, cols)
+
+    @classmethod
+    def of_codes(cls, n: int, codes: Sequence[int]) -> HostColumns:
+        """The hosts with the given pair codes, in the given order."""
+        pairs = n * (n - 1) // 2
+        # row i of the transpose holds bit pairs-1-i of every code with host
+        # 0 last, so each column is one join read in base 2
+        rows = zip(*(format(c, f"0{pairs}b") for c in reversed(codes)))
+        return cls(n, len(codes), [int("".join(r), 2) for r in rows][::-1])
+
+
+class HostCounts:
+    """One count per host, stored as a vertical counter: bit h of plane k is
+    bit k of host h's count."""
+
+    __slots__ = ("size", "planes")
+
+    def __init__(self, size: int, planes: list[int]):
+        self.size = size
+        self.planes = planes
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, h: int) -> int:
+        if not 0 <= h < self.size:
+            raise IndexError(f"host {h} out of range")
+        return sum((plane >> h & 1) << k for k, plane in enumerate(self.planes))
+
+    def max(self) -> tuple[int, int]:
+        """The largest count and the first host that has it."""
+        # keep the hosts whose count has every higher bit of the maximum
+        cand, value = (1 << self.size) - 1, 0
+        for k in reversed(range(len(self.planes))):
+            if top := cand & self.planes[k]:
+                cand, value = top, value | 1 << k
+        return value, (cand & -cand).bit_length() - 1
+
+    def min(self) -> int:
+        """The smallest count: the largest count of the complemented planes,
+        subtracted from 2^(planes) - 1."""
+        full = (1 << self.size) - 1
+        top, _ = HostCounts(self.size, [plane ^ full for plane in self.planes]).max()
+        return (1 << len(self.planes)) - 1 - top
+
+    def first_differing(self) -> Optional[int]:
+        """The first host whose count differs from host 0's, or None."""
+        full = (1 << self.size) - 1
+        differ = 0
+        for plane in self.planes:
+            # the hosts whose bit here differs from host 0's
+            differ |= plane ^ (full if plane & 1 else 0)
+        return (differ & -differ).bit_length() - 1 if differ else None
+
+    def total(self) -> int:
+        """The sum of all counts."""
+        return sum(plane.bit_count() << k for k, plane in enumerate(self.planes))
+
+
 def count_table(
     d: Digraph,
     n: int,
     pins: Optional[dict[int, int]] = None,
     *,
     budget: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Compile the injective maps V(d) -> [n] extending `pins` into rows
-    (mask, req, mult) over n-vertex pair codes.
+    (mask, req, mult) over n-vertex pair codes, returned as three aligned
+    tuples.
 
     An edge (u, v) of d with phi(u) < phi(v) requires bit p(phi(u), phi(v))
     of the code to be 1, and with phi(u) > phi(v) requires bit
@@ -371,10 +464,9 @@ def count_table(
     lexicographic order (the `Tournament.code` order). Maps with equal
     (mask, req) share a row whose multiplicity counts them. The enumeration
     volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
-    before anything is enumerated.
+    before anything is enumerated. The maps are walked vertex by vertex
+    (pinned ones first), each partial map carrying its mask and req.
     """
-    import numpy as np
-
     if n > TABLE_HOST_LIMIT:
         raise SizeLimitError(f"the count table is guarded at n = {TABLE_HOST_LIMIT}")
     pins = pins or {}
@@ -389,57 +481,108 @@ def count_table(
         raise BudgetExceededError(
             f"count table of {volume} maps at n = {n} exceeds the budget {ceiling}"
         )
-    phi = np.empty((volume, d.n), dtype=np.int64)
-    for v, h in pins.items():
-        phi[:, v] = h
-    if free:
-        maps = itertools.permutations(spare, len(free))
-        phi[:, free] = np.fromiter(
-            itertools.chain.from_iterable(maps), dtype=np.int64, count=volume * len(free)
-        ).reshape(volume, len(free))
-    pair = np.zeros((n, n), dtype=np.int64)
+    if not volume:
+        return (), (), ()
+    pairs = n * (n - 1) // 2
+    # to[x][y]: the constraint of an edge mapped to x -> y, as mask << P | req
+    to = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        pair[i, j] = pair[j, i] = p
-    mask = np.zeros(volume, dtype=np.int64)
-    req = np.zeros(volume, dtype=np.int64)
-    for u, v in d.edges():
-        a, b = phi[:, u], phi[:, v]
-        bit = np.left_shift(1, pair[a, b])
-        mask |= bit
-        req |= np.where(a < b, bit, 0)
-    keys, mult = np.unique(mask << 32 | req, return_counts=True)
-    return keys >> 32, keys & 0xFFFFFFFF, mult
+        to[i][j], to[j][i] = 1 << pairs + p | 1 << p, 1 << pairs + p
+    frm = [list(col) for col in zip(*to)]  # frm[y][x] = to[x][y]
+    adj = [d.out(v) | d.inn(v) for v in range(d.n)]
+    order = sorted(pins) + free
+    # the partial maps, column by column: hosts used, constraint keys, and
+    # the images of the placed positions that still have an edge to place
+    used, keys, images = [0], [0], {}
+    for t, v in enumerate(order):
+        later = mask_of(order[t + 1 :])
+        # the edges from (frm) and to (to) earlier positions, as the table
+        # that gives their key from v's image h and the earlier image
+        edges = [(s, frm) for s in images if d.has_edge(order[s], v)]
+        edges += [(s, to) for s in images if d.has_edge(v, order[s])]
+        grown = {s: [] for s in images if adj[order[s]] & later}
+        if adj[v] & later:
+            grown[t] = []
+        next_used, next_keys = [], []
+        for h in [pins[v]] if v in pins else spare:
+            bit = 1 << h
+            sel = [not u & bit for u in used]
+            ks = list(compress(keys, sel))
+            for s, table in edges:
+                ks = list(map(or_, ks, map(table[h].__getitem__, compress(images[s], sel))))
+            next_keys += ks
+            next_used += [u | bit for u in compress(used, sel)]
+            for s, col in grown.items():
+                col += compress(images[s], sel) if s < t else [h] * len(ks)
+        used, keys, images = next_used, next_keys, grown
+    rows = Counter(keys)
+    low = (1 << pairs) - 1
+    return tuple(k >> pairs for k in rows), tuple(k & low for k in rows), tuple(rows.values())
+
+
+def _vertical_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
+    """The planes of the vertical counter sum 2^k * x over the (k, x) terms.
+
+    Carry-save adders keep at most two pending vectors per weight, so a term
+    costs a few big-int operations however many planes the sum has (a ripple
+    add would run through nearly every plane on a large host list).
+    """
+    pending: list[list[int]] = []
+    for k, x in terms:
+        while x:
+            pending += [[] for _ in range(k + 1 - len(pending))]
+            level = pending[k]
+            if len(level) < 2:
+                level.append(x)
+                break
+            a, b = level
+            u = a ^ b
+            level[:] = [u ^ x]
+            x = (a & b) | (u & x)
+            k += 1
+    planes: list[int] = []
+    carry = 0
+    for level in pending:
+        a, b = level + [0] * (2 - len(level))
+        u = a ^ b
+        planes.append(u ^ carry)
+        carry = (a & b) | (u & carry)
+    planes.append(carry)
+    while planes and not planes[-1]:
+        planes.pop()
+    return planes
 
 
 def labeled_counts(
     d: Digraph,
-    n: int,
-    codes,
+    hosts: HostColumns,
     pins: Optional[dict[int, int]] = None,
     *,
     budget: Optional[int] = None,
-) -> np.ndarray:
-    """Labeled counts of d (extending `pins`) on the n-vertex hosts with the
-    given pair codes, as an int32 vector aligned with `codes`.
+) -> HostCounts:
+    """Labeled counts of d (extending `pins`) on every host of `hosts`.
 
     Each count is sum mult * [(code & mask) == req] over the rows of
-    `count_table`, evaluated over chunks of codes so that temporaries stay
-    small.
+    `count_table`: the hosts that meet a row are the AND of its columns (or
+    their complements). Rows with one mask and different reqs meet disjoint
+    hosts, so the rows of one (mask, mult) are ORed into one term of
+    `_vertical_sum`; they are walked in that order, so only one term is held
+    at a time.
     """
-    import numpy as np
+    lits, full = (hosts.ncols, hosts.cols), hosts.full
+    rows = sorted(
+        zip(*count_table(d, hosts.n, pins, budget=budget)), key=lambda r: (r[0], r[2])
+    )
 
-    masks, reqs, mults = count_table(d, n, pins, budget=budget)
-    rows = list(zip(masks.tolist(), reqs.tolist(), mults.tolist()))
-    codes = np.asarray(codes, dtype=np.int32)
-    counts = np.zeros(codes.shape, dtype=np.int32)
-    for lo in range(0, codes.size, _TABLE_CHUNK):
-        chunk = codes[lo : lo + _TABLE_CHUNK]
-        acc = counts[lo : lo + _TABLE_CHUNK]
-        hit = np.empty(chunk.shape, dtype=bool)
-        for mask, req, mult in rows:
-            np.equal(chunk & mask, req, out=hit)
-            np.add(acc, mult, out=acc, where=hit)
-    return counts
+    def terms():
+        for (mask, mult), group in groupby(rows, key=lambda r: (r[0], r[2])):
+            hit = 0
+            for _, req, _ in group:
+                hit |= reduce(and_, [lits[req >> p & 1][p] for p in bits(mask)], full)
+            for k in bits(mult):
+                yield k, hit
+
+    return HostCounts(hosts.size, _vertical_sum(terms()))
 
 
 def oracle_count(

@@ -8,30 +8,26 @@ the code matches the p-th character of the TRN/1 wire format.
 Class representatives for n <= 8 are read from the package-data file
 `tournament_classes.bin`: the representatives' pair codes as little-endian
 int32, n-major, CLASS_COUNTS[n] codes per n (OEIS A000568). `class_codes` is
-the only reader of that file; it loads it on first use. The table was written
-once by `_enumerate_representatives`, which extends the (n-1)-vertex class
-list by every in/out pattern of a new vertex and dedups with the exact
-isomorphism backtracker. That enumeration stays as the reference the tests
-compare the table against; no scan runs it. The checked quantities in scans
-over representatives are isomorphism-invariant.
+the only reader of that file; it loads it on first use into a tuple of ints.
+The table was written once by an enumeration that extends the (n-1)-vertex
+class list by every in/out pattern of a new vertex and dedups with the exact
+isomorphism backtracker; that enumeration lives with the tests, which
+compare the table against it, and no scan runs it. The checked quantities in
+scans over representatives are isomorphism-invariant.
 
-Only the class table and the seeded coin tournaments use numpy, and they
-import it when first called; raw enumeration and the class enumeration are
-pure Python.
+Only the seeded coin tournaments use numpy, and they import it when first
+called; raw enumeration and the class table are pure Python.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, bits
+from .digraph import SizeLimitError, Tournament
 from .rng import blend_array
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
 # holds one code per class, and enumerating n = 9 (191536 classes) is far out
@@ -70,20 +66,8 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
         yield Tournament.from_code(n, code)
 
 
-def _local_triangles(t: Tournament, v: int) -> int:
-    """Number of cyclic triangles through v; an isomorphism invariant."""
-    inr = t.in_rows()
-    return sum((t.out(u) & inr[v]).bit_count() for u in bits(t.out(v)))
-
-
-def _invariant_key(t: Tournament) -> tuple:
-    return tuple(sorted((t.out_degree(v), _local_triangles(t, v)) for v in range(t.n)))
-
-
 @lru_cache(maxsize=None)
-def _class_table() -> np.ndarray:
-    import numpy as np
-
+def _class_table() -> tuple[int, ...]:
     data = _CLASS_TABLE.read_bytes()
     size = 4 * sum(CLASS_COUNTS)
     if len(data) != size:
@@ -91,14 +75,12 @@ def _class_table() -> np.ndarray:
             f"{_CLASS_TABLE.name} holds {len(data)} bytes, expected {size}: "
             f"one int32 code per class for n <= {REPRESENTATIVES_LIMIT}"
         )
-    table = np.frombuffer(data, dtype="<i4").astype(np.int32)
-    table.flags.writeable = False
-    return table
+    return struct.unpack(f"<{size // 4}i", data)
 
 
-def class_codes(n: int) -> np.ndarray:
+def class_codes(n: int) -> tuple[int, ...]:
     """Pair codes of one representative per isomorphism class of n-vertex
-    tournaments, as a read-only int32 array in enumeration order."""
+    tournaments, in enumeration order."""
     if n > REPRESENTATIVES_LIMIT:
         raise SizeLimitError(f"class table is guarded at n = {REPRESENTATIVES_LIMIT}")
     if n < 0:
@@ -111,35 +93,7 @@ def class_codes(n: int) -> np.ndarray:
 def tournament_representatives(n: int) -> tuple[Tournament, ...]:
     """One representative per isomorphism class of n-vertex tournaments,
     decoded from `class_codes(n)`."""
-    return tuple(Tournament.from_code(n, int(code)) for code in class_codes(n))
-
-
-def _enumerate_representatives(n: int) -> list[Tournament]:
-    """The enumeration that wrote the class table; the tests' reference.
-
-    Deterministic: candidates are generated in (parent class, extension
-    pattern) order and kept on first appearance of their class.
-    """
-    if n <= 1:
-        return [Tournament.from_rows([0] * n)]
-    reps: list[Tournament] = []
-    buckets: dict[tuple, list[Tournament]] = {}
-    for parent in _enumerate_representatives(n - 1):
-        base = parent.out_rows()
-        for pattern in range(1 << (n - 1)):
-            # new vertex n-1 beats exactly the pattern bits
-            rows = [
-                base[v] | (0 if pattern >> v & 1 else 1 << (n - 1))
-                for v in range(n - 1)
-            ]
-            rows.append(pattern)
-            cand = Tournament.from_rows(rows)
-            key = _invariant_key(cand)
-            bucket = buckets.setdefault(key, [])
-            if not any(are_isomorphic(cand, seen) for seen in bucket):
-                bucket.append(cand)
-                reps.append(cand)
-    return reps
+    return tuple(Tournament.from_code(n, code) for code in class_codes(n))
 
 
 def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
@@ -169,16 +123,3 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
 def uniform_tournament(n: int, seed: int) -> Tournament:
     """Seeded uniform random tournament; each pair is an independent coin."""
     return Tournament.from_rows(coin_rows(n, seed))
-
-
-def all_oriented_graphs(n: int) -> Iterator[Digraph]:
-    """Every oriented graph on n vertices (3 states per pair)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for states in product((0, 1, 2), repeat=len(pairs)):
-        rows = [0] * n
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                rows[i] |= 1 << j
-            elif s == 2:
-                rows[j] |= 1 << i
-        yield Digraph.from_rows(rows)

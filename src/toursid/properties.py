@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .counting import (
+    HostColumns,
     PinnedPattern,
     count_homomorphisms,
     count_labeled,
@@ -212,47 +213,48 @@ def _guard_scan(n_max: int, limit: int, pinned: int = 0, scan: str = "exhaustive
 
 def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
-    n_max, with I the pinned vertices, yields n, the baseline, the labeled
-    counts as a hosts x anchors table (anchors of I in permutation order; one
-    column when I is empty), the anchors, and the map from a row to its host.
+    n_max, with I the pinned vertices, yields n, the baseline, one
+    `HostCounts` of labeled counts per anchor (anchors of I in permutation
+    order; one anchor when I is empty), the anchors, and the map from a host
+    index to its host.
 
     The hosts are the raw pair codes in code order, or with dedup=True the
     class representatives' codes in class-table order, so the first extremal
-    row is the host that a loop over the hosts in that order would pick.
+    host is the one that a loop over the hosts in that order would pick. The
+    hosts' bit columns are built once per n and shared by every anchor.
     """
-    import numpy as np
-
     for n in range(max(len(pinned), 1), n_max + 1):
-        codes = class_codes(n) if dedup else np.arange(1 << pair_count(n), dtype=np.int32)
+        codes = class_codes(n) if dedup else range(1 << pair_count(n))
+        hosts = HostColumns.of_codes(n, codes) if dedup else HostColumns.raw(n)
         anchors = [
             dict(zip(pinned, images))
             for images in itertools.permutations(range(n), len(pinned))
         ]
-        table = np.stack(
-            [labeled_counts(d, n, codes, a, budget=budget) for a in anchors], axis=1
-        )
-        host_at = lambda row, n=n, codes=codes: Tournament.from_code(n, int(codes[row]))
-        yield n, labeled_bound(d, n, len(pinned)), table, anchors, host_at
+        counts = [labeled_counts(d, hosts, a, budget=budget) for a in anchors]
+        host_at = lambda h, n=n, codes=codes: Tournament.from_code(n, codes[h])
+        yield n, labeled_bound(d, n, len(pinned)), counts, anchors, host_at
 
 
 def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The max-ratio curve over `_scan_steps`, its largest ratio, and the
-    witness host and anchor: the first maximum in host-major order (the flat
-    argmax of the table), replaced at a later n only by a larger ratio."""
-    import numpy as np
-
+    witness host and anchor: the first maximum in host-major order (the
+    smallest host, then the smallest anchor index), replaced at a later n
+    only by a larger ratio."""
     curve = []
     best_ratio = Fraction(0)
     witness = witness_anchor = None
-    for n, bound, table, anchors, host_at in _scan_steps(
+    for n, bound, counts, anchors, host_at in _scan_steps(
         d, n_max, pinned, dedup=dedup, budget=budget
     ):
-        best_host, best_anchor = divmod(int(np.argmax(table)), len(anchors))
-        ratio = Fraction(int(table[best_host, best_anchor])) / bound
+        # max keeps the first of equal keys, so ties go to the smaller anchor
+        value, best_host, best_anchor = max(
+            (c.max() + (i,) for i, c in enumerate(counts)), key=lambda m: (m[0], -m[1])
+        )
+        ratio = Fraction(value) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": len(table),
+                "hosts": len(counts[0]),
                 "bound": _frac(bound),
                 "max_ratio": _frac(ratio),
                 "max_ratio_approx": float(ratio),
@@ -522,12 +524,12 @@ def sidorenko_scan_exhaustive(
     over-representation verdict at fixed n."""
     _guard_scan(n_max, _scan_limit(dedup))
     curve = []
-    for n, bound, table, _, _ in _scan_steps(d, n_max, (), dedup=dedup, budget=budget):
-        ratio = Fraction(int(table.min())) / bound
+    for n, bound, counts, _, _ in _scan_steps(d, n_max, (), dedup=dedup, budget=budget):
+        ratio = Fraction(counts[0].min()) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": len(table),
+                "hosts": len(counts[0]),
                 "bound": _frac(bound),
                 "min_ratio": _frac(ratio),
                 "min_ratio_approx": float(ratio),
@@ -550,15 +552,11 @@ def _impartiality_witness(d: Digraph, n_max: int, budget: Optional[int] = None):
     At the first size whose counts are not all equal: the pair of the first
     representative and the first one whose count differs from it, and their
     two counts. None when the count is constant at every n <= n_max."""
-    import numpy as np
-
     _guard_scan(n_max, REPRESENTATIVES_LIMIT, scan="impartiality scan")
-    for _, _, table, _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
-        counts = table[:, 0]
-        differ = np.flatnonzero(counts != counts[0])
-        if differ.size:
-            j = int(differ[0])
-            return (host_at(0), host_at(j)), (int(counts[0]), int(counts[j]))
+    for _, _, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
+        j = counts.first_differing()
+        if j is not None:
+            return (host_at(0), host_at(j)), (counts[0], counts[j])
     return None
 
 

@@ -309,6 +309,37 @@ class TestInvalidOptions:
         argv = ["count", "--pattern", pattern, "--host", tt4_file, "--pins", "0:1,0:2"]
         assert "pinned twice" in TestEmptyInputs.error(capsys, argv)
 
+    def test_repeated_pins_set_vertex_is_an_error(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["check", "strong-anti", "--pattern", pattern, "--pins-set", "1,1",
+                "--exhaustive", "3"]
+        assert TestEmptyInputs.error(capsys, argv) == "error: pattern vertex 1 is pinned twice"
+
+    @pytest.mark.parametrize(
+        "extra, given",
+        [
+            (("--family", "transitive"), "--family"),
+            (("--n", "4..6"), "--n"),
+            (("--c", "1/10"), "--c"),
+            (("--samples", "7"), "--samples"),
+            (("--seed", "1"), "--seed"),
+            (("--family", "transitive", "--n", "4..6", "--samples", "7"),
+             "--family, --n, --samples"),
+        ],
+    )
+    def test_exhaustive_refuses_family_options(self, tmp_path, capsys, extra, given):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--exhaustive", "3", *extra]
+        assert TestEmptyInputs.error(capsys, argv) == (
+            f"error: check anti --exhaustive does not take {given}"
+        )
+
+    def test_dedup_needs_exhaustive(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--dedup", "--family", "transitive",
+                "--n", "4..6"]
+        assert TestEmptyInputs.error(capsys, argv) == "error: check anti --dedup needs --exhaustive"
+
 
 class TestQuasi:
     def test_exact_transitive_ten(self, tmp_path, capsys):

@@ -12,9 +12,11 @@ from toursid.constructions import (
     star,
     transitive_tournament,
 )
+from host_reference import all_oriented_graphs
 from toursid.counting import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    HostColumns,
     PinnedPattern,
     _backtrack,
     _search_order,
@@ -33,11 +35,7 @@ from toursid.digraph import (
     fill_to_tournament,
     transitive_host,
 )
-from toursid.hosts import (
-    all_oriented_graphs,
-    tournament_representatives,
-    uniform_tournament,
-)
+from toursid.hosts import tournament_representatives, uniform_tournament
 from toursid.properties import is_impartial_upto, two_block_tournament
 
 TT3 = transitive_host(3)
@@ -115,6 +113,10 @@ class TestPinned:
             plain = count_labeled(d, TT4)
             assert pinned.value == plain.value
             assert pinned.bound == plain.bound
+
+    def test_pinned_vertices_must_be_distinct(self):
+        with pytest.raises(ValueError, match="pattern vertex 1 is pinned twice"):
+            PinnedPattern(star(1, 1), (1, 2, 1))
 
     def test_pinned_must_be_independent(self):
         with pytest.raises(ValueError, match="independent"):
@@ -339,11 +341,12 @@ class TestCountTable:
         for d in small_catalog:
             for n in range(1, 6):
                 codes = list(range(1 << (n * (n - 1) // 2)))
-                counts = labeled_counts(d, n, codes)
+                counts = labeled_counts(d, HostColumns.raw(n))
                 expected = [
                     oracle_count(d, Tournament.from_code(n, c), "labeled") for c in codes
                 ]
-                assert counts.tolist() == expected, (d, n)
+                assert list(counts) == expected, (d, n)
+                assert list(labeled_counts(d, HostColumns.of_codes(n, codes))) == expected
 
     def test_single_pins_match_backtracker(self, small_catalog):
         hosts = {n: list(range(1 << (n * (n - 1) // 2))) for n in range(1, 5)}
@@ -352,26 +355,70 @@ class TestCountTable:
             for v in range(d.n):
                 p = PinnedPattern(d, (v,))
                 for n, codes in hosts.items():
+                    columns = HostColumns.of_codes(n, codes)
                     for anchor in range(n):
-                        counts = labeled_counts(d, n, codes, {v: anchor})
+                        counts = labeled_counts(d, columns, {v: anchor})
                         expected = [
                             count_labeled_pinned(p, Tournament.from_code(n, c), {v: anchor}).value
                             for c in codes
                         ]
-                        assert counts.tolist() == expected, (d, v, n, anchor)
+                        assert list(counts) == expected, (d, v, n, anchor)
+
+    def test_reductions_match_the_count_list(self, small_catalog):
+        for n in (1, 3, 5):
+            codes = tuple(c % (1 << n * (n - 1) // 2) for c in (5, 0, 5, 1))
+            for columns in (HostColumns.raw(n), HostColumns.of_codes(n, codes)):
+                for d in small_catalog:
+                    counts = labeled_counts(d, columns)
+                    values = list(counts)
+                    assert len(values) == len(counts) == columns.size
+                    assert counts.max() == (max(values), values.index(max(values)))
+                    assert counts.min() == min(values)
+                    assert counts.total() == sum(values)
+                    differ = [h for h, c in enumerate(values) if c != values[0]]
+                    assert counts.first_differing() == (differ[0] if differ else None)
+        with pytest.raises(IndexError):
+            counts[len(counts)]
+
+    def test_first_moment_identity(self, small_catalog):
+        # each injective map fixes e of the P pair bits, so over all raw hosts
+        # the counts sum to P(n, v) 2^(P - e); shares no code with the oracle
+        def expected(d, n):
+            # exact: a map exists only if v <= n, and then e <= P
+            return math.perm(n, d.n) << n * (n - 1) // 2 >> d.edge_count
+
+        patterns = [*small_catalog, directed_cycle(5), transitive_tournament(4), star(2, 2)]
+        for n in range(1, 7):
+            columns = HostColumns.raw(n)
+            for d in patterns:
+                assert labeled_counts(d, columns).total() == expected(d, n), (d.edges(), n)
+        c5 = directed_cycle(5)
+        assert labeled_counts(c5, HostColumns.raw(7)).total() == expected(c5, 7)
+
+    @pytest.mark.parametrize("pins", [(0,), (1,), (3,), (1, 3), (1, 2)])
+    def test_first_moment_identity_pinned(self, pins):
+        # every injective map extends exactly one anchor of the pinned set
+        d = star(2, 2)
+        for n in range(len(pins), 7):
+            columns = HostColumns.raw(n)
+            total = sum(
+                labeled_counts(d, columns, dict(zip(pins, images))).total()
+                for images in itertools.permutations(range(n), len(pins))
+            )
+            assert total == math.perm(n, 5) << n * (n - 1) // 2 >> 4, (pins, n)
 
     def test_rows_merge_equal_constraints(self):
         # the 5 rotations of a 5-cycle map impose the same constraints
         masks, reqs, mults = count_table(directed_cycle(5), 6)
-        assert len(masks) == 144 and set(mults.tolist()) == {5}
-        assert int(mults.sum()) == 6 * 5 * 4 * 3 * 2
+        assert len(masks) == 144 and set(mults) == {5}
+        assert sum(mults) == 6 * 5 * 4 * 3 * 2
 
     def test_budget_projects_the_enumeration(self):
         with pytest.raises(BudgetExceededError):
             count_table(directed_path(2), 4, budget=23)
-        assert int(count_table(directed_path(2), 4, budget=24)[2].sum()) == 24
+        assert sum(count_table(directed_path(2), 4, budget=24)[2]) == 24
         # pinned vertices leave P(3, 2) = 6 maps to enumerate
-        assert int(count_table(directed_path(2), 4, {0: 0}, budget=6)[2].sum()) == 6
+        assert sum(count_table(directed_path(2), 4, {0: 0}, budget=6)[2]) == 6
 
     def test_guards(self):
         with pytest.raises(SizeLimitError):
@@ -459,9 +506,10 @@ class TestTwinClosedForm:
         p = PinnedPattern(d, pins)
         for n in range(len(pins), 6):
             codes = list(range(1 << (n * (n - 1) // 2)))
+            columns = HostColumns.raw(n)
             for images in itertools.permutations(range(n), len(pins)):
                 anchor = dict(zip(pins, images))
-                expected = labeled_counts(d, n, codes, anchor).tolist()
+                expected = list(labeled_counts(d, columns, anchor))
                 got = [
                     count_labeled_pinned(p, Tournament.from_code(n, c), anchor).value
                     for c in codes

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from host_reference import all_oriented_graphs
 from toursid.constructions import directed_cycle, directed_path, subset_bipartite, transitive_tournament
 from toursid.digraph import (
     Digraph,
@@ -17,7 +18,7 @@ from toursid.digraph import (
     fill_to_tournament,
     transitive_host,
 )
-from toursid.hosts import all_oriented_graphs, uniform_tournament
+from toursid.hosts import uniform_tournament
 from toursid.properties import two_block_tournament
 from toursid.rng import below
 

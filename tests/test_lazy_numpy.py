@@ -1,8 +1,9 @@
 """numpy loads on first use: the commands that run only the backtracker over
-packed rows (`check anti --family transitive` and `blowup`, and `count`)
-never import it, while the table scans do, after `toursid/__init__.py` has
-set OPENBLAS_NUM_THREADS. Each case runs in a fresh interpreter, since this
-test process has long imported numpy."""
+packed rows (`check anti --family transitive` and `blowup`, and `count`) and
+every exhaustive, pinned and impartiality scan (bit-sliced Python ints) never
+import it, while the sampled quasirandom scan does, after
+`toursid/__init__.py` has set OPENBLAS_NUM_THREADS. Each case runs in a fresh
+interpreter, since this test process has long imported numpy."""
 
 import json
 import os
@@ -60,6 +61,17 @@ def run_probe(tmp_path, blas):
         ("count", ["count", "--pattern", "c5.dgf", "--host", "tt6.trn"]),
         ("count-homs", ["count", "--pattern", "c5.dgf", "--host", "tt6.trn", "--mode", "homs"]),
         ("exhaustive", ["check", "anti", "--pattern", "c5.dgf", "--exhaustive", "5"]),
+        ("dedup", ["check", "anti", "--pattern", "c5.dgf", "--dedup", "--exhaustive", "7"]),
+        ("sidorenko", ["check", "sidorenko-scan", "--pattern", "c5.dgf", "--exhaustive", "5"]),
+        ("sidorenko-dedup", ["check", "sidorenko-scan", "--pattern", "c5.dgf",
+                             "--dedup", "--exhaustive", "6"]),
+        ("strong-anti", ["check", "strong-anti", "--pattern", "star22.dgf",
+                         "--pins-set", "1,3", "--exhaustive", "5"]),
+        ("strong-anti-dedup", ["check", "strong-anti", "--pattern", "star22.dgf",
+                               "--pins-set", "1", "--dedup", "--exhaustive", "5"]),
+        ("impartial", ["check", "impartial", "--pattern", "star22.dgf", "--n", "6"]),
+        ("quasi-sampled", ["quasi", "--two-block", "1/10", "24", "--seed", "3",
+                           "--samples", "50"]),
     ]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
@@ -82,6 +94,13 @@ def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
         ["blowup", 0, False],
         ["count", 0, False],
         ["count-homs", 0, False],
-        ["exhaustive", 0, True],
+        ["exhaustive", 0, False],
+        ["dedup", 0, False],
+        ["sidorenko", 0, False],
+        ["sidorenko-dedup", 0, False],
+        ["strong-anti", 0, False],
+        ["strong-anti-dedup", 0, False],
+        ["impartial", 2, False],
+        ["quasi-sampled", 0, True],
     ]
     assert got["blas"] == expected
