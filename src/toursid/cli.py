@@ -189,6 +189,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.pins and args.mode == "homs":
+        print("error: count --mode homs does not take --pins", file=sys.stderr)
+        return EXIT_ERROR
     pattern = _load_pattern(args.pattern)
     host = _load_host(args.host)
     if args.pins:
@@ -217,67 +220,66 @@ def _report_exit(report: PropertyReport, out: str | None, fmt: str = "json") -> 
     return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
 
-# options of `check anti`'s family regime, which its exhaustive regime refuses
-_FAMILY_OPTIONS = ("family", "n", "base", "c", "samples", "seed")
+# per `check` property, and per regime of `check anti`: the options it needs
+# and the others it reads; it refuses the rest of _CHECK_OPTIONS
+_CHECK_READS = {
+    "anti --exhaustive": (("exhaustive",), ("dedup",)),
+    "anti --family": (("family", "n"), ("base", "c", "samples", "seed")),
+    "strong-anti": (("pins_set", "exhaustive"), ("dedup",)),
+    "impartial": (("n",), ()),
+    "sidorenko-scan": (("exhaustive",), ("dedup",)),
+}
+_CHECK_OPTIONS = ("exhaustive", "dedup", "family", "n", "base", "c", "samples", "seed", "pins_set")
+
+
+def _flags(keys) -> list[str]:
+    return ["--" + k.replace("_", "-") for k in keys]
 
 
 def _cmd_check(args) -> int:
     pattern = _load_pattern(args.pattern)
-    if args.property == "anti":
-        if args.exhaustive is not None:
-            mixed = [k for k in _FAMILY_OPTIONS if getattr(args, k) is not None]
-            if mixed:
-                given = ", ".join(f"--{k}" for k in mixed)
-                print(f"error: check anti --exhaustive does not take {given}", file=sys.stderr)
-                return EXIT_ERROR
-            report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
-        elif args.family:
-            if args.dedup:
-                print("error: check anti --dedup needs --exhaustive", file=sys.stderr)
-                return EXIT_ERROR
-            if args.n is None:
-                print("error: check anti --family needs --n", file=sys.stderr)
-                return EXIT_ERROR
-            values = _parse_range(args.n)
-            base = _load_pattern(args.base) if args.base else None
-            report = check_anti_on_family(
-                pattern,
-                args.family,
-                values,
-                base=base,
-                c=Fraction(args.c) if args.c else None,
-                seed=args.seed,
-                samples=args.samples,
-            )
-        else:
+    scan = args.property
+    if scan == "anti":
+        if args.exhaustive is None and args.family is None:
             print("error: check anti needs --exhaustive or --family", file=sys.stderr)
             return EXIT_ERROR
-    elif args.property == "strong-anti":
-        if args.exhaustive is None or not args.pins_set:
-            print(
-                "error: check strong-anti needs --pins-set and --exhaustive",
-                file=sys.stderr,
-            )
+        if args.exhaustive is None and args.dedup:
+            print("error: check anti --dedup needs --exhaustive", file=sys.stderr)
             return EXIT_ERROR
+        scan += " --family" if args.exhaustive is None else " --exhaustive"
+    needs, reads = _CHECK_READS[scan]
+    # an empty --pins-set or --n is as good as none
+    missing = [k for k in needs if getattr(args, k) in (None, "")]
+    if missing:
+        print(f"error: check {scan} needs {' and '.join(_flags(missing))}", file=sys.stderr)
+        return EXIT_ERROR
+    # an absent option is None, or False for --dedup (a given 0 is neither)
+    given = [k for k in _CHECK_OPTIONS if all(getattr(args, k) is not v for v in (None, False))]
+    unread = [k for k in given if k not in needs + reads]
+    if unread:
+        print(f"error: check {scan} does not take {', '.join(_flags(unread))}", file=sys.stderr)
+        return EXIT_ERROR
+    if scan == "anti --exhaustive":
+        report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
+    elif scan == "anti --family":
+        report = check_anti_on_family(
+            pattern,
+            args.family,
+            _parse_range(args.n),
+            base=_load_pattern(args.base) if args.base else None,
+            c=Fraction(args.c) if args.c else None,
+            seed=args.seed,
+            samples=args.samples,
+        )
+    elif scan == "strong-anti":
         pinned = tuple(int(v) for v in args.pins_set.split(","))
         report = check_strong_anti(
             PinnedPattern(pattern, pinned), args.exhaustive, dedup=args.dedup
         )
-    elif args.property == "impartial":
-        if args.n is None:
-            print("error: check impartial needs --n", file=sys.stderr)
-            return EXIT_ERROR
+    elif scan == "impartial":
         report = impartiality_report(pattern, int(args.n))
-    elif args.property == "sidorenko-scan":
-        if args.exhaustive is None:
-            print("error: check sidorenko-scan needs --exhaustive", file=sys.stderr)
-            return EXIT_ERROR
-        report = sidorenko_scan_exhaustive(
-            pattern, args.exhaustive, dedup=args.dedup
-        )
     else:
-        print(f"error: unknown property {args.property!r}", file=sys.stderr)
-        return EXIT_ERROR
+        report = sidorenko_scan_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
     return _report_exit(report, args.out, args.fmt)
 
 

@@ -36,14 +36,12 @@ from .digraph import (
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
-from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, pair_count
+from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, orbit_minima, pair_count
 from .rng import blend, blend_array
 
 if TYPE_CHECKING:
     import numpy as np
 
-EXHAUSTIVE_LIMIT = 7
-STRONG_ANTI_LIMIT = 6
 QUASI_EXACT_LIMIT = 20
 # hosts with at most this many pattern maps get an exact density in
 # `forcing_probe`; larger ones are sampled
@@ -196,16 +194,13 @@ def is_impartial_upto(
     return (True, None) if found is None else (False, found[0])
 
 
-def _scan_limit(dedup: bool) -> int:
-    return REPRESENTATIVES_LIMIT if dedup else EXHAUSTIVE_LIMIT
-
-
-def _guard_scan(n_max: int, limit: int, pinned: int = 0, scan: str = "exhaustive scan") -> None:
-    """The size guard of the exhaustive scans: n_max at most `limit`, and at
-    least the first size `_scan_steps` scans, max(|I|, 1) for `pinned` = |I|
-    pinned vertices, so that no scan is vacuous."""
-    if n_max > limit:
-        raise ValueError(f"{scan} is guarded at n_max = {limit}")
+def _guard_scan(n_max: int, pinned: int = 0, scan: str = "exhaustive scan") -> None:
+    """The size guard of every exhaustive scan: n_max at most the class
+    table's REPRESENTATIVES_LIMIT, and at least the first size `_scan_steps`
+    scans, max(|I|, 1) for `pinned` = |I| pinned vertices, so that no scan is
+    vacuous."""
+    if n_max > REPRESENTATIVES_LIMIT:
+        raise ValueError(f"{scan} is guarded at n_max = {REPRESENTATIVES_LIMIT}")
     first = max(pinned, 1)
     if n_max < first:
         raise ValueError(f"{scan} needs n_max >= {first}, got {n_max}")
@@ -213,26 +208,27 @@ def _guard_scan(n_max: int, limit: int, pinned: int = 0, scan: str = "exhaustive
 
 def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
-    n_max, with I the pinned vertices, yields n, the baseline, one
-    `HostCounts` of labeled counts per anchor (anchors of I in permutation
-    order; one anchor when I is empty), the anchors, and the map from a host
-    index to its host.
+    n_max, with I the pinned vertices, yields n, the baseline, the number of
+    hosts scanned, one `HostCounts` of labeled counts per anchor (anchors of
+    I in permutation order; one anchor when I is empty), the anchors, and the
+    map from a host index to its host.
 
-    The hosts are the raw pair codes in code order, or with dedup=True the
-    class representatives' codes in class-table order, so the first extremal
-    host is the one that a loop over the hosts in that order would pick. The
-    hosts' bit columns are built once per n and shared by every anchor.
+    Counts are isomorphism invariants, so only one code per class is counted:
+    the representatives with dedup=True, else the ascending orbit minima,
+    whose first extremal code and anchor are those of all 2^(n(n-1)/2) codes.
+    The bit columns are built once per n and shared by every anchor.
     """
     for n in range(max(len(pinned), 1), n_max + 1):
-        codes = class_codes(n) if dedup else range(1 << pair_count(n))
-        hosts = HostColumns.of_codes(n, codes) if dedup else HostColumns.raw(n)
+        codes = class_codes(n) if dedup else orbit_minima(n)
+        scanned = len(codes) if dedup else 1 << pair_count(n)
+        hosts = HostColumns.of_codes(n, codes)
         anchors = [
             dict(zip(pinned, images))
             for images in itertools.permutations(range(n), len(pinned))
         ]
         counts = [labeled_counts(d, hosts, a, budget=budget) for a in anchors]
         host_at = lambda h, n=n, codes=codes: Tournament.from_code(n, codes[h])
-        yield n, labeled_bound(d, n, len(pinned)), counts, anchors, host_at
+        yield n, labeled_bound(d, n, len(pinned)), scanned, counts, anchors, host_at
 
 
 def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
@@ -243,7 +239,7 @@ def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     curve = []
     best_ratio = Fraction(0)
     witness = witness_anchor = None
-    for n, bound, counts, anchors, host_at in _scan_steps(
+    for n, bound, scanned, counts, anchors, host_at in _scan_steps(
         d, n_max, pinned, dedup=dedup, budget=budget
     ):
         # max keeps the first of equal keys, so ties go to the smaller anchor
@@ -254,7 +250,7 @@ def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
         curve.append(
             {
                 "n": n,
-                "hosts": len(counts[0]),
+                "hosts": scanned,
                 "bound": _frac(bound),
                 "max_ratio": _frac(ratio),
                 "max_ratio_approx": float(ratio),
@@ -276,13 +272,13 @@ def check_anti_exhaustive(
 ) -> PropertyReport:
     """Scan every tournament with n <= n_max against the labeled baseline.
 
-    dedup=True walks isomorphism-class representatives instead of the raw
-    2^(n(n-1)/2) pair codes; the labeled count is an isomorphism invariant,
-    so the verdict is unchanged. Raw scans are guarded at n_max = 7 and
-    class scans at n_max = 8. This is the scan of `check_strong_anti` with
-    no pinned vertex; the witness is the first host with the maximal count.
+    Rows report the 2^(n(n-1)/2) raw pair codes, or with dedup=True the
+    A000568(n) isomorphism classes; both count one code per class, so every
+    ratio agrees, and both are guarded at n_max = 8. This is the scan of
+    `check_strong_anti` with no pinned vertex; the witness is the first host
+    with the maximal count.
     """
-    _guard_scan(n_max, _scan_limit(dedup))
+    _guard_scan(n_max)
     curve, best_ratio, witness, _ = _max_scan(d, n_max, (), dedup=dedup, budget=budget)
     violated = best_ratio > 1
     return PropertyReport(
@@ -490,7 +486,7 @@ def check_strong_anti(
     injective anchor of the pinned set, the pinned count stays at or below
     2^(-e) n^(v-|I|)."""
     pinned = p.pinned_vertices
-    _guard_scan(n_max, STRONG_ANTI_LIMIT, len(pinned), "pinned scan")
+    _guard_scan(n_max, len(pinned), "pinned scan")
     d = p.pattern
     curve, best_ratio, witness, witness_anchor = _max_scan(
         d, n_max, pinned, dedup=dedup, budget=budget
@@ -522,14 +518,16 @@ def sidorenko_scan_exhaustive(
 ) -> PropertyReport:
     """Minimum labeled ratio per host size; measurement only, never a boolean
     over-representation verdict at fixed n."""
-    _guard_scan(n_max, _scan_limit(dedup))
+    _guard_scan(n_max)
     curve = []
-    for n, bound, counts, _, _ in _scan_steps(d, n_max, (), dedup=dedup, budget=budget):
+    for n, bound, scanned, counts, _, _ in _scan_steps(
+        d, n_max, (), dedup=dedup, budget=budget
+    ):
         ratio = Fraction(counts[0].min()) / bound
         curve.append(
             {
                 "n": n,
-                "hosts": len(counts[0]),
+                "hosts": scanned,
                 "bound": _frac(bound),
                 "min_ratio": _frac(ratio),
                 "min_ratio_approx": float(ratio),
@@ -552,8 +550,8 @@ def _impartiality_witness(d: Digraph, n_max: int, budget: Optional[int] = None):
     At the first size whose counts are not all equal: the pair of the first
     representative and the first one whose count differs from it, and their
     two counts. None when the count is constant at every n <= n_max."""
-    _guard_scan(n_max, REPRESENTATIVES_LIMIT, scan="impartiality scan")
-    for _, _, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
+    _guard_scan(n_max, scan="impartiality scan")
+    for *_, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
         j = counts.first_differing()
         if j is not None:
             return (host_at(0), host_at(j)), (counts[0], counts[j])

@@ -1,47 +1,65 @@
-"""The committed class-code table and the class scans that read it.
+"""The committed class table and the exhaustive scans that read it.
 
-`src/toursid/tournament_classes.bin` holds the pair codes of one
-representative per isomorphism class of n-vertex tournaments for n = 0..8, as
-little-endian int32, n-major, in the order of the live enumeration
-(`host_reference.enumerate_representatives`). It was written once by that
-enumeration; to regenerate it (about 10 s), run from the repository root
-with `src` and `tests` on the path:
+`src/toursid/tournament_classes.bin` holds two sections of little-endian
+int32, each n-major over n = 0..8. The first holds the pair codes of one
+representative per isomorphism class of n-vertex tournaments, in the order
+of the live enumeration (`host_reference.enumerate_representatives`). The
+second, aligned with it, holds each class's orbit minimum, the smallest pair
+code isomorphic to the representative, found by relabelling it with every
+permutation of [n] (`host_reference.brute_orbit_minima`). To regenerate the
+file (about 15 s), run from the repository root with `src` and `tests` on the
+path:
 
     import struct
-    from host_reference import enumerate_representatives
+    from host_reference import brute_orbit_minima, enumerate_representatives
     from toursid.hosts import REPRESENTATIVES_LIMIT
 
-    codes = [t.code() for n in range(REPRESENTATIVES_LIMIT + 1)
-             for t in enumerate_representatives(n)]
+    codes = [[t.code() for t in enumerate_representatives(n)]
+             for n in range(REPRESENTATIVES_LIMIT + 1)]
+    minima = [brute_orbit_minima(n, c) for n, c in enumerate(codes)]
+    flat = [c for section in (codes, minima) for per_n in section for c in per_n]
     with open("src/toursid/tournament_classes.bin", "wb") as f:
-        f.write(struct.pack(f"<{len(codes)}i", *codes))
+        f.write(struct.pack(f"<{len(flat)}i", *flat))
 
-The tests below check the table against that enumeration for n <= 7, and at
-n = 8 check that it has A000568(8) entries that are pairwise non-isomorphic,
-hence one per class.
+The tests below check the representatives against that enumeration for
+n <= 7, and at n = 8 check that they are A000568(8) pairwise non-isomorphic
+entries, hence one per class. They check the orbit minima against the brute
+force for n <= 7, and at n = 8 against a pruned search that shares no code
+with it and is itself checked against the brute force for n <= 6.
 """
 
 import subprocess
 import sys
 from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from host_reference import enumerate_representatives, invariant_key
-from toursid import digraph, hosts
+from host_reference import (
+    brute_orbit_minima,
+    enumerate_representatives,
+    invariant_key,
+    pruned_orbit_minimum,
+    raw_columns,
+)
+from toursid import digraph, hosts, properties
 from toursid.cli import main
-from toursid.constructions import directed_cycle, star, transitive_tournament
-from toursid.counting import PinnedPattern, count_labeled
+from toursid.constructions import catalog, directed_cycle, star, transitive_tournament
+from toursid.counting import PinnedPattern, count_labeled, labeled_counts
 from toursid.digraph import SizeLimitError, Tournament, are_isomorphic
-from toursid.formats import dgf_dumps
+from toursid.formats import dgf_dumps, trn_loads
 from toursid.hosts import (
     CLASS_COUNTS,
     REPRESENTATIVES_LIMIT,
     class_codes,
+    orbit_minima,
+    pair_count,
     tournament_representatives,
 )
 from toursid.properties import (
+    PropertyReport,
+    check_anti_on_family,
     check_anti_exhaustive,
     check_strong_anti,
     impartiality_report,
@@ -66,11 +84,13 @@ class TestTable:
     def test_layout(self):
         assert CLASS_COUNTS == (1, 1, 1, 2, 4, 12, 56, 456, 6880)
         assert REPRESENTATIVES_LIMIT == 8
-        assert hosts._CLASS_TABLE.stat().st_size == 4 * sum(CLASS_COUNTS)
+        assert hosts._CLASS_TABLE.stat().st_size == 8 * sum(CLASS_COUNTS)
         for n, count in enumerate(CLASS_COUNTS):
-            codes = class_codes(n)
-            assert isinstance(codes, tuple) and len(codes) == count
-            assert all(type(c) is int and 0 <= c < 1 << n * (n - 1) // 2 for c in codes)
+            for codes in (class_codes(n), orbit_minima(n)):
+                assert isinstance(codes, tuple) and len(codes) == count
+                assert all(type(c) is int and 0 <= c < 1 << pair_count(n) for c in codes)
+            # ascending and pairwise distinct: one orbit minimum per class
+            assert all(a < b for a, b in zip(orbit_minima(n), orbit_minima(n)[1:]))
 
     @pytest.mark.parametrize("n", range(8))
     def test_equals_the_live_enumeration(self, n):
@@ -95,18 +115,26 @@ class TestTable:
             assert not any(are_isomorphic(a, b) for a, b in combinations(bucket, 2))
 
     def test_guards(self):
-        with pytest.raises(SizeLimitError):
-            class_codes(9)
-        with pytest.raises(SizeLimitError):
-            tournament_representatives(9)
-        with pytest.raises(ValueError):
-            class_codes(-1)
+        for read in (class_codes, orbit_minima, tournament_representatives):
+            with pytest.raises(SizeLimitError):
+                read(9)
+        for read in (class_codes, orbit_minima):
+            with pytest.raises(ValueError):
+                read(-1)
 
     @pytest.mark.parametrize("change", [lambda b: b[:-4], lambda b: b[:-1], lambda b: b + b"\0" * 4])
     def test_resized_file_is_an_error(self, table_path, change):
         table_path.write_bytes(change(table_path.read_bytes()))
-        with pytest.raises(ValueError, match="expected 29652"):
-            class_codes(3)
+        for read in (class_codes, orbit_minima):
+            with pytest.raises(ValueError, match="expected 59304"):
+                read(3)
+
+    def test_sections_are_aligned(self):
+        # entry k of the second section is isomorphic to representative k
+        for n in range(REPRESENTATIVES_LIMIT + 1):
+            for rep, low in zip(class_codes(n), hosts._class_section(n, 1)):
+                a, b = Tournament.from_code(n, rep), Tournament.from_code(n, low)
+                assert are_isomorphic(a, b) is not None, (n, rep, low)
 
     def test_not_read_at_import(self):
         probe = "import toursid.cli, toursid.hosts as h; print(h._class_table.cache_info().currsize)"
@@ -117,8 +145,11 @@ class TestTable:
 
     def test_loaded_on_first_use_only(self, table_path):
         table_path.unlink()
-        # nothing reads the table until a class scan asks for it
-        assert check_anti_exhaustive(directed_cycle(3), 4).verdict == "holds-upto"
+        # nothing reads the table until a scan asks for it; every exhaustive
+        # scan does, raw ones included
+        assert check_anti_on_family(directed_cycle(3), "transitive", [4]).verdict == "holds-upto"
+        with pytest.raises(FileNotFoundError):
+            check_anti_exhaustive(directed_cycle(3), 4)
         with pytest.raises(FileNotFoundError):
             class_codes(4)
 
@@ -132,6 +163,66 @@ class TestTable:
         report = check_anti_exhaustive(directed_cycle(5), 7, dedup=True)
         assert [row["hosts"] for row in report.curve] == list(CLASS_COUNTS[1:8])
         assert report.verdict == "holds-upto"
+
+
+class TestOrbitMinima:
+    @pytest.mark.parametrize("n", range(8))
+    def test_equal_the_brute_force(self, n):
+        assert list(hosts._class_section(n, 1)) == brute_orbit_minima(n, class_codes(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_pruned_search_equals_the_brute_force(self, n):
+        # every raw code for n <= 5; at n = 6 the representatives and every
+        # 97th raw code
+        if n <= 5:
+            codes = list(range(1 << pair_count(n)))
+        else:
+            codes = [*class_codes(n), *range(0, 1 << pair_count(n), 97)]
+        pruned = [pruned_orbit_minimum(Tournament.from_code(n, c)) for c in codes]
+        assert pruned == brute_orbit_minima(n, codes)
+
+    def test_eight_equals_the_pruned_search(self):
+        pruned = [pruned_orbit_minimum(t) for t in tournament_representatives(8)]
+        assert list(hosts._class_section(8, 1)) == pruned
+
+
+class TestRawScans:
+    """A raw scan counts the orbit minima; the reference counts every raw
+    code, as `raw_columns` or as the whole code range in the same loop."""
+
+    @staticmethod
+    def every_code(monkeypatch):
+        monkeypatch.setattr(properties, "orbit_minima", lambda n: range(1 << pair_count(n)))
+
+    def test_reports_equal_the_scan_of_every_code(self, monkeypatch):
+        def reports(d):
+            runs = [check_anti_exhaustive(d, 6), sidorenko_scan_exhaustive(d, 6)]
+            runs += [check_strong_anti(PinnedPattern(d, (v,)), 5) for v in range(d.n)]
+            return [r.to_json() for r in runs]
+
+        patterns = [*catalog(4), directed_cycle(5), star(2, 2), star(1, 3)]
+        expected = [reports(d) for d in patterns]
+        self.every_code(monkeypatch)
+        assert [reports(d) for d in patterns] == expected
+
+    @pytest.mark.parametrize("pins", [(1, 2), (1, 3), (2, 4)])
+    def test_pinned_pairs_equal_the_scan_of_every_code(self, monkeypatch, pins):
+        p = PinnedPattern(star(2, 2), pins)
+        report = check_strong_anti(p, 6).to_json()
+        self.every_code(monkeypatch)
+        assert report == check_strong_anti(p, 6).to_json()
+
+    @pytest.mark.parametrize("d", [directed_cycle(5), star(2, 2)], ids=["C5", "S22"])
+    def test_seven_equals_the_raw_columns(self, d):
+        # the extreme counts, and the first raw code with the largest
+        direct = labeled_counts(d, raw_columns(7))
+        n, _, scanned, (counts,), _, host_at = list(
+            _scan_steps(d, 7, (), dedup=False, budget=None)
+        )[-1]
+        value, h = counts.max()
+        assert (n, scanned, len(counts)) == (7, 1 << 21, 456)
+        assert (value, host_at(h).code()) == direct.max()
+        assert counts.min() == direct.min()
 
 
 class TestScansAtEight:
@@ -149,9 +240,9 @@ class TestScansAtEight:
 
     @pytest.mark.parametrize("d", [directed_cycle(5), transitive_tournament(4)], ids=["C5", "TT4"])
     def test_counts_equal_the_backtracker(self, d):
-        n, _, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True, budget=None))[-1]
+        n, _, scanned, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True, budget=None))[-1]
         reps = tournament_representatives(8)
-        assert n == 8 and len(table) == 1 and len(table[0]) == 6880
+        assert n == 8 and scanned == 6880 and len(table) == 1 and len(table[0]) == 6880
         assert list(table[0]) == [count_labeled(d, t).value for t in reps]
         assert host_at(6879) == reps[6879]
 
@@ -160,15 +251,45 @@ class TestScansAtEight:
         report = impartiality_report(star(2, 1), 8)
         assert report.regime["n_max"] == 8
 
-    def test_raw_and_pinned_limits_stay(self):
-        with pytest.raises(ValueError, match="guarded at n_max = 7"):
-            check_anti_exhaustive(directed_cycle(3), 8)
-        with pytest.raises(ValueError, match="guarded at n_max = 7"):
-            sidorenko_scan_exhaustive(directed_cycle(3), 8)
-        with pytest.raises(ValueError, match="guarded at n_max = 8"):
-            check_anti_exhaustive(directed_cycle(3), 9, dedup=True)
-        with pytest.raises(ValueError, match="guarded at n_max = 6"):
-            check_strong_anti(PinnedPattern(star(1, 1), (1,)), 7, dedup=True)
+    def test_one_guard_for_every_scan(self):
+        c3, pinned = directed_cycle(3), PinnedPattern(star(1, 1), (1,))
+        scans = [lambda n: impartiality_report(c3, n)]
+        for dedup in (False, True):
+            scans += [
+                lambda n, dedup=dedup: check_anti_exhaustive(c3, n, dedup=dedup),
+                lambda n, dedup=dedup: sidorenko_scan_exhaustive(c3, n, dedup=dedup),
+                lambda n, dedup=dedup: check_strong_anti(pinned, n, dedup=dedup),
+            ]
+        for scan in scans:
+            with pytest.raises(ValueError, match="guarded at n_max = 8"):
+                scan(9)
+            assert scan(8).regime["n_max"] == 8
+
+    def test_raw_row_at_eight_counts_every_code(self):
+        report = check_anti_exhaustive(directed_cycle(5), 8)
+        assert report.curve[-1]["n"] == 8 and report.curve[-1]["hosts"] == 1 << 28
+        dedup = check_anti_exhaustive(directed_cycle(5), 8, dedup=True)
+        assert [row["max_ratio"] for row in report.curve] == [
+            row["max_ratio"] for row in dedup.curve
+        ]
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["raw", "dedup"])
+    @pytest.mark.parametrize("pins, ratio", [((1, 2), Fraction(5, 4)), ((1, 3), Fraction(9, 8))])
+    def test_pinned_star_fails_first_at_eight(self, dedup, pins, ratio):
+        # star(2, 2) pinned at both out-leaves, or at an out- and an in-leaf
+        p = PinnedPattern(star(2, 2), pins)
+        seven = check_strong_anti(p, 7, dedup=dedup)
+        assert seven.verdict == "holds-upto" and seven.extremal_ratio == Fraction(320, 343)
+        eight = check_strong_anti(p, 8, dedup=dedup)
+        assert eight.verdict == "violated" and eight.extremal_ratio == ratio
+        assert eight.curve[:-1] == seven.curve
+        assert eight.curve[-1]["hosts"] == (6880 if dedup else 1 << 28)
+        again = PropertyReport.from_json(eight.to_json(), verify=True)
+        assert again.extra["witness_anchor"] == eight.extra["witness_anchor"]
+        witness = trn_loads(eight.witness_trn)
+        if not dedup:
+            # the first raw code of its class
+            assert pruned_orbit_minimum(witness) == witness.code()
 
     @staticmethod
     def check(tmp_path, *argv):
@@ -180,7 +301,14 @@ class TestScansAtEight:
         assert self.check(tmp_path, "anti", "--dedup", "--exhaustive", "8") == 0
         assert '"hosts":6880' in capsys.readouterr().out
 
-    @pytest.mark.parametrize("prop", ["anti", "sidorenko-scan"])
-    def test_cli_raw_scan_at_eight_is_guarded(self, tmp_path, capsys, prop):
-        assert self.check(tmp_path, prop, "--exhaustive", "8") == 1
-        assert "guarded" in capsys.readouterr().err
+    def test_cli_raw_scan_at_eight(self, tmp_path, capsys):
+        assert self.check(tmp_path, "anti", "--exhaustive", "8") == 0
+        assert '"hosts":268435456' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("prop", ["anti", "sidorenko-scan", "strong-anti"])
+    def test_cli_scan_at_nine_is_guarded(self, tmp_path, capsys, prop):
+        pins = ("--pins-set", "0") if prop == "strong-anti" else ()
+        for dedup in ((), ("--dedup",)):
+            assert self.check(tmp_path, prop, *dedup, *pins, "--exhaustive", "9") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "guarded at n_max = 8" in err

@@ -261,6 +261,11 @@ class TestEmptyInputs:
             (("anti", "--family", "transitive"), "check anti --family needs --n"),
             (("anti", "--family", "blowup"), "check anti --family needs --n"),
             (("sidorenko-scan",), "check sidorenko-scan needs --exhaustive"),
+            (("impartial", "--n", ""), "check impartial needs --n"),
+            (("strong-anti",), "check strong-anti needs --pins-set and --exhaustive"),
+            (("strong-anti", "--pins-set", "", "--exhaustive", "3"),
+             "check strong-anti needs --pins-set"),
+            (("strong-anti", "--pins-set", "0"), "check strong-anti needs --exhaustive"),
         ],
     )
     def test_missing_size_option(self, tmp_path, capsys, extra, message):
@@ -333,6 +338,37 @@ class TestInvalidOptions:
         assert TestEmptyInputs.error(capsys, argv) == (
             f"error: check anti --exhaustive does not take {given}"
         )
+
+    @pytest.mark.parametrize(
+        "argv, given",
+        [
+            (("sidorenko-scan", "--exhaustive", "4", "--family", "transitive", "--n", "5",
+              "--samples", "3", "--pins-set", "0"),
+             "sidorenko-scan does not take --family, --n, --samples, --pins-set"),
+            (("strong-anti", "--pins-set", "0", "--exhaustive", "4", "--family", "blowup",
+              "--c", "1/2"),
+             "strong-anti does not take --family, --c"),
+            (("impartial", "--n", "5", "--exhaustive", "6", "--dedup", "--seed", "3"),
+             "impartial does not take --exhaustive, --dedup, --seed"),
+            (("impartial", "--n", "5", "--seed", "0"), "impartial does not take --seed"),
+            (("anti", "--exhaustive", "3", "--pins-set", "0"),
+             "anti --exhaustive does not take --pins-set"),
+            (("anti", "--family", "transitive", "--n", "4..6", "--pins-set", "0"),
+             "anti --family does not take --pins-set"),
+        ],
+        ids=["sidorenko-scan", "strong-anti", "impartial", "impartial-seed-0",
+             "anti-exhaustive", "anti-family"],
+    )
+    def test_check_refuses_options_it_does_not_read(self, tmp_path, capsys, argv, given):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["check", argv[0], "--pattern", pattern, *argv[1:]]
+        assert TestEmptyInputs.error(capsys, argv) == f"error: check {given}"
+
+    def test_count_homs_refuses_pins(self, tmp_path, tt4_file, capsys):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["count", "--pattern", pattern, "--host", tt4_file, "--mode", "homs",
+                "--pins", "0:1"]
+        assert TestEmptyInputs.error(capsys, argv) == "error: count --mode homs does not take --pins"
 
     def test_dedup_needs_exhaustive(self, tmp_path, capsys):
         pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")

@@ -95,8 +95,10 @@ class TestAntiExhaustive:
         assert check_anti_exhaustive(directed_path(2), 5, budget=120).verdict == "holds-upto"
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            check_anti_exhaustive(Digraph(1), 8)
+        for dedup in (False, True):
+            with pytest.raises(ValueError, match="guarded at n_max = 8"):
+                check_anti_exhaustive(Digraph(1), 9, dedup=dedup)
+            assert check_anti_exhaustive(Digraph(1), 8, dedup=dedup).verdict == "holds-upto"
 
 
 class TestFamilyScan:
@@ -197,8 +199,11 @@ class TestStrongAnti:
                 assert pinned.witness_trn == plain.witness_trn
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            check_strong_anti(PinnedPattern(Digraph(1), ()), 7)
+        p = PinnedPattern(Digraph(1), (0,))
+        for dedup in (False, True):
+            with pytest.raises(ValueError, match="guarded at n_max = 8"):
+                check_strong_anti(p, 9, dedup=dedup)
+            assert check_strong_anti(p, 8, dedup=dedup).verdict == "holds-upto"
 
 
 class TestStarClassifier:
