@@ -116,17 +116,35 @@ def _load_host(path: str) -> Tournament:
         return Tournament.from_rows(d.out_rows())
 
 
+def _int(text: str, flag: str, spec: str | None = None) -> int:
+    """int(text), or a ValueError naming the option `flag` and quoting the
+    text and the option's whole value `spec`, when text is only a piece."""
+    try:
+        return int(text)
+    except ValueError:
+        where = f" in {spec!r}" if spec not in (None, text) else ""
+        raise ValueError(f"{flag}: invalid integer {text!r}{where}") from None
+
+
+def _parse_ints(spec: str, flag: str) -> list[int]:
+    """A comma-separated list of integers, the value of option `flag`."""
+    return [_int(piece, flag, spec) for piece in spec.split(",")]
+
+
 def _parse_range(spec: str) -> list[int]:
+    """The --n of a family scan: lo..hi inclusive, or a comma-separated list."""
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(piece) for piece in spec.split(",")]
+        lo, hi = (_int(end, "--n", spec) for end in spec.split("..", 1))
+        return list(range(lo, hi + 1))
+    return _parse_ints(spec, "--n")
 
 
 def _parse_pins(spec: str) -> dict[int, int]:
     pins = {}
     for piece in spec.split(","):
-        k, v = (int(x) for x in piece.split(":"))
+        if piece.count(":") != 1:
+            raise ValueError(f"--pins: expected pv:hv pairs, got {spec!r}")
+        k, v = (_int(x, "--pins", spec) for x in piece.split(":"))
         if k in pins:
             raise ValueError(f"pattern vertex {k} is pinned twice")
         pins[k] = v
@@ -272,12 +290,12 @@ def _cmd_check(args) -> int:
             samples=args.samples,
         )
     elif scan == "strong-anti":
-        pinned = tuple(int(v) for v in args.pins_set.split(","))
+        pinned = tuple(_parse_ints(args.pins_set, "--pins-set"))
         report = check_strong_anti(
             PinnedPattern(pattern, pinned), args.exhaustive, dedup=args.dedup
         )
     elif scan == "impartial":
-        report = impartiality_report(pattern, int(args.n))
+        report = impartiality_report(pattern, _int(args.n, "--n"))
     else:
         report = sidorenko_scan_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
     return _report_exit(report, args.out, args.fmt)
@@ -288,7 +306,7 @@ def _cmd_quasi(args) -> int:
         if args.seed is None:
             print("error: --two-block requires --seed", file=sys.stderr)
             return EXIT_ERROR
-        c, n = Fraction(args.two_block[0]), int(args.two_block[1])
+        c, n = Fraction(args.two_block[0]), _int(args.two_block[1], "--two-block N")
         host = two_block_tournament(n, c, args.seed)
         label = f"two-block(c={c},n={n},seed={args.seed})"
     elif args.host:
@@ -357,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--pattern", required=True)
     p_check.add_argument("--exhaustive", type=int, help="scan all hosts up to n")
-    p_check.add_argument("--dedup", action="store_true", help="scan isomorphism classes")
+    p_check.add_argument("--dedup", action="store_true", help="report hosts as isomorphism classes")
     p_check.add_argument("--family", choices=("transitive", "blowup", "two-block"))
     p_check.add_argument("--n", help="host sizes or multipliers, e.g. 4..14 or 2,3")
     p_check.add_argument("--base", help="blowup base pattern (default: the pattern)")

@@ -47,6 +47,7 @@ from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
+from .hosts import REPRESENTATIVES_LIMIT
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
@@ -54,9 +55,6 @@ _BUDGET_ENV = "TOURSID_BUDGET"
 # deepest pattern the recursive backtracker accepts; well under Python's
 # default recursion limit of 1000, leaving room for the callers' frames
 SEARCH_DEPTH_LIMIT = 500
-# largest host size of the count table, that of the class table, which every
-# exhaustive scan reads: at n = 8 a scan counts at most 6880 codes
-TABLE_HOST_LIMIT = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -453,8 +451,8 @@ def count_table(
     before anything is enumerated. The maps are walked vertex by vertex
     (pinned ones first), each partial map carrying its mask and req.
     """
-    if n > TABLE_HOST_LIMIT:
-        raise SizeLimitError(f"the count table is guarded at n = {TABLE_HOST_LIMIT}")
+    if n > REPRESENTATIVES_LIMIT:
+        raise SizeLimitError(f"the count table is guarded at n = {REPRESENTATIVES_LIMIT}")
     pins = pins or {}
     _check_anchor(pins, n)
     free = [v for v in range(d.n) if v not in pins]

@@ -6,12 +6,13 @@ Raw enumeration walks the n(n-1)/2-bit pair code directly, so the p-th bit of
 the code matches the p-th character of the TRN/1 wire format.
 
 The class table for n <= 8, `tournament_classes.bin`, is loaded on first use
-by `_class_table` only. It has two sections of little-endian int32, each
-n-major with CLASS_COUNTS[n] entries per n (OEIS A000568): one
-representative's pair code per class (`class_codes`), and aligned with it
-each class's orbit minimum, the smallest code isomorphic to it
-(`orbit_minima`, sorted). The enumeration and the brute force over S_n that
-wrote them live with the tests, which also check them by a pruned search.
+by `_class_table` only. It holds one little-endian int32 per isomorphism
+class, n-major with CLASS_COUNTS[n] entries per n (OEIS A000568): the
+class's orbit minimum, its smallest pair code, ascending within each n
+(`class_codes`). The smallest code is the canonical form of orderly
+generation, so the first class at every n is code 0, the transitive
+tournament. The brute force over S_n that wrote the table lives with the
+tests, which also check it by a pruned search.
 
 Only the seeded coin tournaments use numpy, and they import it when first
 called; raw enumeration and the class table are pure Python.
@@ -28,7 +29,7 @@ from .digraph import SizeLimitError, Tournament
 from .rng import blend_array
 
 # tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
-# holds two codes per class, and enumerating n = 9 (191536 classes) is far out
+# holds one code per class, and enumerating n = 9 (191536 classes) is far out
 CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
 REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
@@ -67,40 +68,30 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
 @lru_cache(maxsize=None)
 def _class_table() -> tuple[int, ...]:
     data = _CLASS_TABLE.read_bytes()
-    size = 8 * sum(CLASS_COUNTS)
+    size = 4 * sum(CLASS_COUNTS)
     if len(data) != size:
         raise ValueError(
             f"{_CLASS_TABLE.name} holds {len(data)} bytes, expected {size}: "
-            f"two int32 codes per class for n <= {REPRESENTATIVES_LIMIT}"
+            f"one int32 code per class for n <= {REPRESENTATIVES_LIMIT}"
         )
     return struct.unpack(f"<{size // 4}i", data)
 
 
-def _class_section(n: int, section: int) -> tuple[int, ...]:
+def class_codes(n: int) -> tuple[int, ...]:
+    """The smallest pair code of each isomorphism class of n-vertex
+    tournaments, in ascending order."""
     if n > REPRESENTATIVES_LIMIT:
         raise SizeLimitError(f"class table is guarded at n = {REPRESENTATIVES_LIMIT}")
     if n < 0:
         raise ValueError("host size must be nonnegative")
-    start = section * sum(CLASS_COUNTS) + sum(CLASS_COUNTS[:n])
+    start = sum(CLASS_COUNTS[:n])
     return _class_table()[start : start + CLASS_COUNTS[n]]
-
-
-def class_codes(n: int) -> tuple[int, ...]:
-    """Pair codes of one representative per isomorphism class of n-vertex
-    tournaments, in enumeration order."""
-    return _class_section(n, 0)
-
-
-def orbit_minima(n: int) -> tuple[int, ...]:
-    """The smallest pair code of each isomorphism class of n-vertex
-    tournaments, in ascending order."""
-    return tuple(sorted(_class_section(n, 1)))
 
 
 @lru_cache(maxsize=None)
 def tournament_representatives(n: int) -> tuple[Tournament, ...]:
-    """One representative per isomorphism class of n-vertex tournaments,
-    decoded from `class_codes(n)`."""
+    """One tournament per isomorphism class of n-vertex tournaments, the
+    smallest code of each, decoded from `class_codes(n)`."""
     return tuple(Tournament.from_code(n, code) for code in class_codes(n))
 
 

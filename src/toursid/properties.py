@@ -36,7 +36,7 @@ from .digraph import (
     transitive_host,
 )
 from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
-from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, orbit_minima, pair_count
+from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
 
 if TYPE_CHECKING:
@@ -185,10 +185,10 @@ def is_impartial_upto(
     """True iff the labeled count is constant over all tournaments at each
     n <= n_max; on False, returns two hosts with differing counts.
 
-    Scans isomorphism-class representatives (the count is an isomorphism
-    invariant, so constancy on representatives is constancy everywhere).
-    The pair is the first representative and the first one whose count
-    differs from it.
+    Scans the smallest code of each isomorphism class (the count is an
+    isomorphism invariant, so constancy on one code per class is constancy
+    everywhere). The pair is the first class, code 0, the transitive
+    tournament, and the first class whose count differs from it.
     """
     found = _impartiality_witness(d, n_max, budget)
     return (True, None) if found is None else (False, found[0])
@@ -209,17 +209,18 @@ def _guard_scan(n_max: int, pinned: int = 0, scan: str = "exhaustive scan") -> N
 def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
     n_max, with I the pinned vertices, yields n, the baseline, the number of
-    hosts scanned, one `HostCounts` of labeled counts per anchor (anchors of
-    I in permutation order; one anchor when I is empty), the anchors, and the
-    map from a host index to its host.
+    hosts the row reports, one `HostCounts` of labeled counts per anchor
+    (anchors of I in permutation order; one anchor when I is empty), the
+    anchors, and the map from a host index to its host.
 
-    Counts are isomorphism invariants, so only one code per class is counted:
-    the representatives with dedup=True, else the ascending orbit minima,
-    whose first extremal code and anchor are those of all 2^(n(n-1)/2) codes.
-    The bit columns are built once per n and shared by every anchor.
+    Counts are isomorphism invariants, so only the smallest code of each
+    class is counted, in ascending order: the first extremal code and anchor
+    are those of all 2^(n(n-1)/2) codes. `dedup` only decides the hosts a row
+    reports: the A000568(n) classes instead of the 2^(n(n-1)/2) codes. The
+    bit columns are built once per n and shared by every anchor.
     """
     for n in range(max(len(pinned), 1), n_max + 1):
-        codes = class_codes(n) if dedup else orbit_minima(n)
+        codes = class_codes(n)
         scanned = len(codes) if dedup else 1 << pair_count(n)
         hosts = HostColumns.of_codes(n, codes)
         anchors = [
@@ -231,11 +232,13 @@ def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
         yield n, labeled_bound(d, n, len(pinned)), scanned, counts, anchors, host_at
 
 
-def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
-    """The max-ratio curve over `_scan_steps`, its largest ratio, and the
-    witness host and anchor: the first maximum in host-major order (the
-    smallest host, then the smallest anchor index), replaced at a later n
-    only by a larger ratio."""
+def _max_report(
+    d: Digraph, n_max: int, pinned: tuple, name: str, regime: dict, *, dedup: bool, budget
+) -> PropertyReport:
+    """The max-ratio report over `_scan_steps`. The witness host and anchor
+    are the first maximum in host-major order (the smallest host, then the
+    smallest anchor index), replaced at a later n only by a larger ratio;
+    `extra.witness_anchor` is written only when vertices are pinned."""
     curve = []
     best_ratio = Fraction(0)
     witness = witness_anchor = None
@@ -260,7 +263,21 @@ def _max_scan(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
         if ratio > best_ratio:
             best_ratio = ratio
             witness, witness_anchor = host_at(best_host), anchors[best_anchor]
-    return tuple(curve), best_ratio, witness, witness_anchor
+    violated = best_ratio > 1
+    extra = {}
+    if violated and pinned:
+        extra["witness_anchor"] = {str(k): v for k, v in witness_anchor.items()}
+    return PropertyReport(
+        property_name=name,
+        pattern_dgf=dgf_dumps(d),
+        provenance=_provenance(d),
+        regime=regime,
+        verdict="violated" if violated else "holds-upto",
+        extremal_ratio=best_ratio,
+        witness_trn=trn_dumps(witness) if violated else None,
+        curve=tuple(curve),
+        extra=extra,
+    )
 
 
 def check_anti_exhaustive(
@@ -273,24 +290,15 @@ def check_anti_exhaustive(
     """Scan every tournament with n <= n_max against the labeled baseline.
 
     Rows report the 2^(n(n-1)/2) raw pair codes, or with dedup=True the
-    A000568(n) isomorphism classes; both count one code per class, so every
-    ratio agrees, and both are guarded at n_max = 8. This is the scan of
+    A000568(n) isomorphism classes; both count the smallest code of each
+    class, so the two reports differ only in `regime.dedup` and the rows'
+    hosts, and both are guarded at n_max = 8. This is the scan of
     `check_strong_anti` with no pinned vertex; the witness is the first host
     with the maximal count.
     """
     _guard_scan(n_max)
-    curve, best_ratio, witness, _ = _max_scan(d, n_max, (), dedup=dedup, budget=budget)
-    violated = best_ratio > 1
-    return PropertyReport(
-        property_name="anti-sidorenko-upto",
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime={"kind": "exhaustive", "n_max": n_max, "dedup": dedup},
-        verdict="violated" if violated else "holds-upto",
-        extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if violated else None,
-        curve=curve,
-    )
+    regime = {"kind": "exhaustive", "n_max": n_max, "dedup": dedup}
+    return _max_report(d, n_max, (), "anti-sidorenko-upto", regime, dedup=dedup, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -487,30 +495,9 @@ def check_strong_anti(
     2^(-e) n^(v-|I|)."""
     pinned = p.pinned_vertices
     _guard_scan(n_max, len(pinned), "pinned scan")
-    d = p.pattern
-    curve, best_ratio, witness, witness_anchor = _max_scan(
-        d, n_max, pinned, dedup=dedup, budget=budget
-    )
-    violated = best_ratio > 1
-    extra = {}
-    if violated:
-        extra["witness_anchor"] = {str(k): v for k, v in witness_anchor.items()}
-    return PropertyReport(
-        property_name="strong-anti-sidorenko-upto",
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime={
-            "kind": "exhaustive-pinned",
-            "n_max": n_max,
-            "dedup": dedup,
-            "pinned": list(pinned),
-        },
-        verdict="violated" if violated else "holds-upto",
-        extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if violated else None,
-        curve=curve,
-        extra=extra,
-    )
+    regime = {"kind": "exhaustive-pinned", "n_max": n_max, "dedup": dedup, "pinned": list(pinned)}
+    name = "strong-anti-sidorenko-upto"
+    return _max_report(p.pattern, n_max, pinned, name, regime, dedup=dedup, budget=budget)
 
 
 def sidorenko_scan_exhaustive(
@@ -546,9 +533,9 @@ def sidorenko_scan_exhaustive(
 
 
 def _impartiality_witness(d: Digraph, n_max: int, budget: Optional[int] = None):
-    """The impartiality reduction over `_scan_steps` on class representatives.
-    At the first size whose counts are not all equal: the pair of the first
-    representative and the first one whose count differs from it, and their
+    """The impartiality reduction over `_scan_steps`. At the first size whose
+    counts are not all equal: the pair of the first class (the transitive
+    tournament) and the first class whose count differs from it, and their
     two counts. None when the count is constant at every n <= n_max."""
     _guard_scan(n_max, scan="impartiality scan")
     for *_, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):

@@ -1,33 +1,36 @@
 """The committed class table and the exhaustive scans that read it.
 
-`src/toursid/tournament_classes.bin` holds two sections of little-endian
-int32, each n-major over n = 0..8. The first holds the pair codes of one
-representative per isomorphism class of n-vertex tournaments, in the order
-of the live enumeration (`host_reference.enumerate_representatives`). The
-second, aligned with it, holds each class's orbit minimum, the smallest pair
-code isomorphic to the representative, found by relabelling it with every
-permutation of [n] (`host_reference.brute_orbit_minima`). To regenerate the
-file (about 15 s), run from the repository root with `src` and `tests` on the
-path:
+`src/toursid/tournament_classes.bin` holds one little-endian int32 per
+isomorphism class of n-vertex tournaments, n-major over n = 0..8: the class's
+orbit minimum, its smallest pair code, ascending within each n. The classes
+come from the live enumeration (`host_reference.enumerate_representatives`),
+and each representative is replaced by the smallest code it takes under
+every permutation of [n] (`host_reference.brute_orbit_minima`). To
+regenerate the file (about 15 s), run from the repository root with `src`
+and `tests` on the path:
 
     import struct
     from host_reference import brute_orbit_minima, enumerate_representatives
     from toursid.hosts import REPRESENTATIVES_LIMIT
 
-    codes = [[t.code() for t in enumerate_representatives(n)]
-             for n in range(REPRESENTATIVES_LIMIT + 1)]
-    minima = [brute_orbit_minima(n, c) for n, c in enumerate(codes)]
-    flat = [c for section in (codes, minima) for per_n in section for c in per_n]
+    flat = [
+        code
+        for n in range(REPRESENTATIVES_LIMIT + 1)
+        for code in sorted(
+            brute_orbit_minima(n, [t.code() for t in enumerate_representatives(n)])
+        )
+    ]
     with open("src/toursid/tournament_classes.bin", "wb") as f:
         f.write(struct.pack(f"<{len(flat)}i", *flat))
 
-The tests below check the representatives against that enumeration for
-n <= 7, and at n = 8 check that they are A000568(8) pairwise non-isomorphic
-entries, hence one per class. They check the orbit minima against the brute
-force for n <= 7, and at n = 8 against a pruned search that shares no code
-with it and is itself checked against the brute force for n <= 6.
+The tests below check the codes against that recipe for n <= 7. At n = 8
+they check that the codes are A000568(8) pairwise non-isomorphic entries,
+hence one per class, and that each is its own orbit minimum by a pruned
+search that shares no code with the brute force and is itself checked
+against it for n <= 6.
 """
 
+import json
 import subprocess
 import sys
 from collections import defaultdict
@@ -45,7 +48,16 @@ from host_reference import (
 )
 from toursid import digraph, hosts, properties
 from toursid.cli import main
-from toursid.constructions import catalog, directed_cycle, star, transitive_tournament
+from toursid.constructions import (
+    catalog,
+    d_family,
+    directed_cycle,
+    directed_path,
+    impartial_four_tree,
+    iterated_balanced_star,
+    star,
+    transitive_tournament,
+)
 from toursid.counting import PinnedPattern, count_labeled, labeled_counts
 from toursid.digraph import SizeLimitError, Tournament, are_isomorphic
 from toursid.formats import dgf_dumps, trn_loads
@@ -53,7 +65,6 @@ from toursid.hosts import (
     CLASS_COUNTS,
     REPRESENTATIVES_LIMIT,
     class_codes,
-    orbit_minima,
     pair_count,
     tournament_representatives,
 )
@@ -84,18 +95,25 @@ class TestTable:
     def test_layout(self):
         assert CLASS_COUNTS == (1, 1, 1, 2, 4, 12, 56, 456, 6880)
         assert REPRESENTATIVES_LIMIT == 8
-        assert hosts._CLASS_TABLE.stat().st_size == 8 * sum(CLASS_COUNTS)
+        assert hosts._CLASS_TABLE.stat().st_size == 4 * sum(CLASS_COUNTS) == 29652
         for n, count in enumerate(CLASS_COUNTS):
-            for codes in (class_codes(n), orbit_minima(n)):
-                assert isinstance(codes, tuple) and len(codes) == count
-                assert all(type(c) is int and 0 <= c < 1 << pair_count(n) for c in codes)
-            # ascending and pairwise distinct: one orbit minimum per class
-            assert all(a < b for a, b in zip(orbit_minima(n), orbit_minima(n)[1:]))
+            codes = class_codes(n)
+            assert isinstance(codes, tuple) and len(codes) == count
+            assert all(type(c) is int and 0 <= c < 1 << pair_count(n) for c in codes)
+            # ascending and pairwise distinct: one smallest code per class
+            assert all(a < b for a, b in zip(codes, codes[1:]))
 
     @pytest.mark.parametrize("n", range(8))
     def test_equals_the_live_enumeration(self, n):
         live = [t.code() for t in enumerate_representatives(n)]
-        assert list(class_codes(n)) == live
+        assert list(class_codes(n)) == sorted(brute_orbit_minima(n, live))
+
+    def test_first_class_is_transitive(self):
+        # code 0: every pair i < j is won by j, so the scores are 0..n-1
+        for n in range(REPRESENTATIVES_LIMIT + 1):
+            assert class_codes(n)[0] == 0
+            first = tournament_representatives(n)[0]
+            assert sorted(first.out_degree(v) for v in range(n)) == list(range(n))
 
     def test_representatives_decode_the_codes(self):
         # every code round-trips through Tournament.from_code, n = 8 included
@@ -115,26 +133,17 @@ class TestTable:
             assert not any(are_isomorphic(a, b) for a, b in combinations(bucket, 2))
 
     def test_guards(self):
-        for read in (class_codes, orbit_minima, tournament_representatives):
+        for read in (class_codes, tournament_representatives):
             with pytest.raises(SizeLimitError):
                 read(9)
-        for read in (class_codes, orbit_minima):
-            with pytest.raises(ValueError):
-                read(-1)
+        with pytest.raises(ValueError):
+            class_codes(-1)
 
     @pytest.mark.parametrize("change", [lambda b: b[:-4], lambda b: b[:-1], lambda b: b + b"\0" * 4])
     def test_resized_file_is_an_error(self, table_path, change):
         table_path.write_bytes(change(table_path.read_bytes()))
-        for read in (class_codes, orbit_minima):
-            with pytest.raises(ValueError, match="expected 59304"):
-                read(3)
-
-    def test_sections_are_aligned(self):
-        # entry k of the second section is isomorphic to representative k
-        for n in range(REPRESENTATIVES_LIMIT + 1):
-            for rep, low in zip(class_codes(n), hosts._class_section(n, 1)):
-                a, b = Tournament.from_code(n, rep), Tournament.from_code(n, low)
-                assert are_isomorphic(a, b) is not None, (n, rep, low)
+        with pytest.raises(ValueError, match="expected 29652"):
+            class_codes(3)
 
     def test_not_read_at_import(self):
         probe = "import toursid.cli, toursid.hosts as h; print(h._class_table.cache_info().currsize)"
@@ -168,31 +177,35 @@ class TestTable:
 class TestOrbitMinima:
     @pytest.mark.parametrize("n", range(8))
     def test_equal_the_brute_force(self, n):
-        assert list(hosts._class_section(n, 1)) == brute_orbit_minima(n, class_codes(n))
+        # every code is the smallest of its orbit
+        assert brute_orbit_minima(n, class_codes(n)) == list(class_codes(n))
 
     @pytest.mark.parametrize("n", range(7))
     def test_pruned_search_equals_the_brute_force(self, n):
-        # every raw code for n <= 5; at n = 6 the representatives and every
-        # 97th raw code
+        # every raw code for n <= 5; at n = 6 the class codes, their
+        # complements (none of them a class code) and every 97th raw code
         if n <= 5:
             codes = list(range(1 << pair_count(n)))
         else:
-            codes = [*class_codes(n), *range(0, 1 << pair_count(n), 97)]
+            top = (1 << pair_count(n)) - 1
+            codes = [*class_codes(n), *(top - c for c in class_codes(n))]
+            codes += range(0, 1 << pair_count(n), 97)
         pruned = [pruned_orbit_minimum(Tournament.from_code(n, c)) for c in codes]
         assert pruned == brute_orbit_minima(n, codes)
 
     def test_eight_equals_the_pruned_search(self):
         pruned = [pruned_orbit_minimum(t) for t in tournament_representatives(8)]
-        assert list(hosts._class_section(8, 1)) == pruned
+        assert pruned == list(class_codes(8))
 
 
 class TestRawScans:
-    """A raw scan counts the orbit minima; the reference counts every raw
-    code, as `raw_columns` or as the whole code range in the same loop."""
+    """A raw scan counts the smallest code of each class; the reference counts
+    every raw code, as `raw_columns` or as the whole code range in the same
+    loop."""
 
     @staticmethod
     def every_code(monkeypatch):
-        monkeypatch.setattr(properties, "orbit_minima", lambda n: range(1 << pair_count(n)))
+        monkeypatch.setattr(properties, "class_codes", lambda n: range(1 << pair_count(n)))
 
     def test_reports_equal_the_scan_of_every_code(self, monkeypatch):
         def reports(d):
@@ -223,6 +236,49 @@ class TestRawScans:
         assert (n, scanned, len(counts)) == (7, 1 << 21, 456)
         assert (value, host_at(h).code()) == direct.max()
         assert counts.min() == direct.min()
+
+
+class TestDedupEqualsRaw:
+    """Raw and --dedup scans count the same codes, so their reports differ
+    only in `regime.dedup` and in the hosts of each row."""
+
+    PATTERNS = [
+        *catalog(4),
+        directed_cycle(5),
+        star(2, 2),
+        star(1, 3),
+        d_family(2),
+        transitive_tournament(4),
+        directed_path(3),
+        iterated_balanced_star(2),
+        impartial_four_tree(),
+    ]
+
+    @staticmethod
+    def stripped(report):
+        doc = json.loads(report.to_json())
+        del doc["regime"]["dedup"]
+        for row in doc["curve"]:
+            del row["hosts"]
+        return doc
+
+    @pytest.mark.parametrize("d", PATTERNS, ids=lambda d: " ".join(dgf_dumps(d).split()))
+    def test_reports_agree(self, d):
+        scans = [lambda dedup: check_anti_exhaustive(d, 7, dedup=dedup)]
+        scans.append(lambda dedup: sidorenko_scan_exhaustive(d, 7, dedup=dedup))
+        pin_sets = [(v,) for v in range(d.n)]
+        pin_sets += [
+            (u, v)
+            for u, v in combinations(range(d.n), 2)
+            if not (d.has_edge(u, v) or d.has_edge(v, u))
+        ]
+        for pins in pin_sets:
+            p = PinnedPattern(d, pins)
+            scans.append(lambda dedup, p=p: check_strong_anti(p, 6, dedup=dedup))
+        for scan in scans:
+            raw, dedup = scan(False), scan(True)
+            assert raw.regime["dedup"] is False and dedup.regime["dedup"] is True
+            assert self.stripped(raw) == self.stripped(dedup)
 
 
 class TestScansAtEight:
@@ -286,10 +342,9 @@ class TestScansAtEight:
         assert eight.curve[-1]["hosts"] == (6880 if dedup else 1 << 28)
         again = PropertyReport.from_json(eight.to_json(), verify=True)
         assert again.extra["witness_anchor"] == eight.extra["witness_anchor"]
+        # raw or dedup, the witness is the smallest code of its class
         witness = trn_loads(eight.witness_trn)
-        if not dedup:
-            # the first raw code of its class
-            assert pruned_orbit_minimum(witness) == witness.code()
+        assert pruned_orbit_minimum(witness) == witness.code()
 
     @staticmethod
     def check(tmp_path, *argv):

@@ -309,6 +309,31 @@ class TestInvalidOptions:
         argv = ["quasi", "--two-block", "0.3", "25", "--seed", "1", "--samples", samples]
         assert TestEmptyInputs.error(capsys, argv) == "error: need at least one sample"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", "impartial", "--n", "4..6"), "--n: invalid integer '4..6'"),
+            (("check", "strong-anti", "--pins-set", "1,x", "--exhaustive", "3"),
+             "--pins-set: invalid integer 'x' in '1,x'"),
+            (("check", "anti", "--family", "transitive", "--n", "4..x"),
+             "--n: invalid integer 'x' in '4..x'"),
+            (("check", "anti", "--family", "transitive", "--n", "4,,6"),
+             "--n: invalid integer '' in '4,,6'"),
+            (("count", "--pins", "1:y"), "--pins: invalid integer 'y' in '1:y'"),
+            (("count", "--pins", "0:1,2"), "--pins: expected pv:hv pairs, got '0:1,2'"),
+            (("quasi", "--two-block", "1/2", "x", "--seed", "1"),
+             "--two-block N: invalid integer 'x'"),
+        ],
+        ids=["impartial-n", "pins-set", "family-n", "family-n-empty", "pins", "pins-pair",
+             "two-block-n"],
+    )
+    def test_malformed_integer_names_its_option(self, tmp_path, tt4_file, capsys, argv, message):
+        if argv[0] == "count":
+            argv = (*argv, "--host", tt4_file)
+        if argv[0] != "quasi":
+            argv = (*argv, "--pattern", write_pattern(tmp_path, star(1, 1), "s11.dgf"))
+        assert TestEmptyInputs.error(capsys, list(argv)) == f"error: {message}"
+
     def test_repeated_pin_is_an_error(self, tmp_path, tt4_file, capsys):
         pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
         argv = ["count", "--pattern", pattern, "--host", tt4_file, "--pins", "0:1,0:2"]

@@ -6,9 +6,10 @@ exact quasirandom scan) before the vectorised one replaced it. The outputs of
 the backtracking counter (`TestBacktrackerBytes`) were recorded before it
 learned to count a trailing group of twin vertices in closed form. Seeded
 outputs are part of the determinism contract, so these literals never change.
-The class-scan reports (`TestClassScanBytes`) were recorded while the class
-representatives were still enumerated in every process, before they were read
-from the committed code table. The raw-scan reports (`TestRawScanBytes`)
+The holding class-scan reports (`TestClassScanBytes`) were recorded while
+the class representatives were still enumerated in every process, before
+they were read from the committed code table; its violated reports were
+re-recorded when that table came to hold only each class's smallest code. The raw-scan reports (`TestRawScanBytes`)
 were recorded while plain, pinned and Sidorenko scans still had a loop each.
 Large codes and long outputs are pinned by the first 16 hex digits of their
 SHA-256.
@@ -37,7 +38,12 @@ from toursid.constructions import (
 from toursid.digraph import Digraph
 from toursid.formats import dgf_dumps, trn_dumps
 from toursid.hosts import coin_rows, uniform_tournament
-from toursid.properties import quasirandom_epsilon, sampled_density, two_block_tournament
+from toursid.properties import (
+    PropertyReport,
+    quasirandom_epsilon,
+    sampled_density,
+    two_block_tournament,
+)
 from toursid.rng import below, blend, coin
 
 
@@ -355,8 +361,9 @@ class TestBacktrackerBytes:
 
 
 class TestClassScanBytes:
-    """Reports of the scans over isomorphism-class representatives: their
-    witness hosts are representatives, so the bytes pin the table's order."""
+    """Reports of the `--dedup` and impartiality scans. A witness host is the
+    smallest pair code of its class, as in a raw scan, and an impartiality
+    pair starts at code 0, the transitive tournament."""
 
     ANTI = ("check", "anti", "--dedup", "--exhaustive", "7")
 
@@ -396,27 +403,51 @@ class TestClassScanBytes:
         assert code == 2
         assert out == (
             '{"curve":[],"extra":{"witness_counts":["1","3"],'
-            '"witness_pair":["3\\n111\\n","3\\n101\\n"]},'
+            '"witness_pair":["3\\n000\\n","3\\n010\\n"]},'
             '"extremal_ratio":null,"extremal_ratio_approx":null,'
             '"pattern":{"dgf":"3 2\\n0 1\\n1 2\\n","provenance":null},"property":"impartial",'
             '"regime":{"dedup":true,"kind":"impartial-scan","n_max":7},'
-            '"schema":"toursid/report-v1","verdict":"violated","witness_trn":"3\\n111\\n"}\n'
+            '"schema":"toursid/report-v1","verdict":"violated","witness_trn":"3\\n000\\n"}\n'
         )
 
     @pytest.mark.parametrize(
         "perm, pins, anchor, expected",
         [
-            ((0, 1, 2), "1,2", '{"1":5,"2":0}', "84a4cfa71167f708"),
-            ((2, 0, 1), "0,1", None, "e725d3265742304d"),
+            ((0, 1, 2), "1,2", '{"1":0,"2":5}', "0539230317261c11"),
+            ((2, 0, 1), "0,1", '{"0":0,"1":5}', "b5dcc60d3a7f8084"),
         ],
     )
     def test_strong_anti_witness(self, tmp_path, capsys, perm, pins, anchor, expected):
         argv = ("check", "strong-anti", "--dedup", "--exhaustive", "6", "--pins-set", pins)
         code, out = self.run(tmp_path, capsys, star(1, 1).relabel(perm), argv)
         assert (code, len(out), digest(out)) == (2, 1031, expected)
-        assert out.endswith('"witness_trn":"6\\n111111111111111\\n"}\n')
-        if anchor is not None:
-            assert f'"extra":{{"witness_anchor":{anchor}}}' in out
+        assert out.endswith('"witness_trn":"6\\n000000000000000\\n"}\n')
+        assert f'"extra":{{"witness_anchor":{anchor}}}' in out
+
+    def test_report_of_the_representative_table_still_verifies(self):
+        # the first strong-anti case as written while --dedup scans counted a
+        # representative per class, whose witness is not its class's smallest
+        # code; verification recounts whatever host a report names
+        old = (
+            '{"curve":[{"bound":{"den":"2","num":"1"},"hosts":1,"max_ratio":{"den":"1","num":"0"},'
+            '"max_ratio_approx":0.0,"n":2,"violated":false},{"bound":{"den":"4","num":"3"},'
+            '"hosts":2,"max_ratio":{"den":"3","num":"4"},"max_ratio_approx":1.3333333333333333,'
+            '"n":3,"violated":true},{"bound":{"den":"1","num":"1"},"hosts":4,'
+            '"max_ratio":{"den":"1","num":"2"},"max_ratio_approx":2.0,"n":4,"violated":true},'
+            '{"bound":{"den":"4","num":"5"},"hosts":12,"max_ratio":{"den":"5","num":"12"},'
+            '"max_ratio_approx":2.4,"n":5,"violated":true},{"bound":{"den":"2","num":"3"},'
+            '"hosts":56,"max_ratio":{"den":"3","num":"8"},"max_ratio_approx":2.6666666666666665,'
+            '"n":6,"violated":true}],"extra":{"witness_anchor":{"1":5,"2":0}},'
+            '"extremal_ratio":{"den":"3","num":"8"},"extremal_ratio_approx":2.6666666666666665,'
+            '"pattern":{"dgf":"3 2\\n0 1\\n2 0\\n","provenance":null},'
+            '"property":"strong-anti-sidorenko-upto",'
+            '"regime":{"dedup":true,"kind":"exhaustive-pinned","n_max":6,"pinned":[1,2]},'
+            '"schema":"toursid/report-v1","verdict":"violated",'
+            '"witness_trn":"6\\n111111111111111\\n"}\n'
+        )
+        assert (len(old), digest(old)) == (1031, "84a4cfa71167f708")
+        report = PropertyReport.from_json(old, verify=True)
+        assert report.to_json() == old
 
 
 class TestRawScanBytes:
