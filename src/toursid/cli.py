@@ -5,8 +5,8 @@ Subcommands: construct, count, check, quasi. Reports are canonical JSON
 emitted as {"num": ..., "den": ...} string pairs and every floating-point
 field is suffixed "_approx". Exit codes: 0 = holds / success, 2 = violated,
 1 = error (usage errors included). Randomized runs require an explicit
---seed; the work budget can be overridden with the TOURSID_BUDGET environment
-variable.
+--seed. The work budget is the TOURSID_BUDGET environment variable (see
+`counting.work_budget`); a malformed value is an error exit.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .counting import (
     labeled_bound,
 )
 from .digraph import Digraph, Tournament
-from .formats import FormatError, dgf_dumps, dgf_loads, json_dumps, trn_loads
+from .formats import FormatError, _frac, dgf_dumps, dgf_loads, json_dumps, trn_loads
 from .properties import (
-    PropertyReport,
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
@@ -124,6 +123,14 @@ def _int(text: str, flag: str, spec: str | None = None) -> int:
     except ValueError:
         where = f" in {spec!r}" if spec not in (None, text) else ""
         raise ValueError(f"{flag}: invalid integer {text!r}{where}") from None
+
+
+def _fraction(text: str, flag: str) -> Fraction:
+    """Fraction(text), or a ValueError naming the option `flag`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: invalid fraction {text!r}") from None
 
 
 def _parse_ints(spec: str, flag: str) -> list[int]:
@@ -230,14 +237,6 @@ def _cmd_count(args) -> int:
     return _emit_doc(doc, _render_count_text, args)
 
 
-def _report_exit(report: PropertyReport, out: str | None, fmt: str = "json") -> int:
-    if fmt == "text":
-        _emit(_render_report_text(report.to_json_dict()), out)
-    else:
-        _emit(report.to_json(), out)
-    return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
-
-
 # per `check` property, and per regime of `check anti`: the options it needs
 # and the others it reads; it refuses the rest of _CHECK_OPTIONS
 _CHECK_READS = {
@@ -285,7 +284,7 @@ def _cmd_check(args) -> int:
             args.family,
             _parse_range(args.n),
             base=_load_pattern(args.base) if args.base else None,
-            c=Fraction(args.c) if args.c else None,
+            c=_fraction(args.c, "--c") if args.c else None,
             seed=args.seed,
             samples=args.samples,
         )
@@ -298,7 +297,8 @@ def _cmd_check(args) -> int:
         report = impartiality_report(pattern, _int(args.n, "--n"))
     else:
         report = sidorenko_scan_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
-    return _report_exit(report, args.out, args.fmt)
+    _emit_doc(report.to_json_dict(), _render_report_text, args)
+    return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
 
 def _cmd_quasi(args) -> int:
@@ -306,7 +306,8 @@ def _cmd_quasi(args) -> int:
         if args.seed is None:
             print("error: --two-block requires --seed", file=sys.stderr)
             return EXIT_ERROR
-        c, n = Fraction(args.two_block[0]), _int(args.two_block[1], "--two-block N")
+        c = _fraction(args.two_block[0], "--two-block C")
+        n = _int(args.two_block[1], "--two-block N")
         host = two_block_tournament(n, c, args.seed)
         label = f"two-block(c={c},n={n},seed={args.seed})"
     elif args.host:
@@ -331,7 +332,7 @@ def _cmd_quasi(args) -> int:
         "host": label,
         "n": host.n,
         "mode": mode,
-        "epsilon": {"num": str(eps.numerator), "den": str(eps.denominator)},
+        "epsilon": _frac(eps),
         "epsilon_approx": float(eps),
     }
     return _emit_doc(doc, _render_quasi_text, args)

@@ -29,6 +29,12 @@ both engines; it must never share their code path.
 count, I being the pinned set (empty unless `count_labeled_pinned` is given
 the required anchor of I).
 
+Every engine checks its work against one budget, `work_budget()`: the
+backtracker counts its expansions, and the count table and the oracle check
+their enumeration volume before they start. The budget is set only by the
+TOURSID_BUDGET environment variable (default DEFAULT_BUDGET); no function
+takes it as an argument.
+
 All verdict arithmetic (bounds, ratios) is exact: big integers and Fractions.
 Floating point appears only in convenience report fields.
 """
@@ -47,6 +53,7 @@ from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
+from .formats import _frac
 from .hosts import REPRESENTATIVES_LIMIT
 
 DEFAULT_BUDGET = 10**9
@@ -61,11 +68,21 @@ class BudgetExceededError(RuntimeError):
     """The projected or accumulated search work exceeded the ceiling."""
 
 
-def work_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
+def work_budget() -> int:
+    """The work budget of every engine: the TOURSID_BUDGET environment
+    variable, or DEFAULT_BUDGET when it is unset or empty. This is the one
+    reader of the variable and the one budget setting, for the CLI and the
+    library alike; a value that is not a non-negative integer is a
+    ValueError that names the variable."""
     env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        if (budget := int(env)) >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise ValueError(f"{_BUDGET_ENV}: invalid budget {env!r}, expected a non-negative integer")
 
 
 def labeled_bound(d: Digraph, n: int, pinned: int = 0) -> Fraction:
@@ -103,8 +120,8 @@ class CountResult:
     def to_json_dict(self) -> dict:
         return {
             "value": str(self.value),
-            "bound": {"num": str(self.bound.numerator), "den": str(self.bound.denominator)},
-            "ratio": {"num": str(self.ratio.numerator), "den": str(self.ratio.denominator)},
+            "bound": _frac(self.bound),
+            "ratio": _frac(self.ratio),
             "ratio_approx": float(self.ratio),
         }
 
@@ -179,7 +196,6 @@ def _backtrack(
     *,
     injective: bool,
     pins: Optional[dict[int, int]] = None,
-    budget: Optional[int] = None,
     limit: Optional[int] = None,
 ) -> int:
     """Count maps V(d) -> V(host) preserving directed edges.
@@ -215,15 +231,9 @@ def _backtrack(
         return 0
 
     # closed-form multiplier for the isolated vertices
-    mult = 1
-    if isolated:
-        if injective:
-            for i in range(len(isolated)):
-                mult *= n - r - i
-        else:
-            mult = n ** len(isolated)
-        if mult == 0:
-            return 0
+    mult = math.perm(n - r, len(isolated)) if injective else n ** len(isolated)
+    if mult == 0:
+        return 0
 
     order = _search_order(d, active, first=tuple(sorted(pins)))
     plan: list[list[tuple[int, bool]]] = []
@@ -253,7 +263,7 @@ def _backtrack(
     tail_rows = tail[0] if tail else None
 
     full = (1 << n) - 1
-    ceiling = work_budget(budget)
+    ceiling = work_budget()
     exceeded = f"search exceeded the work budget of {ceiling} expansions"
     images = [0] * len(order)
     nodes = 0
@@ -311,35 +321,23 @@ def _backtrack(
     return total * mult
 
 
-def count_homomorphisms(
-    d: Digraph,
-    t: Tournament,
-    *,
-    budget: Optional[int] = None,
-    limit: Optional[int] = None,
-) -> int:
+def count_homomorphisms(d: Digraph, t: Tournament, *, limit: Optional[int] = None) -> int:
     """Exact number of (not necessarily injective) edge-preserving maps.
 
     With `limit` set the search may exit early: the result is exact whenever
     it is below `limit`; any result >= limit certifies count >= limit.
     """
-    return _backtrack(d, t, injective=False, budget=budget, limit=limit)
+    return _backtrack(d, t, injective=False, limit=limit)
 
 
-def count_labeled(d: Digraph, t: Tournament, *, budget: Optional[int] = None) -> CountResult:
+def count_labeled(d: Digraph, t: Tournament) -> CountResult:
     """Exact number of injective edge-preserving maps, with its baseline
     bound 2^(-e(D)) n^(v(D))."""
-    value = _backtrack(d, t, injective=True, budget=budget)
+    value = _backtrack(d, t, injective=True)
     return CountResult(value, labeled_bound(d, t.n))
 
 
-def count_labeled_pinned(
-    p: PinnedPattern,
-    t: Tournament,
-    anchor: dict[int, int],
-    *,
-    budget: Optional[int] = None,
-) -> CountResult:
+def count_labeled_pinned(p: PinnedPattern, t: Tournament, anchor: dict[int, int]) -> CountResult:
     """Labeled copies extending the anchor on the pinned set.
 
     The bound is 2^(-e(D)) n^(v(D)-|I|). The anchor must be total on the
@@ -349,15 +347,15 @@ def count_labeled_pinned(
     if set(anchor) != set(pinned):
         raise ValueError("anchor must be defined on exactly the pinned set")
     _check_anchor(anchor, t.n)
-    value = _backtrack(p.pattern, t, injective=True, pins=anchor, budget=budget)
+    value = _backtrack(p.pattern, t, injective=True, pins=anchor)
     return CountResult(value, labeled_bound(p.pattern, t.n, len(pinned)))
 
 
-def density(d: Digraph, t: Tournament, *, budget: Optional[int] = None) -> Fraction:
+def density(d: Digraph, t: Tournament) -> Fraction:
     """Exact homomorphism density h_D(T) / n^(v(D))."""
     if t.n == 0:
         raise ValueError("density is undefined on the empty host")
-    return Fraction(count_homomorphisms(d, t, budget=budget), t.n ** d.n)
+    return Fraction(count_homomorphisms(d, t), t.n ** d.n)
 
 
 class HostColumns:
@@ -432,11 +430,7 @@ class HostCounts:
 
 
 def count_table(
-    d: Digraph,
-    n: int,
-    pins: Optional[dict[int, int]] = None,
-    *,
-    budget: Optional[int] = None,
+    d: Digraph, n: int, pins: Optional[dict[int, int]] = None
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Compile the injective maps V(d) -> [n] extending `pins` into rows
     (mask, req, mult) over n-vertex pair codes, returned as three aligned
@@ -457,10 +451,8 @@ def count_table(
     _check_anchor(pins, n)
     free = [v for v in range(d.n) if v not in pins]
     spare = [h for h in range(n) if h not in pins.values()]
-    volume = 1
-    for i in range(len(free)):
-        volume *= max(len(spare) - i, 0)
-    ceiling = work_budget(budget)
+    volume = math.perm(len(spare), len(free))
+    ceiling = work_budget()
     if volume > ceiling:
         raise BudgetExceededError(
             f"count table of {volume} maps at n = {n} exceeds the budget {ceiling}"
@@ -538,11 +530,7 @@ def _vertical_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def labeled_counts(
-    d: Digraph,
-    hosts: HostColumns,
-    pins: Optional[dict[int, int]] = None,
-    *,
-    budget: Optional[int] = None,
+    d: Digraph, hosts: HostColumns, pins: Optional[dict[int, int]] = None
 ) -> HostCounts:
     """Labeled counts of d (extending `pins`) on every host of `hosts`.
 
@@ -554,9 +542,7 @@ def labeled_counts(
     at a time.
     """
     lits, full = (hosts.ncols, hosts.cols), hosts.full
-    rows = sorted(
-        zip(*count_table(d, hosts.n, pins, budget=budget)), key=lambda r: (r[0], r[2])
-    )
+    rows = sorted(zip(*count_table(d, hosts.n, pins)), key=lambda r: (r[0], r[2]))
 
     def terms():
         for (mask, mult), group in groupby(rows, key=lambda r: (r[0], r[2])):
@@ -569,13 +555,7 @@ def labeled_counts(
     return HostCounts(hosts.size, _vertical_sum(terms()))
 
 
-def oracle_count(
-    d: Digraph,
-    t: Tournament,
-    mode: str = "homs",
-    *,
-    budget: Optional[int] = None,
-) -> int:
+def oracle_count(d: Digraph, t: Tournament, mode: str = "homs") -> int:
     """Unpruned full-enumeration counter used to validate the optimized kernel.
 
     Enumerates all n^v maps ("homs") or all injective tuples ("labeled") and
@@ -584,12 +564,8 @@ def oracle_count(
     if mode not in ("homs", "labeled"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     n, k = t.n, d.n
-    ceiling = work_budget(budget)
-    volume = n**k
-    if mode == "labeled":
-        volume = 1
-        for i in range(k):
-            volume *= max(n - i, 0)
+    ceiling = work_budget()
+    volume = math.perm(n, k) if mode == "labeled" else n**k
     if volume > ceiling:
         raise BudgetExceededError(
             f"oracle enumeration of {volume} maps exceeds the budget {ceiling}"

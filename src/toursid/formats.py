@@ -15,6 +15,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .digraph import Digraph, Tournament
 
@@ -31,6 +32,15 @@ def json_dumps(doc) -> str:
     """Canonical JSON, the encoding of every report and CLI document: equal
     documents give equal bytes."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _frac(x: Fraction) -> dict:
+    """The JSON encoding of an exact rational: {"num": ..., "den": ...} strings."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _unfrac(d: dict) -> Fraction:
+    return Fraction(int(d["num"]), int(d["den"]))
 
 
 def _payload_lines(text: str) -> list[tuple[int, str]]:

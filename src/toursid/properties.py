@@ -35,7 +35,7 @@ from .digraph import (
     mask_of,
     transitive_host,
 )
-from .formats import dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
+from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
 from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, pair_count
 from .rng import blend, blend_array
 
@@ -48,14 +48,6 @@ QUASI_EXACT_LIMIT = 20
 FORCING_EXACT_MAPS = 10**8
 
 REPORT_SCHEMA = "toursid/report-v1"
-
-
-def _frac(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _unfrac(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def _provenance(d: Digraph) -> Optional[dict]:
 
 
 def is_impartial_upto(
-    d: Digraph, n_max: int = 7, *, budget: Optional[int] = None
+    d: Digraph, n_max: int = 7
 ) -> tuple[bool, Optional[tuple[Tournament, Tournament]]]:
     """True iff the labeled count is constant over all tournaments at each
     n <= n_max; on False, returns two hosts with differing counts.
@@ -190,7 +182,7 @@ def is_impartial_upto(
     everywhere). The pair is the first class, code 0, the transitive
     tournament, and the first class whose count differs from it.
     """
-    found = _impartiality_witness(d, n_max, budget)
+    found = _impartiality_witness(d, n_max)
     return (True, None) if found is None else (False, found[0])
 
 
@@ -206,7 +198,7 @@ def _guard_scan(n_max: int, pinned: int = 0, scan: str = "exhaustive scan") -> N
         raise ValueError(f"{scan} needs n_max >= {first}, got {n_max}")
 
 
-def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
+def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool):
     """The one exhaustive scan loop. Per host size n from max(|I|, 1) to
     n_max, with I the pinned vertices, yields n, the baseline, the number of
     hosts the row reports, one `HostCounts` of labeled counts per anchor
@@ -227,13 +219,13 @@ def _scan_steps(d: Digraph, n_max: int, pinned: tuple, *, dedup: bool, budget):
             dict(zip(pinned, images))
             for images in itertools.permutations(range(n), len(pinned))
         ]
-        counts = [labeled_counts(d, hosts, a, budget=budget) for a in anchors]
+        counts = [labeled_counts(d, hosts, a) for a in anchors]
         host_at = lambda h, n=n, codes=codes: Tournament.from_code(n, codes[h])
         yield n, labeled_bound(d, n, len(pinned)), scanned, counts, anchors, host_at
 
 
 def _max_report(
-    d: Digraph, n_max: int, pinned: tuple, name: str, regime: dict, *, dedup: bool, budget
+    d: Digraph, n_max: int, pinned: tuple, name: str, regime: dict, *, dedup: bool
 ) -> PropertyReport:
     """The max-ratio report over `_scan_steps`. The witness host and anchor
     are the first maximum in host-major order (the smallest host, then the
@@ -242,9 +234,7 @@ def _max_report(
     curve = []
     best_ratio = Fraction(0)
     witness = witness_anchor = None
-    for n, bound, scanned, counts, anchors, host_at in _scan_steps(
-        d, n_max, pinned, dedup=dedup, budget=budget
-    ):
+    for n, bound, scanned, counts, anchors, host_at in _scan_steps(d, n_max, pinned, dedup=dedup):
         # max keeps the first of equal keys, so ties go to the smaller anchor
         value, best_host, best_anchor = max(
             (c.max() + (i,) for i, c in enumerate(counts)), key=lambda m: (m[0], -m[1])
@@ -280,13 +270,7 @@ def _max_report(
     )
 
 
-def check_anti_exhaustive(
-    d: Digraph,
-    n_max: int,
-    *,
-    dedup: bool = False,
-    budget: Optional[int] = None,
-) -> PropertyReport:
+def check_anti_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) -> PropertyReport:
     """Scan every tournament with n <= n_max against the labeled baseline.
 
     Rows report the 2^(n(n-1)/2) raw pair codes, or with dedup=True the
@@ -298,7 +282,7 @@ def check_anti_exhaustive(
     """
     _guard_scan(n_max)
     regime = {"kind": "exhaustive", "n_max": n_max, "dedup": dedup}
-    return _max_report(d, n_max, (), "anti-sidorenko-upto", regime, dedup=dedup, budget=budget)
+    return _max_report(d, n_max, (), "anti-sidorenko-upto", regime, dedup=dedup)
 
 
 @dataclass(frozen=True)
@@ -364,7 +348,6 @@ def check_anti_on_family(
     c=None,
     seed: Optional[int] = None,
     samples: Optional[int] = None,
-    budget: Optional[int] = None,
 ) -> PropertyReport:
     """Ratio scan over a named host family.
 
@@ -401,7 +384,7 @@ def check_anti_on_family(
     witness_map_seed = None
     for value, host in hosts:
         if samples is None:
-            res = count_labeled(d, host, budget=budget)
+            res = count_labeled(d, host)
             ratio = res.ratio
             row = {
                 "value": value,
@@ -462,9 +445,7 @@ def check_anti_on_family(
     )
 
 
-def falsify_by_blowup(
-    d: Digraph, multiplier: int = 2, *, budget: Optional[int] = None
-) -> Optional[tuple[Tournament, Fraction]]:
+def falsify_by_blowup(d: Digraph, multiplier: int = 2) -> Optional[tuple[Tournament, Fraction]]:
     """The filled balanced blowup host that over-represents any pattern with
     e(D) >= v(D) log2 v(D); None when the density premise fails.
 
@@ -477,19 +458,13 @@ def falsify_by_blowup(
     if (1 << d.edge_count) < v**v:
         return None
     host = fill_to_tournament(d.blowup(multiplier), "lex")
-    dens = density(d, host, budget=budget)
+    dens = density(d, host)
     if dens < Fraction(1, v**v):
         raise AssertionError("blowup host lost the block embeddings; counting bug")
     return host, dens
 
 
-def check_strong_anti(
-    p: PinnedPattern,
-    n_max: int,
-    *,
-    dedup: bool = False,
-    budget: Optional[int] = None,
-) -> PropertyReport:
+def check_strong_anti(p: PinnedPattern, n_max: int, *, dedup: bool = False) -> PropertyReport:
     """Pinned exhaustive check: for every tournament with n <= n_max and every
     injective anchor of the pinned set, the pinned count stays at or below
     2^(-e) n^(v-|I|)."""
@@ -497,19 +472,15 @@ def check_strong_anti(
     _guard_scan(n_max, len(pinned), "pinned scan")
     regime = {"kind": "exhaustive-pinned", "n_max": n_max, "dedup": dedup, "pinned": list(pinned)}
     name = "strong-anti-sidorenko-upto"
-    return _max_report(p.pattern, n_max, pinned, name, regime, dedup=dedup, budget=budget)
+    return _max_report(p.pattern, n_max, pinned, name, regime, dedup=dedup)
 
 
-def sidorenko_scan_exhaustive(
-    d: Digraph, n_max: int, *, dedup: bool = False, budget: Optional[int] = None
-) -> PropertyReport:
+def sidorenko_scan_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) -> PropertyReport:
     """Minimum labeled ratio per host size; measurement only, never a boolean
     over-representation verdict at fixed n."""
     _guard_scan(n_max)
     curve = []
-    for n, bound, scanned, counts, _, _ in _scan_steps(
-        d, n_max, (), dedup=dedup, budget=budget
-    ):
+    for n, bound, scanned, counts, _, _ in _scan_steps(d, n_max, (), dedup=dedup):
         ratio = Fraction(counts[0].min()) / bound
         curve.append(
             {
@@ -532,13 +503,13 @@ def sidorenko_scan_exhaustive(
     )
 
 
-def _impartiality_witness(d: Digraph, n_max: int, budget: Optional[int] = None):
+def _impartiality_witness(d: Digraph, n_max: int):
     """The impartiality reduction over `_scan_steps`. At the first size whose
     counts are not all equal: the pair of the first class (the transitive
     tournament) and the first class whose count differs from it, and their
     two counts. None when the count is constant at every n <= n_max."""
     _guard_scan(n_max, scan="impartiality scan")
-    for *_, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True, budget=budget):
+    for *_, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True):
         j = counts.first_differing()
         if j is not None:
             return (host_at(0), host_at(j)), (counts[0], counts[j])
@@ -709,8 +680,6 @@ def interpolate_to_density(
     t_hi: Tournament,
     exclude=0,
     target=None,
-    *,
-    budget: Optional[int] = None,
 ) -> InterpolationResult:
     """Walk from t_lo toward t_hi one pair at a time (lexicographic order,
     pairs meeting `exclude` never touched), tracking the homomorphism count.
@@ -734,7 +703,7 @@ def interpolate_to_density(
         if not (excl >> i & 1 or excl >> j & 1)
     ]
     rows = list(t_lo.out_rows())
-    h_values = [count_homomorphisms(d, t_lo, budget=budget)]
+    h_values = [count_homomorphisms(d, t_lo)]
     snapshots = [tuple(rows)]
     for i, j in pairs:
         if rows[i] >> j & 1 and not t_hi.has_edge(i, j):
@@ -745,9 +714,7 @@ def interpolate_to_density(
             rows[i] |= 1 << j
         snapshot = tuple(rows)
         snapshots.append(snapshot)
-        h_values.append(
-            count_homomorphisms(d, Tournament.from_rows(snapshot), budget=budget)
-        )
+        h_values.append(count_homomorphisms(d, Tournament.from_rows(snapshot)))
     lo, hi = h_values[0], h_values[-1]
     if not (min(lo, hi) <= target <= max(lo, hi)):
         raise ValueError(
@@ -780,7 +747,6 @@ def forcing_probe(
     *,
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-    budget: Optional[int] = None,
 ) -> list[ForcingRow]:
     """For each labeled host, the density deviation |t_D - 2^(-e(D))| next to
     the quasirandom-direction eps; the correct-count/small-eps trend is the
@@ -794,7 +760,7 @@ def forcing_probe(
     for label, host in hosts:
         exact_density = host.n**d.n <= FORCING_EXACT_MAPS
         if exact_density:
-            dens: Fraction | float = density(d, host, budget=budget)
+            dens: Fraction | float = density(d, host)
             deviation = abs(dens - bound)
             dev_approx = float(deviation)
         else:

@@ -230,7 +230,7 @@ class TestRawScans:
         # the extreme counts, and the first raw code with the largest
         direct = labeled_counts(d, raw_columns(7))
         n, _, scanned, (counts,), _, host_at = list(
-            _scan_steps(d, 7, (), dedup=False, budget=None)
+            _scan_steps(d, 7, (), dedup=False)
         )[-1]
         value, h = counts.max()
         assert (n, scanned, len(counts)) == (7, 1 << 21, 456)
@@ -296,7 +296,7 @@ class TestScansAtEight:
 
     @pytest.mark.parametrize("d", [directed_cycle(5), transitive_tournament(4)], ids=["C5", "TT4"])
     def test_counts_equal_the_backtracker(self, d):
-        n, _, scanned, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True, budget=None))[-1]
+        n, _, scanned, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True))[-1]
         reps = tournament_representatives(8)
         assert n == 8 and scanned == 6880 and len(table) == 1 and len(table[0]) == 6880
         assert list(table[0]) == [count_labeled(d, t).value for t in reps]

@@ -196,6 +196,23 @@ class TestCheck:
         assert main(["check", "anti", "--pattern", pattern, "--exhaustive", "5"]) == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value", ["abc", "-3", "1.5", " "], ids=["word", "negative", "decimal", "blank"]
+    )
+    def test_malformed_budget_names_the_variable(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOURSID_BUDGET", value)
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--exhaustive", "5"]
+        assert TestEmptyInputs.error(capsys, argv) == (
+            f"error: TOURSID_BUDGET: invalid budget {value!r}, expected a non-negative integer"
+        )
+
+    def test_empty_budget_is_the_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOURSID_BUDGET", "")
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        assert main(["check", "anti", "--pattern", pattern, "--exhaustive", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestEmptyInputs:
     """An empty host or an empty scan is an error exit, never a traceback or
@@ -323,9 +340,15 @@ class TestInvalidOptions:
             (("count", "--pins", "0:1,2"), "--pins: expected pv:hv pairs, got '0:1,2'"),
             (("quasi", "--two-block", "1/2", "x", "--seed", "1"),
              "--two-block N: invalid integer 'x'"),
+            (("check", "anti", "--family", "two-block", "--n", "8", "--c", "x", "--seed", "1"),
+             "--c: invalid fraction 'x'"),
+            (("check", "anti", "--family", "two-block", "--n", "8", "--c", "1/0", "--seed", "1"),
+             "--c: invalid fraction '1/0'"),
+            (("quasi", "--two-block", "y", "8", "--seed", "1"),
+             "--two-block C: invalid fraction 'y'"),
         ],
         ids=["impartial-n", "pins-set", "family-n", "family-n-empty", "pins", "pins-pair",
-             "two-block-n"],
+             "two-block-n", "c", "c-zero", "two-block-c"],
     )
     def test_malformed_integer_names_its_option(self, tmp_path, tt4_file, capsys, argv, message):
         if argv[0] == "count":

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from toursid.constructions import (
 )
 from host_reference import all_oriented_graphs, raw_columns
 from toursid.counting import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     HostColumns,
     PinnedPattern,
@@ -36,7 +36,8 @@ from toursid.digraph import (
     transitive_host,
 )
 from toursid.hosts import tournament_representatives, uniform_tournament
-from toursid.properties import is_impartial_upto, two_block_tournament
+import toursid
+from toursid.properties import check_anti_exhaustive, is_impartial_upto, two_block_tournament
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -272,48 +273,73 @@ class TestImpartiality:
 
 
 class TestBudget:
-    def test_kernel_budget(self):
+    def test_kernel_budget(self, monkeypatch):
+        monkeypatch.setenv("TOURSID_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
-            count_homomorphisms(directed_path(3), transitive_host(6), budget=5)
+            count_homomorphisms(directed_path(3), transitive_host(6))
 
-    def test_oracle_budget(self):
+    def test_oracle_budget(self, monkeypatch):
+        monkeypatch.setenv("TOURSID_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
-            oracle_count(directed_path(3), transitive_host(6), "homs", budget=5)
+            oracle_count(directed_path(3), transitive_host(6), "homs")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("TOURSID_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
             count_homomorphisms(directed_path(3), transitive_host(6))
 
-    def test_twin_group_still_charges_its_prefix(self):
+    def test_no_function_takes_a_budget(self):
+        # TOURSID_BUDGET is the one budget setting, so no per-call one exists
+        public = [getattr(toursid, name) for name in toursid.__all__]
+        for f in public + [count_table, labeled_counts]:
+            if callable(f) and not (isinstance(f, type) and issubclass(f, BaseException)):
+                assert "budget" not in inspect.signature(f).parameters, f
+
+    def test_the_variable_alone_trips_every_engine(self, monkeypatch):
+        # the backtracker, the count table (in a scan) and the oracle, each
+        # over budget at 5 and within the default once the variable is gone
+        runs = [
+            lambda: count_homomorphisms(directed_path(3), transitive_host(6)),
+            lambda: check_anti_exhaustive(directed_path(2), 5),
+            lambda: oracle_count(directed_path(3), transitive_host(6), "homs"),
+        ]
+        monkeypatch.setenv("TOURSID_BUDGET", "5")
+        for run in runs:
+            with pytest.raises(BudgetExceededError):
+                run()
+        monkeypatch.delenv("TOURSID_BUDGET")
+        for run in runs:
+            run()
+
+    def test_twin_group_still_charges_its_prefix(self, monkeypatch):
         # the trailing twins cost one expansion, the centre and the other
         # leaf class are still walked one candidate at a time
+        monkeypatch.setenv("TOURSID_BUDGET", "10")
         with pytest.raises(BudgetExceededError):
-            count_labeled(star(2, 2), transitive_host(40), budget=10)
+            count_labeled(star(2, 2), transitive_host(40))
 
-    def test_acceptance_host_fits_the_default_budget(self):
+    def test_acceptance_host_fits_the_default_budget(self, monkeypatch):
         # about 1.5e9 embeddings, beyond the 10^9 default if walked one by one
+        monkeypatch.delenv("TOURSID_BUDGET", raising=False)
         host = two_block_tournament(120, Fraction(1, 10), 7)
-        assert count_labeled(star(1, 3), host, budget=DEFAULT_BUDGET).value == 1544688720
+        assert count_labeled(star(1, 3), host).value == 1544688720
 
     # (count, smallest budget it fits, value): the expansion accounting is
     # part of the contract, so a faster search must charge the same work
     PINNED_BUDGETS = [
-        (lambda b: count_labeled(directed_cycle(5), U20, budget=b).value, 17320, 66610),
-        (lambda b: count_homomorphisms(directed_cycle(5), U20, budget=b), 18247, 66610),
+        (lambda: count_labeled(directed_cycle(5), U20).value, 17320, 66610),
+        (lambda: count_homomorphisms(directed_cycle(5), U20), 18247, 66610),
         (
-            lambda b: count_labeled(
-                star(2, 2), two_block_tournament(24, Fraction(1, 10), 7), budget=b
-            ).value,
+            lambda: count_labeled(star(2, 2), two_block_tournament(24, Fraction(1, 10), 7)).value,
             3577,
             290568,
         ),
-        (lambda b: count_labeled(directed_path(4), U20, budget=b).value, 17320, 126196),
-        (lambda b: count_labeled(transitive_tournament(4), U20, budget=b).value, 1042, 1608),
-        (lambda b: count_homomorphisms(directed_path(4), U20, limit=5000, budget=b), 597, 5000),
+        (lambda: count_labeled(directed_path(4), U20).value, 17320, 126196),
+        (lambda: count_labeled(transitive_tournament(4), U20).value, 1042, 1608),
+        (lambda: count_homomorphisms(directed_path(4), U20, limit=5000), 597, 5000),
         (
-            lambda b: count_labeled_pinned(
-                PinnedPattern(star(2, 1), [1, 2]), U20, {1: 0, 2: 5}, budget=b
+            lambda: count_labeled_pinned(
+                PinnedPattern(star(2, 1), [1, 2]), U20, {1: 0, 2: 5}
             ).value,
             7,
             38,
@@ -321,10 +347,12 @@ class TestBudget:
     ]
 
     @pytest.mark.parametrize("count, smallest, value", PINNED_BUDGETS)
-    def test_smallest_budget_is_pinned(self, count, smallest, value):
-        assert count(smallest) == value
+    def test_smallest_budget_is_pinned(self, monkeypatch, count, smallest, value):
+        monkeypatch.setenv("TOURSID_BUDGET", str(smallest))
+        assert count() == value
+        monkeypatch.setenv("TOURSID_BUDGET", str(smallest - 1))
         with pytest.raises(BudgetExceededError):
-            count(smallest - 1)
+            count()
 
     def test_limit_stops_inside_the_last_position(self):
         c5 = directed_cycle(5)
@@ -413,12 +441,15 @@ class TestCountTable:
         assert len(masks) == 144 and set(mults) == {5}
         assert sum(mults) == 6 * 5 * 4 * 3 * 2
 
-    def test_budget_projects_the_enumeration(self):
+    def test_budget_projects_the_enumeration(self, monkeypatch):
+        monkeypatch.setenv("TOURSID_BUDGET", "23")
         with pytest.raises(BudgetExceededError):
-            count_table(directed_path(2), 4, budget=23)
-        assert sum(count_table(directed_path(2), 4, budget=24)[2]) == 24
+            count_table(directed_path(2), 4)
+        monkeypatch.setenv("TOURSID_BUDGET", "24")
+        assert sum(count_table(directed_path(2), 4)[2]) == 24
         # pinned vertices leave P(3, 2) = 6 maps to enumerate
-        assert sum(count_table(directed_path(2), 4, {0: 0}, budget=6)[2]) == 6
+        monkeypatch.setenv("TOURSID_BUDGET", "6")
+        assert sum(count_table(directed_path(2), 4, {0: 0})[2]) == 6
 
     def test_guards(self):
         with pytest.raises(SizeLimitError):

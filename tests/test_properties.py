@@ -88,11 +88,13 @@ class TestAntiExhaustive:
             assert raw.extremal_ratio == classes.extremal_ratio
             assert raw.verdict == classes.verdict
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
         # the count table at n = 4 enumerates P(4, 3) = 24 maps
+        monkeypatch.setenv("TOURSID_BUDGET", "12")
         with pytest.raises(BudgetExceededError):
-            check_anti_exhaustive(directed_path(2), 5, budget=12)
-        assert check_anti_exhaustive(directed_path(2), 5, budget=120).verdict == "holds-upto"
+            check_anti_exhaustive(directed_path(2), 5)
+        monkeypatch.setenv("TOURSID_BUDGET", "120")
+        assert check_anti_exhaustive(directed_path(2), 5).verdict == "holds-upto"
 
     def test_guard(self):
         for dedup in (False, True):
