@@ -112,8 +112,7 @@ def iterated_balanced_star(k: int) -> Digraph:
         raise ValueError("vertex count must be at least 1")
     edges: list[tuple[int, int]] = []
     _balanced_star_edges(list(range(k)), edges)
-    t = (k + 1).bit_length() - 1
-    expected = t * (k + 1) - (1 << (t + 1)) + 2
+    expected = iterated_star_edge_count(k)
     if len(edges) != expected:
         raise AssertionError(
             f"balanced-star recursion produced {len(edges)} edges, closed form says {expected}"

@@ -3,13 +3,14 @@
 Two engines, validated against each other and against an oracle:
 
 * the count table, for exhaustive scans. `count_table` compiles a pattern once
-  per host size n into rows (pair-code mask, required bits, multiplicity), one
-  row per distinct constraint set of an injective map into [n], and
-  `labeled_counts` evaluates sum mult * [(code & mask) == req] bit-sliced in
-  plain Python ints: the hosts are `HostColumns` (one int per pair bit, one
-  bit per host), a row's hosts are the AND of its columns, and the counts
-  are a `HostCounts` vertical counter (one int per count bit), so every host
-  of a size is counted at once and no numpy is imported;
+  per host size n into a list of (pair-code mask, required bits,
+  multiplicity) rows, one per distinct constraint set of an injective map
+  into [n], and `labeled_counts` evaluates sum mult * [(code & mask) == req]
+  in one pass over those rows, bit-sliced in plain Python ints: the hosts are
+  `HostColumns` (one int per pair bit, one bit per host), a row's hosts are
+  the AND of its columns, and each row's hits are ripple-added into a
+  `HostCounts` vertical counter (one int per count bit), so every host of a
+  size is counted at once and no numpy is imported;
 * the backtracker, for single hosts of any size. It walks a static
   pattern-vertex order chosen by maximum back-degree (most constraints
   earliest), with candidate sets kept as bit-row intersections of the
@@ -48,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, groupby
+from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -431,10 +432,9 @@ class HostCounts:
 
 def count_table(
     d: Digraph, n: int, pins: Optional[dict[int, int]] = None
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Compile the injective maps V(d) -> [n] extending `pins` into rows
-    (mask, req, mult) over n-vertex pair codes, returned as three aligned
-    tuples.
+) -> list[tuple[int, int, int]]:
+    """Compile the injective maps V(d) -> [n] extending `pins` into a list of
+    rows (mask, req, mult) over n-vertex pair codes.
 
     An edge (u, v) of d with phi(u) < phi(v) requires bit p(phi(u), phi(v))
     of the code to be 1, and with phi(u) > phi(v) requires bit
@@ -458,7 +458,7 @@ def count_table(
             f"count table of {volume} maps at n = {n} exceeds the budget {ceiling}"
         )
     if not volume:
-        return (), (), ()
+        return []
     pairs = n * (n - 1) // 2
     # to[x][y]: the constraint of an edge mapped to x -> y, as mask << P | req
     to = [[0] * n for _ in range(n)]
@@ -491,42 +491,8 @@ def count_table(
             for s, col in grown.items():
                 col += compress(images[s], sel) if s < t else [h] * len(ks)
         used, keys, images = next_used, next_keys, grown
-    rows = Counter(keys)
     low = (1 << pairs) - 1
-    return tuple(k >> pairs for k in rows), tuple(k & low for k in rows), tuple(rows.values())
-
-
-def _vertical_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
-    """The planes of the vertical counter sum 2^k * x over the (k, x) terms.
-
-    Carry-save adders keep at most two pending vectors per weight, so a term
-    costs a few big-int operations however many planes the sum has (a ripple
-    add would run through nearly every plane on a large host list).
-    """
-    pending: list[list[int]] = []
-    for k, x in terms:
-        while x:
-            pending += [[] for _ in range(k + 1 - len(pending))]
-            level = pending[k]
-            if len(level) < 2:
-                level.append(x)
-                break
-            a, b = level
-            u = a ^ b
-            level[:] = [u ^ x]
-            x = (a & b) | (u & x)
-            k += 1
-    planes: list[int] = []
-    carry = 0
-    for level in pending:
-        a, b = level + [0] * (2 - len(level))
-        u = a ^ b
-        planes.append(u ^ carry)
-        carry = (a & b) | (u & carry)
-    planes.append(carry)
-    while planes and not planes[-1]:
-        planes.pop()
-    return planes
+    return [(k >> pairs, k & low, mult) for k, mult in Counter(keys).items()]
 
 
 def labeled_counts(
@@ -535,24 +501,22 @@ def labeled_counts(
     """Labeled counts of d (extending `pins`) on every host of `hosts`.
 
     Each count is sum mult * [(code & mask) == req] over the rows of
-    `count_table`: the hosts that meet a row are the AND of its columns (or
-    their complements). Rows with one mask and different reqs meet disjoint
-    hosts, so the rows of one (mask, mult) are ORed into one term of
-    `_vertical_sum`; they are walked in that order, so only one term is held
-    at a time.
+    `count_table`, taken in one pass: the hosts that meet a row are the AND
+    of its columns (or their complements), and mult times that hit set is
+    added into the planes of the vertical counter with a ripple carry.
     """
     lits, full = (hosts.ncols, hosts.cols), hosts.full
-    rows = sorted(zip(*count_table(d, hosts.n, pins)), key=lambda r: (r[0], r[2]))
-
-    def terms():
-        for (mask, mult), group in groupby(rows, key=lambda r: (r[0], r[2])):
-            hit = 0
-            for _, req, _ in group:
-                hit |= reduce(and_, [lits[req >> p & 1][p] for p in bits(mask)], full)
-            for k in bits(mult):
-                yield k, hit
-
-    return HostCounts(hosts.size, _vertical_sum(terms()))
+    planes: list[int] = []
+    for mask, req, mult in count_table(d, hosts.n, pins):
+        hit = reduce(and_, [lits[req >> p & 1][p] for p in bits(mask)], full)
+        for k in bits(mult):
+            carry = hit
+            while carry:
+                if k >= len(planes):
+                    planes += [0] * (k + 1 - len(planes))
+                planes[k], carry = planes[k] ^ carry, planes[k] & carry
+                k += 1
+    return HostCounts(hosts.size, planes)
 
 
 def oracle_count(d: Digraph, t: Tournament, mode: str = "homs") -> int:

@@ -379,9 +379,7 @@ def check_anti_on_family(
     bound_unit = Fraction(1, 1 << d.edge_count)
     curve = []
     best_ratio = Fraction(0)
-    witness = None
-    witness_hits = None
-    witness_map_seed = None
+    witness = witness_row = None
     for value, host in hosts:
         if samples is None:
             res = count_labeled(d, host)
@@ -414,9 +412,7 @@ def check_anti_on_family(
             }
         curve.append(row)
         if row["violated"] and witness is None:
-            witness = host
-            witness_hits = row.get("hits")
-            witness_map_seed = row.get("map_seed")
+            witness, witness_row = host, row
         best_ratio = max(best_ratio, ratio)
 
     violated = any(row["violated"] for row in curve)
@@ -428,10 +424,9 @@ def check_anti_on_family(
         regime["kind"] = "sampled-family"
         regime["samples"] = samples
     extra = {}
-    if witness_hits is not None:
-        extra["witness_hits"] = witness_hits
-    if violated and samples is not None and witness_map_seed is not None:
-        extra["witness_map_seed"] = witness_map_seed
+    if witness is not None and samples is not None:
+        extra["witness_hits"] = witness_row["hits"]
+        extra["witness_map_seed"] = witness_row["map_seed"]
     return PropertyReport(
         property_name="anti-sidorenko-family",
         pattern_dgf=dgf_dumps(d),
@@ -679,7 +674,8 @@ def interpolate_to_density(
     t_lo: Tournament,
     t_hi: Tournament,
     exclude=0,
-    target=None,
+    *,
+    target: int,
 ) -> InterpolationResult:
     """Walk from t_lo toward t_hi one pair at a time (lexicographic order,
     pairs meeting `exclude` never touched), tracking the homomorphism count.
@@ -692,8 +688,6 @@ def interpolate_to_density(
     """
     if t_lo.n != t_hi.n:
         raise ValueError("hosts must share a vertex count")
-    if target is None:
-        raise ValueError("target count is required")
     n = t_lo.n
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
     pairs = [
@@ -759,23 +753,22 @@ def forcing_probe(
     out = []
     for label, host in hosts:
         exact_density = host.n**d.n <= FORCING_EXACT_MAPS
+        exact_eps = host.n <= QUASI_EXACT_LIMIT
+        sampled = not (exact_density and exact_eps)
+        if sampled and (samples is None or seed is None):
+            raise ValueError(f"host {label!r} needs samples and seed")
         if exact_density:
             dens: Fraction | float = density(d, host)
             deviation = abs(dens - bound)
             dev_approx = float(deviation)
         else:
-            if samples is None or seed is None:
-                raise ValueError(f"host {label!r} needs samples and seed")
             est = sampled_density(d, host, samples, blend(seed, host.n))
             deviation = None
             dev_approx = abs(float(est.estimate) - float(bound))
-        exact_eps = host.n <= QUASI_EXACT_LIMIT
         if exact_eps:
             eps = quasirandom_epsilon(host)
             eps_approx = float(eps)
         else:
-            if samples is None or seed is None:
-                raise ValueError(f"host {label!r} needs samples and seed")
             eps_est = quasirandom_epsilon(
                 host, "sampled", samples=max(1, samples // 100), seed=blend(seed, host.n, 1)
             )
@@ -785,11 +778,11 @@ def forcing_probe(
             ForcingRow(
                 label=label,
                 n=host.n,
-                deviation=deviation if exact_density else None,
+                deviation=deviation,
                 deviation_approx=dev_approx,
-                epsilon=eps if exact_eps else None,
+                epsilon=eps,
                 epsilon_approx=eps_approx,
-                sampled=not (exact_density and exact_eps),
+                sampled=sampled,
             )
         )
     return out

@@ -59,7 +59,7 @@ from toursid.constructions import (
     transitive_tournament,
 )
 from toursid.counting import PinnedPattern, count_labeled, labeled_counts
-from toursid.digraph import SizeLimitError, Tournament, are_isomorphic
+from toursid.digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, disjoint_union
 from toursid.formats import dgf_dumps, trn_loads
 from toursid.hosts import (
     CLASS_COUNTS,
@@ -294,7 +294,16 @@ class TestScansAtEight:
         assert report.curve[-1]["hosts"] == 6880
         assert report.curve[:-1] == sidorenko_scan_exhaustive(tt4, 7, dedup=True).curve
 
-    @pytest.mark.parametrize("d", [directed_cycle(5), transitive_tournament(4)], ids=["C5", "TT4"])
+    @pytest.mark.parametrize(
+        "d",
+        [
+            directed_cycle(5),
+            transitive_tournament(4),
+            # every row has multiplicity 30 = 0b11110: long ripple carries
+            disjoint_union(directed_path(1), Digraph(2)),
+        ],
+        ids=["C5", "TT4", "P1+2"],
+    )
     def test_counts_equal_the_backtracker(self, d):
         n, _, scanned, table, _, host_at = list(_scan_steps(d, 8, (), dedup=True))[-1]
         reps = tournament_representatives(8)
