@@ -27,7 +27,7 @@ from .counting import (
     labeled_bound,
 )
 from .digraph import Digraph, Tournament
-from .formats import FormatError, _frac, dgf_dumps, dgf_loads, json_dumps, trn_loads
+from .formats import FormatError, _frac, _payload_lines, dgf_dumps, dgf_loads, json_dumps, trn_loads
 from .properties import (
     check_anti_exhaustive,
     check_anti_on_family,
@@ -107,12 +107,12 @@ def _load_pattern(path: str) -> Digraph:
 
 
 def _load_host(path: str) -> Tournament:
+    """The host in a TRN/1 file (first line one integer), or else in DGF/1."""
     text = Path(path).read_text()
-    try:
+    lines = _payload_lines(text)
+    if lines and lines[0][1].isdigit():
         return trn_loads(text)
-    except FormatError:
-        d = dgf_loads(text)
-        return Tournament.from_rows(d.out_rows())
+    return Tournament.from_rows(dgf_loads(text).out_rows())
 
 
 def _int(text: str, flag: str, spec: str | None = None) -> int:

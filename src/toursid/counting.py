@@ -53,7 +53,7 @@ from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, SizeLimitError, Tournament, bits, mask_of
+from .digraph import Digraph, SizeLimitError, Tournament, _transpose, bits, mask_of, pair_count
 from .formats import _frac
 from .hosts import REPRESENTATIVES_LIMIT
 
@@ -375,11 +375,7 @@ class HostColumns:
     @classmethod
     def of_codes(cls, n: int, codes: Sequence[int]) -> HostColumns:
         """The hosts with the given pair codes, in the given order."""
-        pairs = n * (n - 1) // 2
-        # row i of the transpose holds bit pairs-1-i of every code with host
-        # 0 last, so each column is one join read in base 2
-        rows = zip(*(format(c, f"0{pairs}b") for c in reversed(codes)))
-        return cls(n, len(codes), [int("".join(r), 2) for r in rows][::-1])
+        return cls(n, len(codes), _transpose(codes, pair_count(n)))
 
 
 class HostCounts:
@@ -459,7 +455,7 @@ def count_table(
         )
     if not volume:
         return []
-    pairs = n * (n - 1) // 2
+    pairs = pair_count(n)
     # to[x][y]: the constraint of an edge mapped to x -> y, as mask << P | req
     to = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):

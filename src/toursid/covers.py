@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import count_homomorphisms
-from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament
+from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count
 from .hosts import uniform_tournament
 from .rng import blend
 
@@ -107,7 +107,7 @@ def check_tt_claim(h: UndirectedGraph, c: BicliqueCover) -> ProfileClaimReport:
     ok, bad = verify_cover(h, c)
     if not ok:
         raise ValueError(f"cover does not verify against the host (bad edge {bad})")
-    s = h.n * (h.n - 1) // 2 - h.edge_count
+    s = pair_count(h.n) - h.edge_count
     rows = []
     holds = True
     for t, size in sorted(tt_profile(c).items()):

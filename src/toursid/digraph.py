@@ -6,6 +6,10 @@ rows (Python ints); in-rows are obtained on demand and cached: by one
 out-row in a tournament. `Digraph.from_rows` checks orientedness exactly on
 every input, with the same transpose instead of a loop over the edges, so
 building a large host stays pure Python and never loads numpy.
+This module defines the pair order: bit p of a tournament's pair code
+(`pair_count(n)` bits) is set iff i->j for the p-th pair (i, j), i < j, in
+lexicographic order. Row i's pairs are consecutive bits, so `from_code` and
+`code` work on row slices of the code's binary string, in linear time.
 Objects are immutable after construction: every transform returns a fresh
 object, so values are safe to share and send across threads.
 
@@ -16,7 +20,7 @@ directed edge between every pair of distinct vertices.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rng import coin
 
@@ -43,15 +47,22 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The in-rows of the n packed out-rows, none with a bit at or past n.
+def pair_count(n: int) -> int:
+    """The number of pairs of distinct vertices, the bits of a pair code."""
+    return n * (n - 1) // 2
 
-    Row u is rendered as its n-character bit string, lowest vertex first, and
-    the rows are concatenated; column v is then every n-th character from v,
-    read back as an integer with vertex 0 as its lowest bit.
+
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The `width` columns of a bit matrix: bit u of column v is bit v of
+    rows[u], and no row has a bit at or past `width`.
+
+    Row u is rendered as its width-character bit string, lowest bit first, and
+    the rows are concatenated; column v is then every width-th character from
+    v, read back as an integer with row 0 as its lowest bit.
     """
-    flat = "".join(format(row, "b").zfill(n)[::-1] for row in rows)
-    return tuple(int(flat[v::n][::-1], 2) for v in range(n))
+    spec = f"0{width}b"
+    flat = "".join([format(row, spec)[::-1] for row in rows])
+    return tuple([int(flat[v::width][::-1] or "0", 2) for v in range(width)])
 
 
 def _trusted(cls, rows: tuple[int, ...], m: int):
@@ -248,14 +259,13 @@ class Tournament(Digraph):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n, edges)
-        if self._m != n * (n - 1) // 2:
+        if self._m != pair_count(n):
             raise ValueError("not a tournament: some pair carries no edge")
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Tournament":
         t = super().from_rows(rows)
-        n = t.n
-        if t._m != n * (n - 1) // 2:
+        if t._m != pair_count(t.n):
             raise ValueError("not a tournament: some pair carries no edge")
         return t
 
@@ -269,34 +279,34 @@ class Tournament(Digraph):
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Tournament":
-        """Decode the pair-order bit code: bit p set means i->j for the p-th
-        pair (i,j), i<j, in lexicographic order."""
-        rows = [0] * n
-        p = 0
+        """Decode the pair code (see the module docstring)."""
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        pairs = pair_count(n)
+        if not 0 <= code < 1 << pairs:
+            raise ValueError(f"pair code out of range for n = {n}: needs 0 <= code < 2^{pairs}")
+        word = format(code, f"0{pairs}b")[::-1]  # bit p is word[p]
+        # row i beats j > i iff word[start + j - i - 1] is "1"
+        upper, start = [], 0
         for i in range(n):
-            for j in range(i + 1, n):
-                if code >> p & 1:
-                    rows[i] |= 1 << j
-                else:
-                    rows[j] |= 1 << i
-                p += 1
-        return _trusted(cls, tuple(rows), n * (n - 1) // 2)
+            end = start + n - 1 - i
+            upper.append(int(word[start:end][::-1] + "0" * (i + 1), 2))
+            start = end
+        # i beats j < i iff j does not beat i: the complemented columns
+        beaten = _transpose(upper, n)
+        rows = tuple(row | ((1 << i) - 1 ^ beaten[i]) for i, row in enumerate(upper))
+        return _trusted(cls, rows, pairs)
 
     def code(self) -> int:
-        c = 0
-        p = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self._out[i] >> j & 1:
-                    c |= 1 << p
-                p += 1
-        return c
+        """The pair code: the rows' upper halves, last row first, are its binary string."""
+        out, n = self._out, self.n
+        word = "".join([format(out[i] >> i + 1, f"0{n - 1 - i}b") for i in range(n - 2, -1, -1)])
+        return int(word or "0", 2)
 
 
 def transitive_host(n: int) -> Tournament:
-    """The transitive tournament with i->j for i<j."""
-    full = (1 << n) - 1
-    return Tournament.from_rows([full ^ ((1 << (i + 1)) - 1) for i in range(n)])
+    """The transitive tournament with i->j for i<j: every pair code bit set."""
+    return Tournament.from_code(n, (1 << pair_count(n)) - 1)
 
 
 def fill_to_tournament(d: Digraph, strategy: str = "lex", seed: Optional[int] = None) -> Tournament:

@@ -6,7 +6,8 @@ skipped by the parser; the writer may emit a provenance header comment.
 
 TRN/1 (tournament): line 1 is "n", line 2 is a string of n(n-1)/2 characters
 over {0,1}; the p-th character corresponds to the p-th pair (i,j) with i<j in
-lexicographic order, "1" meaning i->j.
+lexicographic order, "1" meaning i->j: the pair code (`Tournament.code`,
+whose pair order `digraph` defines) in binary, lowest bit first.
 
 Both are bit-exact contracts: serialize(parse(s)) reproduces the payload lines
 byte for byte.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .digraph import Digraph, Tournament
+from .digraph import Digraph, Tournament, pair_count
 
 
 class FormatError(ValueError):
@@ -87,9 +88,8 @@ def dgf_loads(text: str) -> Digraph:
 
 
 def trn_dumps(t: Tournament) -> str:
-    p = t.n * (t.n - 1) // 2
-    code = t.code()
-    word = "".join("1" if code >> i & 1 else "0" for i in range(p))
+    # no pairs, no characters: format(0, "00b") would give "0"
+    word = format(t.code(), f"0{pair_count(t.n)}b")[::-1] if t.n > 1 else ""
     return f"{t.n}\n{word}\n"
 
 
@@ -101,24 +101,18 @@ def trn_loads(text: str) -> Tournament:
     if not head.isdigit():
         raise FormatError(line_no, f"expected vertex count, got {head!r}")
     n = int(head)
-    p = n * (n - 1) // 2
+    p = pair_count(n)
     if p == 0:
-        word_line = None
         if len(lines) > 1:
             raise FormatError(lines[1][0], "unexpected content after header")
-        word = ""
-    else:
-        if len(lines) < 2:
-            raise FormatError(line_no, "missing orientation word")
-        word_no, word = lines[1]
-        if len(lines) > 2:
-            raise FormatError(lines[2][0], "unexpected content after word")
-        if len(word) != p or set(word) - {"0", "1"}:
-            raise FormatError(
-                word_no, f"expected {p} characters over {{0,1}}, got {word!r}"
-            )
-    code = 0
-    for i, ch in enumerate(word):
-        if ch == "1":
-            code |= 1 << i
-    return Tournament.from_code(n, code)
+        return Tournament.from_code(n, 0)
+    if len(lines) < 2:
+        raise FormatError(line_no, "missing orientation word")
+    word_no, word = lines[1]
+    if len(lines) > 2:
+        raise FormatError(lines[2][0], "unexpected content after word")
+    if len(word) != p or set(word) - {"0", "1"}:
+        raise FormatError(
+            word_no, f"expected {p} characters over {{0,1}}, got {word!r}"
+        )
+    return Tournament.from_code(n, int(word[::-1], 2))

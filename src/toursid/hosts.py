@@ -2,8 +2,8 @@
 representatives, and seeded coin tournaments (`coin_rows`, shared by the
 uniform hosts here and the planted two-block hosts in `properties`).
 
-Raw enumeration walks the n(n-1)/2-bit pair code directly, so the p-th bit of
-the code matches the p-th character of the TRN/1 wire format.
+Raw enumeration counts through the pair codes and decodes each with
+`Tournament.from_code`; `digraph` defines the pair order.
 
 The class table for n <= 8, `tournament_classes.bin`, is loaded on first use
 by `_class_table` only. It holds one little-endian int32 per isomorphism
@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
-from .digraph import SizeLimitError, Tournament
+from .digraph import SizeLimitError, Tournament, pair_count
 from .rng import blend_array
 
 # tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
@@ -48,10 +48,6 @@ _BLOCK = 1 << 14
 # is about 0.6 MB; with fewer rows the per-block calls dominate the scan
 _BLOCK_ROWS = 1 << 10
 _MIN_BLOCK_ROWS = 8
-
-
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 def _block_rows(width: int) -> int:
@@ -102,6 +98,8 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
     The coins come from `blend_array` over chunks of whole rows, so the bits
     equal the scalar `coin` and the temporaries stay bounded at any n.
     """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     import numpy as np
 
     rows: list[int] = []

@@ -33,10 +33,11 @@ from .digraph import (
     Tournament,
     fill_to_tournament,
     mask_of,
+    pair_count,
     transitive_host,
 )
 from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
-from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows, pair_count
+from .hosts import REPRESENTATIVES_LIMIT, _block_rows, class_codes, coin_rows
 from .rng import blend, blend_array
 
 if TYPE_CHECKING:

@@ -1,15 +1,42 @@
 """Host enumerations that only the tests use: the class enumeration and the
 orbit-minimum brute force that wrote `tournament_classes.bin`, the pruned
 orbit-minimum search that checks it, the bit columns of every raw host, the
-invariant the enumeration buckets by, and every oriented graph on a few
-vertices."""
+invariant the enumeration buckets by, every oriented graph on a few
+vertices, and the per-pair pair-code decode and encode that the row-slice
+codec of `Tournament.from_code` and `Tournament.code` must equal."""
 
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from toursid.counting import HostColumns
-from toursid.digraph import Digraph, Tournament, are_isomorphic, bits
-from toursid.hosts import pair_count
+from toursid.digraph import Digraph, Tournament, are_isomorphic, bits, pair_count
+
+
+def pairwise_from_code(n: int, code: int) -> Tournament:
+    """Decode a pair code one pair at a time: bit p set means i->j for the
+    p-th pair (i, j), i < j, in lexicographic order."""
+    rows = [0] * n
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if code >> p & 1:
+                rows[i] |= 1 << j
+            else:
+                rows[j] |= 1 << i
+            p += 1
+    return Tournament.from_rows(rows)
+
+
+def pairwise_code(t: Tournament) -> int:
+    """Encode a tournament's pair code one pair at a time."""
+    c = 0
+    p = 0
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            if t.has_edge(i, j):
+                c |= 1 << p
+            p += 1
+    return c
 
 
 def local_triangles(t: Tournament, v: int) -> int:

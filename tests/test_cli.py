@@ -248,6 +248,11 @@ class TestEmptyInputs:
         argv = ["check", "anti", "--pattern", pattern, *extra]
         assert "empty host" in self.error(capsys, argv)
 
+    def test_negative_transitive_host(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "transitive", "--n=-3"]
+        assert self.error(capsys, argv) == "error: vertex count must be nonnegative, got -3"
+
     def test_empty_family_range(self, tmp_path, capsys):
         pattern = write_pattern(tmp_path, directed_cycle(5), "c5.dgf")
         argv = ["check", "anti", "--pattern", pattern, "--family", "transitive", "--n", "5..2"]
@@ -457,6 +462,32 @@ class TestQuasi:
         host.write_text("1\n")
         assert main(["quasi", "--host", str(host)]) == 0
         assert json.loads(capsys.readouterr().out)["epsilon_approx"] == 0
+
+    def test_malformed_trn_host_reports_the_trn_error(self, tmp_path, capsys):
+        host = tmp_path / "bad.trn"
+        host.write_text("3\n10\n")
+        assert main(["quasi", "--host", str(host)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: expected 3 characters over {0,1}, got '10'\n"
+
+    def test_dgf_host_is_read(self, tmp_path, capsys):
+        host = tmp_path / "tt10.dgf"
+        host.write_text(dgf_dumps(transitive_host(10)))
+        assert main(["quasi", "--host", str(host)]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == {"num": "1", "den": "4"}
+
+    def test_malformed_dgf_host_reports_the_dgf_error(self, tmp_path, capsys):
+        host = tmp_path / "bad.dgf"
+        host.write_text("3 x\n")
+        assert main(["quasi", "--host", str(host)]) == 1
+        assert capsys.readouterr().err == "error: line 1: expected 'n m', got '3 x'\n"
+
+    def test_negative_two_block_size(self, capsys):
+        assert main(["quasi", "--two-block", "1/2", "-5", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex count must be nonnegative, got -5\n"
 
 
 class TestDeterminism:

@@ -35,7 +35,7 @@ from toursid.digraph import (
     fill_to_tournament,
     transitive_host,
 )
-from toursid.hosts import tournament_representatives, uniform_tournament
+from toursid.hosts import class_codes, tournament_representatives, uniform_tournament
 import toursid
 from toursid.properties import check_anti_exhaustive, is_impartial_upto, two_block_tournament
 
@@ -365,6 +365,26 @@ class TestBudget:
         for k in (1, 2, 3, 7, 100, 1234, 30001, exact - 1, exact, exact + 1):
             assert count_homomorphisms(c5, U20, limit=k) == min(k, exact)
             assert _backtrack(c5, U20, injective=True, limit=k) == min(k, labeled)
+
+
+class TestHostColumns:
+    def test_columns_are_the_code_bits(self):
+        for n in (3, 7, 8):
+            codes = class_codes(n)
+            expected = tuple(
+                sum((c >> p & 1) << h for h, c in enumerate(codes))
+                for p in range(n * (n - 1) // 2)
+            )
+            assert HostColumns.of_codes(n, codes).cols == expected
+
+    @pytest.mark.parametrize("n, codes", [(0, (0,)), (1, (0,)), (1, (0, 0, 0))])
+    def test_no_column_without_a_pair(self, n, codes):
+        hosts = HostColumns.of_codes(n, codes)
+        assert (hosts.cols, hosts.size) == ((), len(codes))
+
+    def test_empty_host_list(self):
+        hosts = HostColumns.of_codes(3, ())
+        assert (hosts.cols, hosts.size) == ((0, 0, 0), 0)
 
 
 class TestCountTable:

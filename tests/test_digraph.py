@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from host_reference import all_oriented_graphs
+from host_reference import all_oriented_graphs, pairwise_code, pairwise_from_code
 from toursid.constructions import directed_cycle, directed_path, subset_bipartite, transitive_tournament
 from toursid.digraph import (
     Digraph,
@@ -16,9 +16,11 @@ from toursid.digraph import (
     bits,
     disjoint_union,
     fill_to_tournament,
+    pair_count,
     transitive_host,
 )
-from toursid.hosts import uniform_tournament
+from toursid.formats import trn_dumps
+from toursid.hosts import class_codes, uniform_tournament
 from toursid.properties import two_block_tournament
 from toursid.rng import below
 
@@ -365,3 +367,69 @@ class TestTransposeReference:
         for v in outs[1:3]:
             rows[v] |= 1 << 300
         self.assert_matches(rows)
+
+
+class TestPairCodeReference:
+    """`Tournament.from_code` and `Tournament.code` against the per-pair
+    loops they replaced (`host_reference`)."""
+
+    def test_every_code_up_to_six(self):
+        for n in range(7):
+            for code in range(1 << pair_count(n)):
+                t = Tournament.from_code(n, code)
+                assert t == pairwise_from_code(n, code), (n, code)
+                assert t.edge_count == pair_count(n)
+                assert t.code() == code
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_class_codes(self, n):
+        for code in class_codes(n):
+            t = Tournament.from_code(n, code)
+            assert t == pairwise_from_code(n, code), code
+            assert t.code() == pairwise_code(t) == code
+
+    @pytest.mark.parametrize("n", [18, 120, 768])
+    def test_seeded_hosts(self, n):
+        for t in (uniform_tournament(n, 3), two_block_tournament(n, Fraction(3, 10), 5)):
+            code = pairwise_code(t)
+            assert t.code() == code
+            assert Tournament.from_code(n, code) == t
+            if n <= 120:
+                # the per-pair decode is quadratic in the code length
+                assert pairwise_from_code(n, code) == t
+                word = "".join("1" if code >> p & 1 else "0" for p in range(pair_count(n)))
+                assert trn_dumps(t) == f"{n}\n{word}\n"
+
+    def test_transitive_host_sets_every_bit(self):
+        for n in (0, 1, 2, 9, 40):
+            assert transitive_host(n).code() == (1 << pair_count(n)) - 1
+            assert Tournament.from_code(n, 0) == transitive_host(n).reverse()
+
+    @pytest.mark.parametrize(
+        "n, code, message",
+        [
+            (-1, 0, "vertex count must be nonnegative, got -1"),
+            (3, -1, r"pair code out of range for n = 3: needs 0 <= code < 2\^3"),
+            (3, 1 << 3, r"pair code out of range for n = 3: needs 0 <= code < 2\^3"),
+            (3, 1 << 10, r"pair code out of range for n = 3"),
+            (1, 1, r"pair code out of range for n = 1: needs 0 <= code < 2\^0"),
+        ],
+    )
+    def test_from_code_rejects(self, n, code, message):
+        with pytest.raises(ValueError, match=message):
+            Tournament.from_code(n, code)
+
+
+class TestNegativeHostSize:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: transitive_host(n),
+            lambda n: uniform_tournament(n, 1),
+            lambda n: two_block_tournament(n, Fraction(1, 2), 1),
+        ],
+        ids=["transitive", "uniform", "two-block"],
+    )
+    def test_names_the_size(self, build):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -5"):
+            build(-5)

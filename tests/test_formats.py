@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from toursid.covers import BicliqueCover, bcv_dumps, bcv_loads
 from toursid.digraph import Digraph, Tournament
 from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
 from toursid.hosts import uniform_tournament
+from toursid.properties import two_block_tournament
 from toursid.rng import below
 
 from test_digraph import random_digraph
@@ -50,8 +53,22 @@ class TestTrn:
             assert trn_loads(trn_dumps(t)) == t
             assert trn_dumps(trn_loads(trn_dumps(t))) == trn_dumps(t)
 
+    def test_round_trip_large_host(self):
+        t = two_block_tournament(768, Fraction(3, 10), 3)
+        text = trn_dumps(t)
+        assert len(text) == len("768\n") + 768 * 767 // 2 + 1
+        assert trn_loads(text) == t
+        assert trn_dumps(trn_loads(text)) == text
+
     def test_single_vertex(self):
         assert trn_loads("1\n") == Tournament(1)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_word(self, n):
+        assert trn_dumps(Tournament(n)) == f"{n}\n\n"
+        assert trn_loads(f"{n}\n") == Tournament(n)
+        with pytest.raises(FormatError, match="line 2: unexpected content after header"):
+            trn_loads(f"{n}\n0\n")
 
     def test_word_length_checked(self):
         with pytest.raises(FormatError, match="line 2"):
