@@ -27,7 +27,16 @@ from .counting import (
     labeled_bound,
 )
 from .digraph import Digraph, Tournament
-from .formats import FormatError, _frac, _payload_lines, dgf_dumps, dgf_loads, json_dumps, trn_loads
+from .formats import (
+    FormatError,
+    _frac,
+    _is_uint,
+    _payload_lines,
+    dgf_dumps,
+    dgf_loads,
+    json_dumps,
+    trn_loads,
+)
 from .properties import (
     check_anti_exhaustive,
     check_anti_on_family,
@@ -110,7 +119,7 @@ def _load_host(path: str) -> Tournament:
     """The host in a TRN/1 file (first line one integer), or else in DGF/1."""
     text = Path(path).read_text()
     lines = _payload_lines(text)
-    if lines and lines[0][1].isdigit():
+    if lines and _is_uint(lines[0][1]):
         return trn_loads(text)
     return Tournament.from_rows(dgf_loads(text).out_rows())
 

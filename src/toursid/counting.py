@@ -506,13 +506,17 @@ def labeled_counts(
     for mask, req, mult in count_table(d, hosts.n, pins):
         hit = reduce(and_, [lits[req >> p & 1][p] for p in bits(mask)], full)
         for k in bits(mult):
-            carry = hit
-            while carry:
-                if k >= len(planes):
-                    planes += [0] * (k + 1 - len(planes))
-                planes[k], carry = planes[k] ^ carry, planes[k] & carry
-                k += 1
+            _add_plane(planes, hit, k)
     return HostCounts(hosts.size, planes)
+
+
+def _add_plane(planes: list[int], hit: int, k: int) -> None:
+    """Add 2^k to the count of each host in `hit`, with a ripple carry."""
+    while hit:
+        if k >= len(planes):
+            planes += [0] * (k + 1 - len(planes))
+        planes[k], hit = planes[k] ^ hit, planes[k] & hit
+        k += 1
 
 
 def oracle_count(d: Digraph, t: Tournament, mode: str = "homs") -> int:

@@ -239,14 +239,14 @@ def bcv_dumps(c: BicliqueCover) -> str:
 
 
 def bcv_loads(text: str) -> BicliqueCover:
-    from .formats import FormatError, _payload_lines
+    from .formats import FormatError, _is_uint, _payload_lines
 
     lines = _payload_lines(text)
     if not lines:
         raise FormatError(1, "empty BCV/1 document")
     line_no, head = lines[0]
     parts_decl = head.split()
-    if len(parts_decl) != 2 or not all(p.isdigit() for p in parts_decl):
+    if len(parts_decl) != 2 or not all(map(_is_uint, parts_decl)):
         raise FormatError(line_no, f"expected 'n k', got {head!r}")
     n, k = int(parts_decl[0]), int(parts_decl[1])
     if len(lines) - 1 != k:
@@ -259,7 +259,7 @@ def bcv_loads(text: str) -> BicliqueCover:
         sides = []
         for half in halves:
             toks = half.split()
-            if not toks or not all(tk.isdigit() for tk in toks):
+            if not toks or not all(map(_is_uint, toks)):
                 raise FormatError(line_no, f"bad part in {line!r}")
             size, members = int(toks[0]), [int(tk) for tk in toks[1:]]
             if len(members) != size:

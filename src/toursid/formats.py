@@ -44,6 +44,11 @@ def _unfrac(d: dict) -> Fraction:
     return Fraction(int(d["num"]), int(d["den"]))
 
 
+def _is_uint(text: str) -> bool:
+    """A nonnegative integer in ASCII digits (str.isdigit also takes '²')."""
+    return text.isascii() and text.isdigit()
+
+
 def _payload_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -70,7 +75,7 @@ def dgf_loads(text: str) -> Digraph:
         raise FormatError(1, "empty DGF/1 document")
     line_no, head = lines[0]
     parts = head.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(map(_is_uint, parts)):
         raise FormatError(line_no, f"expected 'n m', got {head!r}")
     n, m = int(parts[0]), int(parts[1])
     if len(lines) - 1 != m:
@@ -78,7 +83,7 @@ def dgf_loads(text: str) -> Digraph:
     edges = []
     for line_no, line in lines[1:]:
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(_is_uint, parts)):
             raise FormatError(line_no, f"expected 'u v', got {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
     try:
@@ -98,7 +103,7 @@ def trn_loads(text: str) -> Tournament:
     if not lines:
         raise FormatError(1, "empty TRN/1 document")
     line_no, head = lines[0]
-    if not head.isdigit():
+    if not _is_uint(head):
         raise FormatError(line_no, f"expected vertex count, got {head!r}")
     n = int(head)
     p = pair_count(n)
@@ -112,7 +117,6 @@ def trn_loads(text: str) -> Tournament:
     if len(lines) > 2:
         raise FormatError(lines[2][0], "unexpected content after word")
     if len(word) != p or set(word) - {"0", "1"}:
-        raise FormatError(
-            word_no, f"expected {p} characters over {{0,1}}, got {word!r}"
-        )
+        got = repr(word) if len(word) <= 40 else f"{len(word)} characters, {word[:40]!r}..."
+        raise FormatError(word_no, f"expected {p} characters over {{0,1}}, got {got}")
     return Tournament.from_code(n, int(word[::-1], 2))

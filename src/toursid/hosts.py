@@ -34,12 +34,11 @@ CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
 REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
 # entries of one streamed block: a coin chunk here (21 rows of 768 coins at
-# n = 768), a block of sampled maps or of quasirandom subsets in
-# `properties`; bounds the temporaries independently of n, of the sample
-# count and of 2^n. 2^14 uint64 entries keep each temporary within 128 KiB,
-# glibc's default mmap threshold; larger narrow blocks (1024 subsets instead
-# of 910 at n = 18) made the exact quasi scan slower, the time going to the
-# allocator.
+# n = 768), a block of sampled maps or of sampled quasirandom subsets in
+# `properties`, or the 2^14 subsets that the exact quasi scan bit-slices into
+# one int; bounds the temporaries independently of n, of the sample count and
+# of 2^n. 2^14 uint64 entries keep each numpy temporary within 128 KiB,
+# glibc's default mmap threshold, and each exact-scan int is 2 KiB.
 _BLOCK = 1 << 14
 # rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
 # wide a row is. The floor binds only for rows of more than 2^11 entries: the

@@ -20,7 +20,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .counting import (
     HostColumns,
+    HostCounts,
     PinnedPattern,
+    _add_plane,
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
@@ -31,6 +33,7 @@ from .counting import (
 from .digraph import (
     Digraph,
     Tournament,
+    bits,
     fill_to_tournament,
     mask_of,
     pair_count,
@@ -603,39 +606,39 @@ def quasirandom_epsilon(
 ) -> Fraction:
     """Minimal eps with e(A,B) - e(B,A) <= eps n^2 over disjoint subset pairs.
 
-    Exact mode scans all 2^n subsets A (guarded at n = 20); for fixed A the
-    optimal B takes every vertex outside A with positive signed in-degree
-    toward A. Sampled mode evaluates seeded random subsets A and returns the
-    high-water value, an exact lower bound on the true eps. Both modes stream
-    the subsets as 64-bit word masks in fixed-size blocks and count with
-    bitwise popcounts, so memory stays bounded at any n and sample count.
+    For fixed A the optimal B takes every vertex outside A with positive
+    signed in-degree toward A. Exact mode scans all 2^n subsets A (guarded at
+    n = 20) on bit-sliced Python ints, without numpy. Sampled mode streams
+    seeded random subsets A through numpy blocks of 64-bit word masks and
+    returns the high-water value, an exact lower bound on the true eps. Both
+    modes work in fixed-size blocks, so memory stays bounded at any n.
     """
-    import numpy as np
-
     n = t.n
     if n <= 1:
         return Fraction(0)
     if mode == "exact":
         if n > QUASI_EXACT_LIMIT:
             raise ValueError(f"exact scan is guarded at n = {QUASI_EXACT_LIMIT}")
-        step = _block_rows(n)
-        blocks = (
-            np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
-            for lo in range(0, 1 << n, step)
-        )
-    elif mode == "sampled":
-        if samples is None or seed is None:
-            raise ValueError("sampled mode needs samples and seed")
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        blocks = _sampled_subsets(n, samples, seed)
-    else:
+        return Fraction(_exact_best(t), n * n)
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples is None or seed is None:
+        raise ValueError("sampled mode needs samples and seed")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    import numpy as np
+
     out_words = _packed_rows(t)
-    v = np.arange(n)
+    v, words = np.arange(n), (n + 63) // 64
     word_of, bit_of = v >> 6, (v & 63).astype(np.uint64)
+    step = _block_rows(n * words)
     best = 0
-    for a in blocks:
+    for start in range(0, samples, step):
+        # word w of subset A_j is blend(seed, j, w), cut to the n vertices
+        j = np.arange(start, min(start + step, samples))[:, None]
+        a = blend_array(seed, j, np.arange(words))
+        if n % 64:
+            a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
         # for v outside A the signed in-degree toward A is
         # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
         size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
@@ -647,19 +650,39 @@ def quasirandom_epsilon(
     return Fraction(best, n * n)
 
 
-def _sampled_subsets(n: int, samples: int, seed: int):
-    """Blocks of the seeded subsets A_j, as rows of 64-bit words: word w of
-    A_j is blend(seed, j, w), cut to the n vertices."""
-    import numpy as np
+def _exact_best(t: Tournament) -> int:
+    """The largest sum over v outside A of max(0, |in(v) & A| - |out(v) & A|)
+    over all subsets A, bit-sliced: bit a of column X_u says whether vertex
+    u < b is in subset a, and each block of 2^b subsets fixes the others."""
+    from .hosts import _BLOCK  # read per call, so a patched block size holds
 
-    words = (n + 63) // 64
-    word_ix = np.arange(words)
-    step = _block_rows(n * words)
-    for start in range(0, samples, step):
-        a = blend_array(seed, np.arange(start, min(start + step, samples))[:, None], word_ix)
-        if n % 64:
-            a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
-        yield a
+    n, rows = t.n, t.out_rows()
+    b = min(n, _BLOCK.bit_length() - 1)
+    full, low, k = (1 << (1 << b)) - 1, (1 << b) - 1, (n - 1).bit_length()
+    cols = [((1 << (1 << u)) - 1 << (1 << u)) * (full // ((1 << (2 << u)) - 1)) for u in range(b)]
+    outside = [col ^ full for col in cols] + [full] * (n - b)
+    # per v, the count of its literals X_u (u -> v) and ~X_u (v -> u), u < b
+    counters: list[list[int]] = [[] for _ in range(n)]
+    for v, u in itertools.product(range(n), range(b)):
+        if u != v:
+            _add_plane(counters[v], cols[u] if rows[u] >> v & 1 else outside[u], 0)
+    best, cache = 0, {}
+    for high in range(0, 1 << n, 1 << b):
+        acc: list[int] = []
+        for v in bits(~high & ((1 << n) - 1)):
+            # c = 2^k + |in(v) & high| - |out(v) & high| - |out(v) & low|, so
+            # counter + c = 2^k + signed in-degree < 2^(k+1): plane k is its sign
+            c = (1 << k) + (high & ~rows[v]).bit_count() - (rows[v] & (high | low)).bit_count()
+            if (v, c) not in cache:
+                x = list(counters[v])
+                for j in bits(c):
+                    _add_plane(x, full, j)
+                sign = (x + [0] * k)[k] & outside[v]
+                cache[v, c] = [p & sign for p in x[:k]]
+            for j, p in enumerate(cache[v, c]):
+                _add_plane(acc, p, j)
+        best = max(best, HostCounts(1 << b, acc).max()[0])
+    return best
 
 
 @dataclass(frozen=True)

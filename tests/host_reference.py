@@ -2,14 +2,18 @@
 orbit-minimum brute force that wrote `tournament_classes.bin`, the pruned
 orbit-minimum search that checks it, the bit columns of every raw host, the
 invariant the enumeration buckets by, every oriented graph on a few
-vertices, and the per-pair pair-code decode and encode that the row-slice
-codec of `Tournament.from_code` and `Tournament.code` must equal."""
+vertices, the per-pair pair-code decode and encode that the row-slice
+codec of `Tournament.from_code` and `Tournament.code` must equal, and the
+numpy block loop that the bit-sliced exact quasirandom scan must equal."""
 
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from toursid.counting import HostColumns
 from toursid.digraph import Digraph, Tournament, are_isomorphic, bits, pair_count
+from toursid.hosts import _block_rows
+from toursid.properties import _packed_rows
 
 
 def pairwise_from_code(n: int, code: int) -> Tournament:
@@ -168,3 +172,29 @@ def pruned_orbit_minimum(t: Tournament) -> int:
 
     place([(0, v) for v in range(t.n)], 0, 0)
     return best
+
+
+def numpy_quasi_epsilon(t: Tournament) -> Fraction:
+    """Exact quasirandom eps by the numpy block loop that the bit-sliced scan
+    replaced: all 2^n subsets as uint64 masks in blocks of rows, with the
+    signed in-degrees counted by popcounts (n <= 64)."""
+    import numpy as np
+
+    n = t.n
+    if n <= 1:
+        return Fraction(0)
+    step, out_words = _block_rows(n), _packed_rows(t)
+    v = np.arange(n)
+    word_of, bit_of = v >> 6, (v & 63).astype(np.uint64)
+    best = 0
+    for lo in range(0, 1 << n, step):
+        a = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
+        # for v outside A the signed in-degree toward A is
+        # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
+        size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
+        meet = np.bitwise_count(a[:, None, :] & out_words).sum(axis=2, dtype=np.int32)
+        signed = size[:, None] - 2 * meet
+        signed[(a[:, word_of] >> bit_of & np.uint64(1)).astype(bool)] = 0
+        np.maximum(signed, 0, out=signed)
+        best = max(best, int(signed.sum(axis=1).max()))
+    return Fraction(best, n * n)

@@ -483,6 +483,14 @@ class TestQuasi:
         assert main(["quasi", "--host", str(host)]) == 1
         assert capsys.readouterr().err == "error: line 1: expected 'n m', got '3 x'\n"
 
+    def test_non_ascii_vertex_count_is_a_format_error(self, tmp_path, capsys):
+        # '²' passes str.isdigit but is no TRN/1 count, so the host is read
+        # as DGF/1, whose header it is not either
+        host = tmp_path / "bad.trn"
+        host.write_text("\u00b2\n")
+        assert main(["quasi", "--host", str(host)]) == 1
+        assert capsys.readouterr().err == "error: line 1: expected 'n m', got '\u00b2'\n"
+
     def test_negative_two_block_size(self, capsys):
         assert main(["quasi", "--two-block", "1/2", "-5", "--seed", "1"]) == 1
         captured = capsys.readouterr()

@@ -32,6 +32,14 @@ class TestDgf:
         with pytest.raises(FormatError, match="line 3"):
             dgf_loads("2 2\n0 1\n1 x\n")
 
+    @pytest.mark.parametrize(
+        "text, line", [("\u00b2 0\n", 1), ("2 1\n0 \u00b2\n", 2), ("2 1\n\u0661 1\n", 2)]
+    )
+    def test_non_ascii_digits_rejected(self, text, line):
+        # str.isdigit accepts '²' and the Arabic-Indic '١', int() only the latter
+        with pytest.raises(FormatError, match=f"line {line}: expected"):
+            dgf_loads(text)
+
     def test_declared_count_mismatch(self):
         with pytest.raises(FormatError, match="declared 2 edges"):
             dgf_loads("3 2\n0 1\n")
@@ -78,6 +86,22 @@ class TestTrn:
         with pytest.raises(FormatError, match="0,1"):
             trn_loads("3\n1x0\n")
 
+    @pytest.mark.parametrize("text", ["\u00b2\n", "\u00b2\n0\n", "\u0663\n101\n"])
+    def test_non_ascii_vertex_count_rejected(self, text):
+        with pytest.raises(FormatError, match="line 1: expected vertex count"):
+            trn_loads(text)
+
+    def test_long_malformed_word_is_quoted_by_a_prefix(self):
+        n = 768
+        p = n * (n - 1) // 2
+        for word in ("2" * p, "1" * (p - 1), "0" * (p + 1)):
+            with pytest.raises(FormatError) as err:
+                trn_loads(f"{n}\n{word}\n")
+            message = str(err.value)
+            assert len(message) < 160
+            assert message.startswith(f"line 2: expected {p} characters over {{0,1}}, got ")
+            assert f"got {len(word)} characters, '{word[:40]}'..." in message
+
 
 class TestBcv:
     def test_golden(self):
@@ -95,3 +119,8 @@ class TestBcv:
     def test_overlap_rejected(self):
         with pytest.raises(FormatError, match="disjoint"):
             bcv_loads("4 1\n1 0 | 2 0 1\n")
+
+    @pytest.mark.parametrize("text, line", [("\u00b2 1\n", 1), ("4 1\n1 0 | 1 \u00b2\n", 2)])
+    def test_non_ascii_digits_rejected(self, text, line):
+        with pytest.raises(FormatError, match=f"line {line}"):
+            bcv_loads(text)

@@ -566,6 +566,14 @@ class TestScalarReference:
             t = uniform_tournament(n, n)
             got = quasirandom_epsilon(t, "sampled", samples=40, seed=2)
             assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
+        # the exact scan bit-slices the low log2(_BLOCK) vertices and fixes
+        # the others per block: 2^(n-6), 2^(n-3) and 2^n blocks here
+        for n in (7, 10, 12):
+            for t in (uniform_tournament(n, n), two_block_tournament(n, Fraction(3, 10), n)):
+                want = self.quasi_epsilon(t, range(1 << n))
+                for block in (1 << 6, 1 << 3, 1):
+                    monkeypatch.setattr(hosts, "_BLOCK", block)
+                    assert quasirandom_epsilon(t) == want
 
 
 # Runs in a fresh interpreter. A warm-up on small inputs first pages in the

@@ -1,7 +1,8 @@
 """numpy loads on first use: the commands that run only the backtracker over
-packed rows (`check anti --family transitive` and `blowup`, and `count`) and
-every exhaustive, pinned and impartiality scan (bit-sliced Python ints) never
-import it, while the sampled quasirandom scan does, after
+packed rows (`check anti --family transitive` and `blowup`, and `count`),
+every exhaustive, pinned and impartiality scan and the exact quasirandom scan
+(bit-sliced Python ints, so `quasi --host` and the exact `forcing_probe`
+rows) never import it, while the sampled quasirandom scan does, after
 `toursid/__init__.py` has set OPENBLAS_NUM_THREADS. Each case runs in a fresh
 interpreter, since this test process has long imported numpy."""
 
@@ -17,6 +18,7 @@ import pytest
 from toursid.constructions import directed_cycle, star
 from toursid.digraph import transitive_host
 from toursid.formats import dgf_dumps, trn_dumps
+from toursid.hosts import uniform_tournament
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,6 +56,7 @@ def run_probe(tmp_path, blas):
     (tmp_path / "star22.dgf").write_text(dgf_dumps(star(2, 2)))
     (tmp_path / "c5.dgf").write_text(dgf_dumps(directed_cycle(5)))
     (tmp_path / "tt6.trn").write_text(trn_dumps(transitive_host(6)))
+    (tmp_path / "u12.trn").write_text(trn_dumps(uniform_tournament(12, 5)))
     steps = [
         ("transitive", ["check", "anti", "--pattern", "star22.dgf",
                         "--family", "transitive", "--n", "4..12"]),
@@ -70,6 +73,7 @@ def run_probe(tmp_path, blas):
         ("strong-anti-dedup", ["check", "strong-anti", "--pattern", "star22.dgf",
                                "--pins-set", "1", "--dedup", "--exhaustive", "5"]),
         ("impartial", ["check", "impartial", "--pattern", "star22.dgf", "--n", "6"]),
+        ("quasi-host", ["quasi", "--host", "u12.trn"]),
         ("quasi-sampled", ["quasi", "--two-block", "1/10", "24", "--seed", "3",
                            "--samples", "50"]),
     ]
@@ -101,6 +105,34 @@ def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
         ["strong-anti", 0, False],
         ["strong-anti-dedup", 0, False],
         ["impartial", 2, False],
+        ["quasi-host", 0, False],
         ["quasi-sampled", 0, True],
     ]
     assert got["blas"] == expected
+
+
+# Prints whether numpy is in sys.modules after an all-exact `forcing_probe`
+# on the TRN/1 hosts given as arguments.
+FORCING_PROBE = textwrap.dedent(
+    """
+    import sys
+    from toursid.constructions import star
+    from toursid.formats import trn_loads
+    from toursid.properties import forcing_probe
+
+    hosts = [(str(i), trn_loads(text)) for i, text in enumerate(sys.argv[1:])]
+    rows = forcing_probe(star(1, 2), hosts)
+    assert not any(row.sampled for row in rows)
+    print("numpy" in sys.modules)
+    """
+)
+
+
+def test_exact_forcing_probe_leaves_numpy_out():
+    hosts = [trn_dumps(uniform_tournament(n, n)) for n in (5, 12, 16)]
+    proc = subprocess.run(
+        [sys.executable, "-c", FORCING_PROBE, *hosts, trn_dumps(transitive_host(9))],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

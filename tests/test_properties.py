@@ -41,6 +41,8 @@ from toursid.properties import (
 )
 from toursid.rng import blend
 
+from host_reference import numpy_quasi_epsilon
+
 
 def poly_derivative_at_zero(f, degree):
     """Exact derivative at 0 of a polynomial given as a callable, via Newton
@@ -313,6 +315,19 @@ class TestQuasirandomEpsilon:
     def test_exact_guard(self):
         with pytest.raises(ValueError):
             quasirandom_epsilon(transitive_host(21))
+
+
+class TestExactQuasiReference:
+    """The bit-sliced exact scan against the numpy block loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_equals_numpy_block_loop(self, n):
+        seeds = range(20 if n <= 16 else 2)
+        hosts = [transitive_host(n)]
+        hosts += [uniform_tournament(n, seed) for seed in seeds]
+        hosts += [two_block_tournament(n, Fraction(3, 10), seed) for seed in seeds]
+        for t in hosts:
+            assert quasirandom_epsilon(t) == numpy_quasi_epsilon(t)
 
 
 class TestInterpolation:
