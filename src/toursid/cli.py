@@ -26,17 +26,8 @@ from .counting import (
     count_labeled_pinned,
     labeled_bound,
 )
-from .digraph import Digraph, Tournament
-from .formats import (
-    FormatError,
-    _frac,
-    _is_uint,
-    _payload_lines,
-    dgf_dumps,
-    dgf_loads,
-    json_dumps,
-    trn_loads,
-)
+from .digraph import Digraph
+from .formats import _frac, dgf_dumps, dgf_loads, host_loads, json_dumps
 from .properties import (
     check_anti_exhaustive,
     check_anti_on_family,
@@ -113,15 +104,6 @@ def _render_quasi_text(doc: dict) -> str:
 
 def _load_pattern(path: str) -> Digraph:
     return dgf_loads(Path(path).read_text())
-
-
-def _load_host(path: str) -> Tournament:
-    """The host in a TRN/1 file (first line one integer), or else in DGF/1."""
-    text = Path(path).read_text()
-    lines = _payload_lines(text)
-    if lines and _is_uint(lines[0][1]):
-        return trn_loads(text)
-    return Tournament.from_rows(dgf_loads(text).out_rows())
 
 
 def _int(text: str, flag: str, spec: str | None = None) -> int:
@@ -227,7 +209,7 @@ def _cmd_count(args) -> int:
         print("error: count --mode homs does not take --pins", file=sys.stderr)
         return EXIT_ERROR
     pattern = _load_pattern(args.pattern)
-    host = _load_host(args.host)
+    host = host_loads(Path(args.host).read_text())
     if args.pins:
         pins = _parse_pins(args.pins)
         pat = PinnedPattern(pattern, tuple(pins))
@@ -246,11 +228,16 @@ def _cmd_count(args) -> int:
     return _emit_doc(doc, _render_count_text, args)
 
 
-# per `check` property, and per regime of `check anti`: the options it needs
-# and the others it reads; it refuses the rest of _CHECK_OPTIONS
+# per `check` property, and per regime of `check anti` (each family, sampled or
+# not): the options it needs and the others it reads; it refuses the rest
 _CHECK_READS = {
     "anti --exhaustive": (("exhaustive",), ("dedup",)),
-    "anti --family": (("family", "n"), ("base", "c", "samples", "seed")),
+    "anti --family transitive": (("family", "n"), ()),
+    "anti --family blowup": (("family", "n"), ("base",)),
+    "anti --family two-block": (("family", "n", "c", "seed"), ()),
+    "anti --family transitive --samples": (("family", "n"), ("samples", "seed")),
+    "anti --family blowup --samples": (("family", "n"), ("base", "samples", "seed")),
+    "anti --family two-block --samples": (("family", "n", "c", "seed"), ("samples",)),
     "strong-anti": (("pins_set", "exhaustive"), ("dedup",)),
     "impartial": (("n",), ()),
     "sidorenko-scan": (("exhaustive",), ("dedup",)),
@@ -273,7 +260,10 @@ def _cmd_check(args) -> int:
             print("error: check anti --dedup needs --exhaustive", file=sys.stderr)
             return EXIT_ERROR
         scan += " --family" if args.exhaustive is None else " --exhaustive"
-    needs, reads = _CHECK_READS[scan]
+    regime = scan
+    if scan == "anti --family":
+        regime += f" {args.family}" + (" --samples" if args.samples is not None else "")
+    needs, reads = _CHECK_READS[regime]
     # an empty --pins-set or --n is as good as none
     missing = [k for k in needs if getattr(args, k) in (None, "")]
     if missing:
@@ -320,7 +310,7 @@ def _cmd_quasi(args) -> int:
         host = two_block_tournament(n, c, args.seed)
         label = f"two-block(c={c},n={n},seed={args.seed})"
     elif args.host:
-        host = _load_host(args.host)
+        host = host_loads(Path(args.host).read_text())
         label = args.host
     else:
         print("error: quasi needs --host or --two-block", file=sys.stderr)
@@ -415,14 +405,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # a FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

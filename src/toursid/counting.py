@@ -53,7 +53,16 @@ from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, SizeLimitError, Tournament, _transpose, bits, mask_of, pair_count
+from .digraph import (
+    Digraph,
+    SizeLimitError,
+    Tournament,
+    _transpose,
+    bits,
+    mask_of,
+    pair_count,
+    pair_order,
+)
 from .formats import _frac
 from .hosts import REPRESENTATIVES_LIMIT
 
@@ -434,8 +443,8 @@ def count_table(
 
     An edge (u, v) of d with phi(u) < phi(v) requires bit p(phi(u), phi(v))
     of the code to be 1, and with phi(u) > phi(v) requires bit
-    p(phi(v), phi(u)) to be 0, where p numbers the pairs i < j in
-    lexicographic order (the `Tournament.code` order). Maps with equal
+    p(phi(v), phi(u)) to be 0, where p numbers the pairs as
+    `digraph.pair_order` does (the `Tournament.code` order). Maps with equal
     (mask, req) share a row whose multiplicity counts them. The enumeration
     volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
     before anything is enumerated. The maps are walked vertex by vertex
@@ -458,7 +467,7 @@ def count_table(
     pairs = pair_count(n)
     # to[x][y]: the constraint of an edge mapped to x -> y, as mask << P | req
     to = [[0] * n for _ in range(n)]
-    for p, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+    for p, (i, j) in enumerate(pair_order(n)):
         to[i][j], to[j][i] = 1 << pairs + p | 1 << p, 1 << pairs + p
     frm = [list(col) for col in zip(*to)]  # frm[y][x] = to[x][y]
     adj = [d.out(v) | d.inn(v) for v in range(d.n)]

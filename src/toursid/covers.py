@@ -15,6 +15,7 @@ from typing import Optional
 
 from .counting import count_homomorphisms
 from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count
+from .formats import FormatError, cite, quote, read_document, uint_fields
 from .hosts import uniform_tournament
 from .rng import blend
 
@@ -35,10 +36,11 @@ class BicliqueCover:
     def __init__(self, host_n: int, parts):
         norm = []
         for a, b in parts:
+            # a vertex past host_n is refused before it is shifted into a mask
             if not isinstance(a, int):
-                a = sum(1 << v for v in a)
+                a = sum(1 << v for v in a) if max(a, default=-1) < host_n else 1 << host_n
             if not isinstance(b, int):
-                b = sum(1 << v for v in b)
+                b = sum(1 << v for v in b) if max(b, default=-1) < host_n else 1 << host_n
             if a >> host_n or b >> host_n:
                 raise ValueError("biclique part out of range")
             if a & b:
@@ -229,46 +231,26 @@ def bcv_dumps(c: BicliqueCover) -> str:
     """BCV/1: line 1 "n k", then one line per biclique:
     "|A| <members> | |B| <members>", members ascending."""
     lines = [f"{c.host_n} {len(c.parts)}"]
-    for a, b in c.parts:
-        av = list(bits(a))
-        bv = list(bits(b))
-        left = " ".join([str(len(av))] + [str(v) for v in av])
-        right = " ".join([str(len(bv))] + [str(v) for v in bv])
-        lines.append(f"{left} | {right}")
+    for part in c.parts:
+        sides = [list(bits(side)) for side in part]
+        lines.append(" | ".join(" ".join(map(str, [len(m), *m])) for m in sides))
     return "\n".join(lines) + "\n"
 
 
 def bcv_loads(text: str) -> BicliqueCover:
-    from .formats import FormatError, _is_uint, _payload_lines
-
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError(1, "empty BCV/1 document")
-    line_no, head = lines[0]
-    parts_decl = head.split()
-    if len(parts_decl) != 2 or not all(map(_is_uint, parts_decl)):
-        raise FormatError(line_no, f"expected 'n k', got {head!r}")
-    n, k = int(parts_decl[0]), int(parts_decl[1])
-    if len(lines) - 1 != k:
-        raise FormatError(line_no, f"declared {k} bicliques, found {len(lines) - 1}")
+    line_no, (n, _), body = read_document(text, "BCV/1", "'n k'", "bicliques")
     parts = []
-    for line_no, line in lines[1:]:
+    for part_no, line in body:
         halves = line.split("|")
         if len(halves) != 2:
-            raise FormatError(line_no, "expected 'A | B'")
+            raise FormatError(part_no, "expected 'A | B'")
         sides = []
         for half in halves:
-            toks = half.split()
-            if not toks or not all(map(_is_uint, toks)):
-                raise FormatError(line_no, f"bad part in {line!r}")
-            size, members = int(toks[0]), [int(tk) for tk in toks[1:]]
-            if len(members) != size:
-                raise FormatError(
-                    line_no, f"declared {size} members, found {len(members)}"
-                )
-            sides.append(members)
-        parts.append((sides[0], sides[1]))
-    try:
-        return BicliqueCover(n, parts)
-    except ValueError as exc:
-        raise FormatError(lines[0][0], str(exc)) from exc
+            fields = uint_fields(half)
+            if fields is None:
+                raise FormatError(part_no, f"bad part in {quote(line)}")
+            if len(fields) - 1 != fields[0]:
+                raise FormatError(part_no, f"declared {fields[0]} members, found {len(fields) - 1}")
+            sides.append(fields[1:])
+        parts.append(sides)
+    return cite(line_no, BicliqueCover, n, parts)

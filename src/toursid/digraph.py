@@ -52,6 +52,11 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def pair_order(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, in pair-code order: pair p is bit p of a code."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The `width` columns of a bit matrix: bit u of column v is bit v of
     rows[u], and no row has a bit at or past `width`.

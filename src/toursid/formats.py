@@ -9,8 +9,12 @@ over {0,1}; the p-th character corresponds to the p-th pair (i,j) with i<j in
 lexicographic order, "1" meaning i->j: the pair code (`Tournament.code`,
 whose pair order `digraph` defines) in binary, lowest bit first.
 
-Both are bit-exact contracts: serialize(parse(s)) reproduces the payload lines
-byte for byte.
+BCV/1 (biclique cover): line 1 is "n k", then k lines "|A| <members> | |B|
+<members>"; `covers` reads and writes it.
+
+`read_document` is the one place that holds the line grammar of all three;
+each reader states only its body rules on top of it. All three are bit-exact
+contracts: serialize(parse(s)) reproduces the payload lines byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ import json
 from fractions import Fraction
 
 from .digraph import Digraph, Tournament, pair_count
+
+VERTEX_LIMIT = 1 << 20
+# more digits than any vertex or line count has; int() refuses past 4300 digits
+FIELD_DIGITS = 18
 
 
 class FormatError(ValueError):
@@ -44,19 +52,60 @@ def _unfrac(d: dict) -> Fraction:
     return Fraction(int(d["num"]), int(d["den"]))
 
 
-def _is_uint(text: str) -> bool:
-    """A nonnegative integer in ASCII digits (str.isdigit also takes '²')."""
-    return text.isascii() and text.isdigit()
+def quote(text: str) -> str:
+    """repr(text), or its length and a 40-character prefix when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{len(text)} characters, {text[:40]!r}..."
+
+
+def uint_fields(text: str, count: int = 0) -> list[int] | None:
+    """The whitespace-separated fields of text as integers: `count` of them,
+    or any positive number when count is 0. None unless each field is at most
+    FIELD_DIGITS ASCII digits (str.isdigit alone also takes '²')."""
+    fields = text.split()
+    if not fields or count and len(fields) != count:
+        return None
+    if not all(f.isascii() and f.isdigit() and len(f) <= FIELD_DIGITS for f in fields):
+        return None
+    return [int(f) for f in fields]
 
 
 def _payload_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((i, line))
+        if line and not line.startswith("#"):
+            out.append((i, line))
     return out
+
+
+def read_document(
+    text: str, name: str, head: str, noun: str | None = None
+) -> tuple[int, list[int], list[tuple[int, str]]]:
+    """The header line number, header fields and numbered body lines of a
+    `name` document, blank and "#" lines skipped. The header is the vertex
+    count n, at most VERTEX_LIMIT before anything is allocated, then the count
+    of body lines where the format declares them as `noun`; `head` names it.
+    Errors cite their line and quote long text by a prefix (`quote`)."""
+    lines = _payload_lines(text)
+    if not lines:
+        raise FormatError(1, f"empty {name} document")
+    (line_no, header), body = lines[0], lines[1:]
+    fields = uint_fields(header, 2 if noun else 1)
+    if fields is None:
+        raise FormatError(line_no, f"expected {head}, got {quote(header)}")
+    if fields[0] > VERTEX_LIMIT:
+        raise FormatError(line_no, f"vertex count {fields[0]} is above the bound {VERTEX_LIMIT}")
+    if noun and fields[1] != len(body):
+        raise FormatError(line_no, f"declared {fields[1]} {noun}, found {len(body)}")
+    return line_no, fields, body
+
+
+def cite(line_no: int, make, *args):
+    """make(*args), with a ValueError it raises cited at line_no."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(line_no, str(exc)) from exc
 
 
 def dgf_dumps(d: Digraph, header: str | None = None) -> str:
@@ -70,26 +119,14 @@ def dgf_dumps(d: Digraph, header: str | None = None) -> str:
 
 
 def dgf_loads(text: str) -> Digraph:
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError(1, "empty DGF/1 document")
-    line_no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2 or not all(map(_is_uint, parts)):
-        raise FormatError(line_no, f"expected 'n m', got {head!r}")
-    n, m = int(parts[0]), int(parts[1])
-    if len(lines) - 1 != m:
-        raise FormatError(line_no, f"declared {m} edges, found {len(lines) - 1}")
+    line_no, (n, _), body = read_document(text, "DGF/1", "'n m'", "edges")
     edges = []
-    for line_no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2 or not all(map(_is_uint, parts)):
-            raise FormatError(line_no, f"expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    try:
-        return Digraph(n, edges)
-    except ValueError as exc:
-        raise FormatError(lines[0][0], str(exc)) from exc
+    for edge_no, line in body:
+        edge = uint_fields(line, 2)
+        if edge is None:
+            raise FormatError(edge_no, f"expected 'u v', got {quote(line)}")
+        edges.append(edge)
+    return cite(line_no, Digraph, n, edges)
 
 
 def trn_dumps(t: Tournament) -> str:
@@ -99,24 +136,23 @@ def trn_dumps(t: Tournament) -> str:
 
 
 def trn_loads(text: str) -> Tournament:
-    lines = _payload_lines(text)
-    if not lines:
-        raise FormatError(1, "empty TRN/1 document")
-    line_no, head = lines[0]
-    if not _is_uint(head):
-        raise FormatError(line_no, f"expected vertex count, got {head!r}")
-    n = int(head)
+    line_no, (n,), body = read_document(text, "TRN/1", "vertex count")
     p = pair_count(n)
-    if p == 0:
-        if len(lines) > 1:
-            raise FormatError(lines[1][0], "unexpected content after header")
+    if len(body) > (p > 0):
+        raise FormatError(body[p > 0][0], f"unexpected content after {'word' if p else 'header'}")
+    if not p:
         return Tournament.from_code(n, 0)
-    if len(lines) < 2:
+    if not body:
         raise FormatError(line_no, "missing orientation word")
-    word_no, word = lines[1]
-    if len(lines) > 2:
-        raise FormatError(lines[2][0], "unexpected content after word")
+    word_no, word = body[0]
     if len(word) != p or set(word) - {"0", "1"}:
-        got = repr(word) if len(word) <= 40 else f"{len(word)} characters, {word[:40]!r}..."
-        raise FormatError(word_no, f"expected {p} characters over {{0,1}}, got {got}")
+        raise FormatError(word_no, f"expected {p} characters over {{0,1}}, got {quote(word)}")
     return Tournament.from_code(n, int(word[::-1], 2))
+
+
+def host_loads(text: str) -> Tournament:
+    """The host in a TRN/1 document (first line one integer), or else in DGF/1."""
+    lines = _payload_lines(text)
+    if lines and lines[0][1].isascii() and lines[0][1].isdigit():
+        return trn_loads(text)
+    return Tournament.from_rows(dgf_loads(text).out_rows())

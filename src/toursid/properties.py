@@ -37,6 +37,7 @@ from .digraph import (
     fill_to_tournament,
     mask_of,
     pair_count,
+    pair_order,
     transitive_host,
 )
 from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
@@ -168,8 +169,29 @@ class PropertyReport:
             raise ValueError("witness ratio exceeds the recorded extremal ratio")
 
 
-def _provenance(d: Digraph) -> Optional[dict]:
-    return dict(d.meta) if d.meta else None
+def _report(
+    name: str,
+    d: Digraph,
+    regime: dict,
+    violated: Optional[bool],
+    ratio: Optional[Fraction] = None,
+    witness: Optional[Tournament] = None,
+    curve=(),
+    extra: Optional[dict] = None,
+) -> PropertyReport:
+    """The report of property `name` on pattern d (as DGF/1, with provenance):
+    "measured" when `violated` is None, and a TRN/1 witness when violated."""
+    return PropertyReport(
+        property_name=name,
+        pattern_dgf=dgf_dumps(d),
+        provenance=dict(d.meta) if d.meta else None,
+        regime=regime,
+        verdict="measured" if violated is None else "violated" if violated else "holds-upto",
+        extremal_ratio=ratio,
+        witness_trn=trn_dumps(witness) if violated else None,
+        curve=tuple(curve),
+        extra=extra or {},
+    )
 
 
 # -- exhaustive and family checks -------------------------------------------
@@ -261,17 +283,7 @@ def _max_report(
     extra = {}
     if violated and pinned:
         extra["witness_anchor"] = {str(k): v for k, v in witness_anchor.items()}
-    return PropertyReport(
-        property_name=name,
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime=regime,
-        verdict="violated" if violated else "holds-upto",
-        extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if violated else None,
-        curve=tuple(curve),
-        extra=extra,
-    )
+    return _report(name, d, regime, violated, best_ratio, witness, curve, extra)
 
 
 def check_anti_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) -> PropertyReport:
@@ -367,7 +379,6 @@ def check_anti_on_family(
         raise ValueError("family scan needs at least one host value")
     if samples is not None and seed is None:
         raise ValueError("sampled family scan needs a seed")
-    hosts: list[tuple[int, Tournament]] = []
     if family == "transitive":
         hosts = [(n, transitive_host(n)) for n in values]
     elif family == "blowup":
@@ -431,17 +442,7 @@ def check_anti_on_family(
     if witness is not None and samples is not None:
         extra["witness_hits"] = witness_row["hits"]
         extra["witness_map_seed"] = witness_row["map_seed"]
-    return PropertyReport(
-        property_name="anti-sidorenko-family",
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime=regime,
-        verdict="violated" if violated else "holds-upto",
-        extremal_ratio=best_ratio,
-        witness_trn=trn_dumps(witness) if witness is not None else None,
-        curve=tuple(curve),
-        extra=extra,
-    )
+    return _report("anti-sidorenko-family", d, regime, violated, best_ratio, witness, curve, extra)
 
 
 def falsify_by_blowup(d: Digraph, multiplier: int = 2) -> Optional[tuple[Tournament, Fraction]]:
@@ -490,16 +491,8 @@ def sidorenko_scan_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) ->
                 "min_ratio_approx": float(ratio),
             }
         )
-    return PropertyReport(
-        property_name="sidorenko-ratio-scan",
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime={"kind": "exhaustive", "n_max": n_max, "dedup": dedup},
-        verdict="measured",
-        extremal_ratio=None,
-        witness_trn=None,
-        curve=tuple(curve),
-    )
+    regime = {"kind": "exhaustive", "n_max": n_max, "dedup": dedup}
+    return _report("sidorenko-ratio-scan", d, regime, None, curve=curve)
 
 
 def _impartiality_witness(d: Digraph, n_max: int):
@@ -518,22 +511,14 @@ def _impartiality_witness(d: Digraph, n_max: int):
 def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
     """Constant-count check across isomorphism classes at each n <= n_max."""
     found = _impartiality_witness(d, n_max)
-    extra = {}
+    extra, witness = {}, None
     if found is not None:
         pair, counts = found
+        witness = pair[0]
         extra["witness_pair"] = [trn_dumps(t) for t in pair]
         extra["witness_counts"] = [str(c) for c in counts]
-    return PropertyReport(
-        property_name="impartial",
-        pattern_dgf=dgf_dumps(d),
-        provenance=_provenance(d),
-        regime={"kind": "impartial-scan", "n_max": n_max, "dedup": True},
-        verdict="holds-upto" if found is None else "violated",
-        extremal_ratio=None,
-        witness_trn=extra["witness_pair"][0] if extra else None,
-        curve=(),
-        extra=extra,
-    )
+    regime = {"kind": "impartial-scan", "n_max": n_max, "dedup": True}
+    return _report("impartial", d, regime, found is not None, witness=witness, extra=extra)
 
 
 # -- stars and the two-block family ------------------------------------------
@@ -714,12 +699,7 @@ def interpolate_to_density(
         raise ValueError("hosts must share a vertex count")
     n = t_lo.n
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not (excl >> i & 1 or excl >> j & 1)
-    ]
+    pairs = [(i, j) for i, j in pair_order(n) if not (excl >> i & 1 or excl >> j & 1)]
     rows = list(t_lo.out_rows())
     h_values = [count_homomorphisms(d, t_lo)]
     snapshots = [tuple(rows)]

@@ -288,6 +288,10 @@ class TestEmptyInputs:
             (("strong-anti", "--pins-set", "", "--exhaustive", "3"),
              "check strong-anti needs --pins-set"),
             (("strong-anti", "--pins-set", "0"), "check strong-anti needs --exhaustive"),
+            (("anti", "--family", "two-block", "--n", "8"),
+             "check anti --family needs --c and --seed"),
+            (("anti", "--family", "two-block", "--n", "8", "--c", "1/2", "--samples", "5"),
+             "check anti --family needs --seed"),
         ],
     )
     def test_missing_size_option(self, tmp_path, capsys, extra, message):
@@ -417,6 +421,24 @@ class TestInvalidOptions:
         argv = ["check", argv[0], "--pattern", pattern, *argv[1:]]
         assert TestEmptyInputs.error(capsys, argv) == f"error: check {given}"
 
+    @pytest.mark.parametrize(
+        "extra, given",
+        [
+            (("transitive", "--c", "1/2", "--base", "{base}", "--seed", "3"), "--base, --c, --seed"),
+            (("blowup", "--c", "1/2", "--seed", "3"), "--c, --seed"),
+            (("two-block", "--c", "1/2", "--seed", "3", "--base", "{base}"), "--base"),
+            (("transitive", "--seed", "3", "--samples", "5", "--c", "1/2"), "--c"),
+        ],
+        ids=["transitive", "blowup", "two-block", "sampled-transitive"],
+    )
+    def test_family_refuses_options_it_does_not_read(self, tmp_path, capsys, extra, given):
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        family, *rest = (x.format(base=pattern) for x in extra)
+        argv = ["check", "anti", "--pattern", pattern, "--family", family, "--n", "4..6", *rest]
+        assert TestEmptyInputs.error(capsys, argv) == (
+            f"error: check anti --family does not take {given}"
+        )
+
     def test_count_homs_refuses_pins(self, tmp_path, tt4_file, capsys):
         pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
         argv = ["count", "--pattern", pattern, "--host", tt4_file, "--mode", "homs",
@@ -482,6 +504,18 @@ class TestQuasi:
         host.write_text("3 x\n")
         assert main(["quasi", "--host", str(host)]) == 1
         assert capsys.readouterr().err == "error: line 1: expected 'n m', got '3 x'\n"
+
+    @pytest.mark.parametrize("command", ["count", "quasi"])
+    def test_huge_vertex_count_is_a_format_error(self, tmp_path, capsys, command):
+        host = tmp_path / "huge.dgf"
+        host.write_text("100000000000 0\n")
+        argv = ["quasi", "--host", str(host)]
+        if command == "count":
+            argv = ["count", "--pattern", write_pattern(tmp_path, star(1, 1), "s11.dgf"),
+                    "--host", str(host)]
+        assert TestEmptyInputs.error(capsys, argv) == (
+            "error: line 1: vertex count 100000000000 is above the bound 1048576"
+        )
 
     def test_non_ascii_vertex_count_is_a_format_error(self, tmp_path, capsys):
         # '²' passes str.isdigit but is no TRN/1 count, so the host is read

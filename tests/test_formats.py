@@ -4,7 +4,15 @@ import pytest
 
 from toursid.covers import BicliqueCover, bcv_dumps, bcv_loads
 from toursid.digraph import Digraph, Tournament
-from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
+from toursid.formats import (
+    VERTEX_LIMIT,
+    FormatError,
+    dgf_dumps,
+    dgf_loads,
+    host_loads,
+    trn_dumps,
+    trn_loads,
+)
 from toursid.hosts import uniform_tournament
 from toursid.properties import two_block_tournament
 from toursid.rng import below
@@ -124,3 +132,49 @@ class TestBcv:
     def test_non_ascii_digits_rejected(self, text, line):
         with pytest.raises(FormatError, match=f"line {line}"):
             bcv_loads(text)
+
+
+class TestReader:
+    """The line grammar the three formats share (`formats.read_document`)."""
+
+    LONG = "1" * 5000
+    TOKENS = " ".join(["1"] * 1000)
+
+    @pytest.mark.parametrize(
+        "loads, text, line",
+        [
+            (dgf_loads, "100000000000 0\n", 1),
+            (trn_loads, LONG + "\n", 1),
+            (dgf_loads, f"3 1\n0 {LONG}\n", 2),
+            (bcv_loads, f"{LONG} 0\n", 1),
+            (dgf_loads, f"3 1\n{TOKENS}\n", 2),
+            (bcv_loads, f"4 1\n{TOKENS} x | 1 2\n", 2),
+            (bcv_loads, "4 1\n1 100000000000000000 | 1 1\n", 1),
+        ],
+        ids=["dgf-huge-n", "trn-long-n", "dgf-long-field", "bcv-long-header",
+             "dgf-long-edge-line", "bcv-long-part", "bcv-huge-member"],
+    )
+    def test_limits_are_short_format_errors(self, loads, text, line):
+        with pytest.raises(FormatError) as err:
+            loads(text)
+        assert err.value.line_no == line
+        assert str(err.value).startswith(f"line {line}: ")
+        assert len(str(err.value)) <= 120
+
+    @pytest.mark.parametrize("loads, head", [(dgf_loads, "{} 0"), (trn_loads, "{}"), (bcv_loads, "{} 0")])
+    def test_vertex_bound(self, loads, head):
+        with pytest.raises(FormatError, match=f"line 1: vertex count {VERTEX_LIMIT + 1} is above"):
+            loads(head.format(VERTEX_LIMIT + 1))
+
+    def test_vertex_bound_is_inclusive(self):
+        assert dgf_loads(f"{VERTEX_LIMIT} 0\n").n == VERTEX_LIMIT
+
+    def test_long_header_quoted_by_a_prefix(self):
+        with pytest.raises(FormatError) as err:
+            dgf_loads("x" * 41 + "\n")
+        assert str(err.value) == f"line 1: expected 'n m', got 41 characters, {'x' * 40!r}..."
+
+    def test_host_loads_reads_either_format(self):
+        t = uniform_tournament(6, 3)
+        assert host_loads(trn_dumps(t)) == t
+        assert host_loads(dgf_dumps(t)) == t
