@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import constructions as cons
 from .counting import (
     BudgetExceededError,
     CountResult,
@@ -149,21 +148,23 @@ def _parse_pins(spec: str) -> dict[int, int]:
     return pins
 
 
+# per family: its builder in `constructions`, and the number of integer
+# parameters it takes (None: it takes a --graph instead)
 _FAMILIES = {
-    "directed-path": (cons.directed_path, 1),
-    "directed-cycle": (cons.directed_cycle, 1),
-    "transitive-tournament": (cons.transitive_tournament, 1),
-    "transitive-minus-edge": (cons.transitive_minus_edge, 3),
-    "star": (cons.star, 2),
-    "iterated-balanced-star": (cons.iterated_balanced_star, 1),
-    "subset-bipartite": (lambda k: cons.subset_bipartite(k)[0], 1),
-    "d-family": (cons.d_family, 1),
-    "cycle-with-chord": (cons.cycle_with_chord, 1),
-    "unique-hom-digraph": (cons.unique_hom_digraph, 1),
-    "subdivided-star": (cons.subdivided_star_orientation, 1),
-    "impartial-four-tree": (cons.impartial_four_tree, 0),
-    "all-orientations-union": (None, 0),  # needs --graph
-    "tree-orientation": (None, 0),  # needs --graph
+    "directed-path": ("directed_path", 1),
+    "directed-cycle": ("directed_cycle", 1),
+    "transitive-tournament": ("transitive_tournament", 1),
+    "transitive-minus-edge": ("transitive_minus_edge", 3),
+    "star": ("star", 2),
+    "iterated-balanced-star": ("iterated_balanced_star", 1),
+    "subset-bipartite": ("subset_bipartite", 1),
+    "d-family": ("d_family", 1),
+    "cycle-with-chord": ("cycle_with_chord", 1),
+    "unique-hom-digraph": ("unique_hom_digraph", 1),
+    "subdivided-star": ("subdivided_star_orientation", 1),
+    "impartial-four-tree": ("impartial_four_tree", 0),
+    "all-orientations-union": ("all_orientations_union", None),
+    "tree-orientation": ("tree_anti_orientation", None),
 }
 
 
@@ -172,16 +173,16 @@ def _cmd_construct(args) -> int:
     if family not in _FAMILIES:
         print(f"error: unknown family {family!r}", file=sys.stderr)
         return EXIT_ERROR
-    builder, arity = _FAMILIES[family]
-    if builder is None:
+    name, arity = _FAMILIES[family]
+    # the catalog is loaded here only: no other command builds from it
+    from . import constructions
+
+    builder = getattr(constructions, name)
+    if arity is None:
         if not args.graph:
             print(f"error: {family} needs --graph FILE", file=sys.stderr)
             return EXIT_ERROR
-        base = _load_pattern(args.graph).underlying()
-        if family == "all-orientations-union":
-            d = cons.all_orientations_union(base)
-        else:
-            d = cons.tree_anti_orientation(base)
+        d = builder(_load_pattern(args.graph).underlying())
     else:
         if len(args.params) != arity:
             print(
@@ -190,6 +191,8 @@ def _cmd_construct(args) -> int:
             )
             return EXIT_ERROR
         d = builder(*args.params)
+        if family == "subset-bipartite":
+            d = d[0]  # the builder also returns part A
     if d.meta and d.meta.get("eligible") is False:
         print(
             "warning: j-i == 2; this deletion is outside the over-representation guarantee",

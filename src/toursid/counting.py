@@ -46,12 +46,11 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .digraph import (
     Digraph,
@@ -110,8 +109,7 @@ def _check_anchor(pins: dict[int, int], n: int) -> None:
             raise ValueError(f"anchor image {hv} out of host range")
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """An exact count next to its random-orientation baseline.
 
     bound is `labeled_bound` (pinned or not); ratio is value/bound, exact.
@@ -136,18 +134,21 @@ class CountResult:
         }
 
 
-@dataclass(frozen=True)
-class PinnedPattern:
+class _PinnedFields(NamedTuple):
+    pattern: Digraph
+    pinned: int
+
+
+class PinnedPattern(_PinnedFields):
     """A pattern digraph with an independent pinned set.
 
     `pinned` may be given as a bit mask or an iterable of distinct vertices.
     The counters take the anchor of the pinned set as a separate argument.
     """
 
-    pattern: Digraph
-    pinned: int
+    __slots__ = ()
 
-    def __init__(self, pattern: Digraph, pinned):
+    def __new__(cls, pattern: Digraph, pinned):
         if not isinstance(pinned, int):
             vertices = list(pinned)
             pinned = mask_of(vertices)
@@ -159,8 +160,7 @@ class PinnedPattern:
         for v in bits(pinned):
             if (pattern.out(v) | pattern.inn(v)) & pinned:
                 raise ValueError("pinned set must be independent in the pattern")
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "pinned", pinned)
+        return super().__new__(cls, pattern, pinned)
 
     @property
     def pinned_vertices(self) -> tuple[int, ...]:

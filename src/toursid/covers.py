@@ -10,8 +10,7 @@ sampled uniqueness probe for rigid patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .counting import count_homomorphisms
 from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count
@@ -26,14 +25,17 @@ LEADING_BOUND_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BicliqueCover:
-    """Bicliques as (A_mask, B_mask) pairs over a host vertex set."""
-
+class _CoverFields(NamedTuple):
     host_n: int
     parts: tuple[tuple[int, int], ...]
 
-    def __init__(self, host_n: int, parts):
+
+class BicliqueCover(_CoverFields):
+    """Bicliques as (A_mask, B_mask) pairs over a host vertex set."""
+
+    __slots__ = ()
+
+    def __new__(cls, host_n: int, parts):
         norm = []
         for a, b in parts:
             # a vertex past host_n is refused before it is shifted into a mask
@@ -46,8 +48,7 @@ class BicliqueCover:
             if a & b:
                 raise ValueError("biclique parts must be disjoint")
             norm.append((a, b))
-        object.__setattr__(self, "host_n", host_n)
-        object.__setattr__(self, "parts", tuple(norm))
+        return super().__new__(cls, host_n, tuple(norm))
 
 
 def verify_cover(
@@ -94,8 +95,7 @@ def tt_profile(c: BicliqueCover) -> dict[int, int]:
     return profile
 
 
-@dataclass(frozen=True)
-class ProfileClaimReport:
+class ProfileClaimReport(NamedTuple):
     holds: bool
     slack_pairs: int
     rows: tuple[tuple[int, int, bool, float], ...]  # (t, |T_t|, holds, slack)
@@ -187,8 +187,7 @@ def two_path_condition(d: Digraph) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
-@dataclass(frozen=True)
-class MultiplicityProbe:
+class MultiplicityProbe(NamedTuple):
     """Result of the sampled uniqueness probe.
 
     Exhaustive verification over all v(D)-vertex tournaments is infeasible at

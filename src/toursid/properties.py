@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .counting import (
     HostColumns,
@@ -55,10 +54,7 @@ FORCING_EXACT_MAPS = 10**8
 REPORT_SCHEMA = "toursid/report-v1"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Verdict record with exact extremal ratio and reloadable witness."""
-
+class _ReportFields(NamedTuple):
     property_name: str
     pattern_dgf: str
     provenance: Optional[dict]
@@ -67,9 +63,16 @@ class PropertyReport:
     extremal_ratio: Optional[Fraction]
     witness_trn: Optional[str]
     curve: tuple
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
-    def __post_init__(self):
+
+class PropertyReport(_ReportFields):
+    """Verdict record with exact extremal ratio and reloadable witness."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # sampled estimates may legitimately sit above 1 without a 3-sigma
         # violation call, and impartiality has no ratio at all
         exact = self.regime.get("kind") not in ("sampled-family", "impartial-scan")
@@ -84,6 +87,7 @@ class PropertyReport:
             and self.extremal_ratio > 1
         ):
             raise ValueError("holds verdict contradicts an extremal ratio above 1")
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,8 +305,7 @@ def check_anti_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) -> Pro
     return _max_report(d, n_max, (), "anti-sidorenko-upto", regime, dedup=dedup)
 
 
-@dataclass(frozen=True)
-class SampledDensity:
+class SampledDensity(NamedTuple):
     """Monte-Carlo homomorphism-density estimate over uniform vertex maps."""
 
     hits: int
@@ -379,15 +382,17 @@ def check_anti_on_family(
         raise ValueError("family scan needs at least one host value")
     if samples is not None and seed is None:
         raise ValueError("sampled family scan needs a seed")
+    # each host is built when the loop below reaches it, so a scan that
+    # fails its budget early has not built the hosts after the failing one
     if family == "transitive":
-        hosts = [(n, transitive_host(n)) for n in values]
+        hosts = ((n, transitive_host(n)) for n in values)
     elif family == "blowup":
         src = base if base is not None else d
-        hosts = [(m, fill_to_tournament(src.blowup(m), "lex")) for m in values]
+        hosts = ((m, fill_to_tournament(src.blowup(m), "lex")) for m in values)
     elif family == "two-block":
         if c is None or seed is None:
             raise ValueError("two-block family needs c and seed")
-        hosts = [(n, two_block_tournament(n, c, seed)) for n in values]
+        hosts = ((n, two_block_tournament(n, c, seed)) for n in values)
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -524,8 +529,7 @@ def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
 # -- stars and the two-block family ------------------------------------------
 
 
-@dataclass(frozen=True)
-class StarClassification:
+class StarClassification(NamedTuple):
     sidorenko: bool
     anti_sidorenko: bool
 
@@ -670,8 +674,7 @@ def _exact_best(t: Tournament) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
     tournament: Tournament
     index: int
     h_values: tuple[int, ...]
@@ -728,8 +731,7 @@ def interpolate_to_density(
     )
 
 
-@dataclass(frozen=True)
-class ForcingRow:
+class ForcingRow(NamedTuple):
     label: str
     n: int
     deviation: Optional[Fraction]

@@ -3,8 +3,11 @@ packed rows (`check anti --family transitive` and `blowup`, and `count`),
 every exhaustive, pinned and impartiality scan and the exact quasirandom scan
 (bit-sliced Python ints, so `quasi --host` and the exact `forcing_probe`
 rows) never import it, while the sampled quasirandom scan does, after
-`toursid/__init__.py` has set OPENBLAS_NUM_THREADS. Each case runs in a fresh
-interpreter, since this test process has long imported numpy."""
+`toursid/__init__.py` has set OPENBLAS_NUM_THREADS. The same probe guards the
+rest of the start-up set: no command loads `dataclasses`, `inspect` is absent
+until numpy brings it, and `toursid.constructions` loads only at `construct`.
+Each case runs in a fresh interpreter, since this test process has long
+imported numpy."""
 
 import json
 import os
@@ -22,9 +25,9 @@ from toursid.hosts import uniform_tournament
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints one JSON object: per step, whether numpy is in sys.modules after it
-# and the step's exit code, and OPENBLAS_NUM_THREADS as it was when numpy's
-# import began.
+# Prints one JSON object: per step, the step's exit code and which of the
+# watched modules are in sys.modules after it, and OPENBLAS_NUM_THREADS as it
+# was when numpy's import began.
 PROBE = textwrap.dedent(
     """
     import importlib.abc
@@ -40,13 +43,17 @@ PROBE = textwrap.dedent(
                 Watch.blas = os.environ.get("OPENBLAS_NUM_THREADS")
             return None
 
+    def loaded():
+        watched = ("numpy", "inspect", "dataclasses", "toursid.constructions")
+        return [name for name in watched if name in sys.modules]
+
     sys.meta_path.insert(0, Watch())
     import toursid.cli
 
-    steps = [["import", None, "numpy" in sys.modules]]
+    steps = [["import", None, loaded()]]
     for name, argv in json.loads(sys.argv[1]):
         code = toursid.cli.main(argv + ["--out", name + ".out"])
-        steps.append([name, code, "numpy" in sys.modules])
+        steps.append([name, code, loaded()])
     print(json.dumps({"steps": steps, "blas": Watch.blas}))
     """
 )
@@ -74,6 +81,7 @@ def run_probe(tmp_path, blas):
                                "--pins-set", "1", "--dedup", "--exhaustive", "5"]),
         ("impartial", ["check", "impartial", "--pattern", "star22.dgf", "--n", "6"]),
         ("quasi-host", ["quasi", "--host", "u12.trn"]),
+        ("construct", ["construct", "star", "2", "2"]),
         ("quasi-sampled", ["quasi", "--two-block", "1/10", "24", "--seed", "3",
                            "--samples", "50"]),
     ]
@@ -93,20 +101,21 @@ def run_probe(tmp_path, blas):
 def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
     got = run_probe(tmp_path, blas)
     assert got["steps"] == [
-        ["import", None, False],
-        ["transitive", 0, False],
-        ["blowup", 0, False],
-        ["count", 0, False],
-        ["count-homs", 0, False],
-        ["exhaustive", 0, False],
-        ["dedup", 0, False],
-        ["sidorenko", 0, False],
-        ["sidorenko-dedup", 0, False],
-        ["strong-anti", 0, False],
-        ["strong-anti-dedup", 0, False],
-        ["impartial", 2, False],
-        ["quasi-host", 0, False],
-        ["quasi-sampled", 0, True],
+        ["import", None, []],
+        ["transitive", 0, []],
+        ["blowup", 0, []],
+        ["count", 0, []],
+        ["count-homs", 0, []],
+        ["exhaustive", 0, []],
+        ["dedup", 0, []],
+        ["sidorenko", 0, []],
+        ["sidorenko-dedup", 0, []],
+        ["strong-anti", 0, []],
+        ["strong-anti-dedup", 0, []],
+        ["impartial", 2, []],
+        ["quasi-host", 0, []],
+        ["construct", 0, ["toursid.constructions"]],
+        ["quasi-sampled", 0, ["numpy", "inspect", "toursid.constructions"]],
     ]
     assert got["blas"] == expected
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toursid import properties
 from toursid.constructions import (
     d_family,
     directed_cycle,
@@ -151,6 +152,30 @@ class TestFamilyScan:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             check_anti_on_family(Digraph(1), "nope", [3])
+
+    @pytest.mark.parametrize(
+        "family, builder, options",
+        [
+            ("transitive", "transitive_host", {}),
+            ("blowup", "fill_to_tournament", {}),
+            ("two-block", "two_block_tournament", {"c": Fraction(1, 10), "seed": 3}),
+        ],
+    )
+    def test_hosts_are_built_as_they_are_counted(self, monkeypatch, family, builder, options):
+        built = []
+        build = getattr(properties, builder)
+
+        def counted(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(properties, builder, counted)
+        # the first host (6 vertices, or the blowup of star(2, 2) by 6)
+        # already takes more than one search expansion
+        monkeypatch.setenv("TOURSID_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            check_anti_on_family(star(2, 2), family, range(6, 100), **options)
+        assert len(built) == 1
 
 
 class TestBlowupFalsifier:
