@@ -49,6 +49,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _emit_doc(doc: dict, render, args) -> int:
     """Write doc as canonical JSON, or rendered by `render` under --format text."""
     _emit(render(doc) if args.fmt == "text" else json_dumps(doc), args.out)
@@ -171,25 +176,23 @@ _FAMILIES = {
 def _cmd_construct(args) -> int:
     family = args.family
     if family not in _FAMILIES:
-        print(f"error: unknown family {family!r}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(f"unknown family {family!r}")
     name, arity = _FAMILIES[family]
     # the catalog is loaded here only: no other command builds from it
     from . import constructions
 
     builder = getattr(constructions, name)
     if arity is None:
+        if args.params:
+            return _error(f"construct {family} does not take integer parameters")
         if not args.graph:
-            print(f"error: {family} needs --graph FILE", file=sys.stderr)
-            return EXIT_ERROR
+            return _error(f"{family} needs --graph FILE")
         d = builder(_load_pattern(args.graph).underlying())
     else:
+        if args.graph is not None:
+            return _error(f"construct {family} does not take --graph")
         if len(args.params) != arity:
-            print(
-                f"error: {family} takes {arity} integer parameter(s)",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
+            return _error(f"{family} takes {arity} integer parameter(s)")
         d = builder(*args.params)
         if family == "subset-bipartite":
             d = d[0]  # the builder also returns part A
@@ -209,8 +212,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.pins and args.mode == "homs":
-        print("error: count --mode homs does not take --pins", file=sys.stderr)
-        return EXIT_ERROR
+        return _error("count --mode homs does not take --pins")
     pattern = _load_pattern(args.pattern)
     host = host_loads(Path(args.host).read_text())
     if args.pins:
@@ -257,11 +259,9 @@ def _cmd_check(args) -> int:
     scan = args.property
     if scan == "anti":
         if args.exhaustive is None and args.family is None:
-            print("error: check anti needs --exhaustive or --family", file=sys.stderr)
-            return EXIT_ERROR
+            return _error("check anti needs --exhaustive or --family")
         if args.exhaustive is None and args.dedup:
-            print("error: check anti --dedup needs --exhaustive", file=sys.stderr)
-            return EXIT_ERROR
+            return _error("check anti --dedup needs --exhaustive")
         scan += " --family" if args.exhaustive is None else " --exhaustive"
     regime = scan
     if scan == "anti --family":
@@ -270,14 +270,12 @@ def _cmd_check(args) -> int:
     # an empty --pins-set or --n is as good as none
     missing = [k for k in needs if getattr(args, k) in (None, "")]
     if missing:
-        print(f"error: check {scan} needs {' and '.join(_flags(missing))}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(f"check {scan} needs {' and '.join(_flags(missing))}")
     # an absent option is None, or False for --dedup (a given 0 is neither)
     given = [k for k in _CHECK_OPTIONS if all(getattr(args, k) is not v for v in (None, False))]
     unread = [k for k in given if k not in needs + reads]
     if unread:
-        print(f"error: check {scan} does not take {', '.join(_flags(unread))}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(f"check {scan} does not take {', '.join(_flags(unread))}")
     if scan == "anti --exhaustive":
         report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
     elif scan == "anti --family":
@@ -305,23 +303,24 @@ def _cmd_check(args) -> int:
 
 def _cmd_quasi(args) -> int:
     if args.two_block:
+        if args.host is not None:
+            return _error("quasi --two-block does not take --host")
         if args.seed is None:
-            print("error: --two-block requires --seed", file=sys.stderr)
-            return EXIT_ERROR
+            return _error("--two-block requires --seed")
         c = _fraction(args.two_block[0], "--two-block C")
         n = _int(args.two_block[1], "--two-block N")
         host = two_block_tournament(n, c, args.seed)
         label = f"two-block(c={c},n={n},seed={args.seed})"
     elif args.host:
+        if args.seed is not None and args.samples is None:
+            return _error("quasi --host does not take --seed without --samples")
         host = host_loads(Path(args.host).read_text())
         label = args.host
     else:
-        print("error: quasi needs --host or --two-block", file=sys.stderr)
-        return EXIT_ERROR
+        return _error("quasi needs --host or --two-block")
     if args.samples is not None:
         if args.seed is None:
-            print("error: sampled mode requires --seed", file=sys.stderr)
-            return EXIT_ERROR
+            return _error("sampled mode requires --seed")
         eps = quasirandom_epsilon(
             host, "sampled", samples=args.samples, seed=args.seed
         )
@@ -409,11 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # a FormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(str(exc))
     except BudgetExceededError as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(f"budget exceeded: {exc}")
 
 
 if __name__ == "__main__":

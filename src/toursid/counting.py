@@ -1,6 +1,9 @@
 """Exact counters for homomorphisms, labeled copies, and pinned labeled copies.
 
-Two engines, validated against each other and against an oracle:
+Two engines, validated against each other and against an oracle, walk one
+plan: `_plan` compiles a pattern and its pinned set, once and cached, into a
+vertex order and each position's edges to earlier positions. Both count the
+unpinned degree-0 vertices in closed form, outside the walk.
 
 * the count table, for exhaustive scans. `count_table` compiles a pattern once
   per host size n into a list of (pair-code mask, required bits,
@@ -11,9 +14,9 @@ Two engines, validated against each other and against an oracle:
   the AND of its columns, and each row's hits are ripple-added into a
   `HostCounts` vertical counter (one int per count bit), so every host of a
   size is counted at once and no numpy is imported;
-* the backtracker, for single hosts of any size. It walks a static
-  pattern-vertex order chosen by maximum back-degree (most constraints
-  earliest), with candidate sets kept as bit-row intersections of the
+* the backtracker, for single hosts of any size. The plan's order puts the
+  pinned vertices first, then the others by maximum back-degree (most
+  constraints earliest), and candidate sets are bit-row intersections of the
   already-placed images' in/out neighborhoods. The largest class of twins
   (unpinned vertices with equal in- and out-rows, hence pairwise
   non-adjacent) goes last, and that trailing group is counted in closed form
@@ -47,7 +50,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -167,37 +170,57 @@ class PinnedPattern(_PinnedFields):
         return tuple(bits(self.pinned))
 
 
-def _search_order(d: Digraph, active: list[int], first: tuple[int, ...] = ()) -> list[int]:
-    """Static order: pinned prefix first, then greedily max back-degree, ties
-    by larger total degree then smaller index; the largest twin class goes
-    last.
+@lru_cache(maxsize=256)
+def _plan(
+    d: Digraph, pinned: tuple[int, ...] = ()
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...], int, int]:
+    """The walk of d that both engines take, with the sorted vertices
+    `pinned` fixed by an anchor: (order, cons, isolated, group).
 
-    Twins are unpinned active vertices with equal out- and in-rows. The
-    largest class of at least two of them (ties: the class holding the
-    smallest vertex) is taken out of the greedy order and appended after it,
-    so `_backtrack` can count it in closed form. Without such a class the
-    order is the plain greedy one.
+    `order` holds the pinned vertices, then the other vertices of positive
+    degree greedily by max back-degree (ties by larger total degree, then
+    smaller index), then the largest class of at least two twins (ties: the
+    class holding the smallest vertex). `cons[t]` lists position t's edges to
+    earlier positions s as (s, forward), forward when the edge runs from s.
+    `isolated` counts the unpinned degree-0 vertices, which no walk visits.
+    The trailing group, positions `group` to the end, is the maximal suffix
+    of unpinned positions sharing one constraint list: the twins, or else
+    just the last position.
     """
+    placed = mask_of(pinned)
+    if placed >> d.n:
+        raise ValueError("pinned set is not a subset of the pattern vertices")
     adj = [d.out(v) | d.inn(v) for v in range(d.n)]
-    placed_mask = mask_of(first)
-    order = list(first)
-    remaining = [v for v in active if not placed_mask >> v & 1]
+    free = [v for v in range(d.n) if adj[v] and not placed >> v & 1]
+    if len(pinned) + len(free) > SEARCH_DEPTH_LIMIT:
+        raise SizeLimitError(
+            f"backtracking is guarded at {SEARCH_DEPTH_LIMIT} active pattern vertices"
+        )
     classes: dict[tuple[int, int], list[int]] = {}
-    for v in remaining:
+    for v in free:
         classes.setdefault((d.out(v), d.inn(v)), []).append(v)
     twins = max(classes.values(), key=lambda c: (len(c), -c[0]), default=[])
     if len(twins) < 2:
         twins = []
-    remaining = [v for v in remaining if v not in twins]
+    remaining = [v for v in free if v not in twins]
+    order = list(pinned)
     while remaining:
         best = max(
             remaining,
-            key=lambda v: ((adj[v] & placed_mask).bit_count(), adj[v].bit_count(), -v),
+            key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v),
         )
         order.append(best)
-        placed_mask |= 1 << best
+        placed |= 1 << best
         remaining.remove(best)
-    return order + twins
+    order += twins
+    cons = tuple(
+        tuple((s, d.has_edge(u, v)) for s, u in enumerate(order[:t]) if adj[v] >> u & 1)
+        for t, v in enumerate(order)
+    )
+    group = len(order)
+    while group > len(pinned) and cons[group - 1] == cons[-1]:
+        group -= 1
+    return tuple(order), cons, d.n - len(order), group
 
 
 def _backtrack(
@@ -208,17 +231,15 @@ def _backtrack(
     pins: Optional[dict[int, int]] = None,
     limit: Optional[int] = None,
 ) -> int:
-    """Count maps V(d) -> V(host) preserving directed edges.
+    """Count maps V(d) -> V(host) preserving directed edges, walking `_plan`.
 
     Degree-0 unpinned pattern vertices are factored out in closed form, and
-    so is the trailing group: the maximal suffix of the search order whose
-    vertices are unpinned and share one constraint list (the twins that
-    `_search_order` puts last, or else just the last vertex). That list
-    refers only to earlier positions, so the k group vertices draw from one
-    candidate row: with c candidates, c^k homomorphisms, and with c unused
-    candidates, (c)_k injective maps. The last walked position counts the
-    group in its own candidate loop, from one base row of the group's
-    constraints on earlier positions cut by each candidate's row.
+    so is the plan's trailing group. Its constraint list refers only to
+    earlier positions, so the k group vertices draw from one candidate row:
+    with c candidates, c^k homomorphisms, and with c unused candidates,
+    (c)_k injective maps. The last walked position counts the group in its
+    own candidate loop, from one base row of the group's constraints on
+    earlier positions cut by each candidate's row.
 
     Each expansion of a search position counts against the work budget, and
     the trailing group is one expansion per candidate of the last walked
@@ -226,40 +247,16 @@ def _backtrack(
     there (early exit), checked after each candidate.
     """
     pins = pins or {}
+    order, plan, isolated, group = _plan(d, tuple(sorted(pins)))
     n = host.n
-    k = d.n
-    isolated = [
-        v for v in range(d.n) if d.degree(v) == 0 and v not in pins
-    ]
-    active = [v for v in range(d.n) if d.degree(v) > 0 or v in pins]
-    r = len(active)
-    if r > SEARCH_DEPTH_LIMIT:
-        raise SizeLimitError(
-            f"backtracking is guarded at {SEARCH_DEPTH_LIMIT} active pattern vertices"
-        )
-    if injective and n < k:
+    if injective and n < d.n:
         return 0
 
     # closed-form multiplier for the isolated vertices
-    mult = math.perm(n - r, len(isolated)) if injective else n ** len(isolated)
+    mult = math.perm(n - len(order), isolated) if injective else n**isolated
     if mult == 0:
         return 0
 
-    order = _search_order(d, active, first=tuple(sorted(pins)))
-    plan: list[list[tuple[int, bool]]] = []
-    for t, v in enumerate(order):
-        cons = []
-        for s in range(t):
-            u = order[s]
-            if d.has_edge(u, v):
-                cons.append((s, True))
-            if d.has_edge(v, u):
-                cons.append((s, False))
-        plan.append(cons)
-    # the trailing group occupies positions group .. len(order) - 1
-    group = len(order)
-    while group and order[group - 1] not in pins and plan[group - 1] == plan[-1]:
-        group -= 1
     size = len(order) - group
     out_rows = host.out_rows()
     in_rows = host.in_rows()
@@ -447,16 +444,17 @@ def count_table(
     `digraph.pair_order` does (the `Tournament.code` order). Maps with equal
     (mask, req) share a row whose multiplicity counts them. The enumeration
     volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
-    before anything is enumerated. The maps are walked vertex by vertex
-    (pinned ones first), each partial map carrying its mask and req.
+    before anything is enumerated. The maps are walked position by position
+    along `_plan`, each partial map carrying its mask and req; the isolated
+    vertices, which constrain nothing, multiply every row by
+    (n - walked)_isolated.
     """
     if n > REPRESENTATIVES_LIMIT:
         raise SizeLimitError(f"the count table is guarded at n = {REPRESENTATIVES_LIMIT}")
     pins = pins or {}
     _check_anchor(pins, n)
-    free = [v for v in range(d.n) if v not in pins]
     spare = [h for h in range(n) if h not in pins.values()]
-    volume = math.perm(len(spare), len(free))
+    volume = math.perm(len(spare), d.n - len(pins))
     ceiling = work_budget()
     if volume > ceiling:
         raise BudgetExceededError(
@@ -464,25 +462,25 @@ def count_table(
         )
     if not volume:
         return []
+    order, cons, isolated, _ = _plan(d, tuple(sorted(pins)))
+    scale = math.perm(n - len(order), isolated)
     pairs = pair_count(n)
     # to[x][y]: the constraint of an edge mapped to x -> y, as mask << P | req
     to = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(pair_order(n)):
         to[i][j], to[j][i] = 1 << pairs + p | 1 << p, 1 << pairs + p
     frm = [list(col) for col in zip(*to)]  # frm[y][x] = to[x][y]
-    adj = [d.out(v) | d.inn(v) for v in range(d.n)]
-    order = sorted(pins) + free
+    # the last position whose constraints read each position's image
+    last = {s: t for t, edges in enumerate(cons) for s, _ in edges}
     # the partial maps, column by column: hosts used, constraint keys, and
-    # the images of the placed positions that still have an edge to place
+    # the images of the placed positions that a later position still reads
     used, keys, images = [0], [0], {}
     for t, v in enumerate(order):
-        later = mask_of(order[t + 1 :])
-        # the edges from (frm) and to (to) earlier positions, as the table
-        # that gives their key from v's image h and the earlier image
-        edges = [(s, frm) for s in images if d.has_edge(order[s], v)]
-        edges += [(s, to) for s in images if d.has_edge(v, order[s])]
-        grown = {s: [] for s in images if adj[order[s]] & later}
-        if adj[v] & later:
+        # per edge to an earlier position s, the table that gives its key
+        # from v's image h and s's image
+        edges = [(s, frm if forward else to) for s, forward in cons[t]]
+        grown = {s: [] for s in images if last[s] > t}
+        if t in last:
             grown[t] = []
         next_used, next_keys = [], []
         for h in [pins[v]] if v in pins else spare:
@@ -497,7 +495,7 @@ def count_table(
                 col += compress(images[s], sel) if s < t else [h] * len(ks)
         used, keys, images = next_used, next_keys, grown
     low = (1 << pairs) - 1
-    return [(k >> pairs, k & low, mult) for k, mult in Counter(keys).items()]
+    return [(k >> pairs, k & low, mult * scale) for k, mult in Counter(keys).items()]
 
 
 def labeled_counts(

@@ -31,11 +31,13 @@ against it for n <= 6.
 """
 
 import json
+import os
 import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -147,8 +149,9 @@ class TestTable:
 
     def test_not_read_at_import(self):
         probe = "import toursid.cli, toursid.hosts as h; print(h._class_table.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out == "0\n"
 

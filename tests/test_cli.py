@@ -445,6 +445,27 @@ class TestInvalidOptions:
                 "--pins", "0:1"]
         assert TestEmptyInputs.error(capsys, argv) == "error: count --mode homs does not take --pins"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("construct", "tree-orientation", "3", "--graph", "{p2}"),
+             "construct tree-orientation does not take integer parameters"),
+            (("construct", "star", "1", "1", "--graph", "{p2}"),
+             "construct star does not take --graph"),
+            (("quasi", "--host", "{host}", "--two-block", "1/2", "8", "--seed", "3"),
+             "quasi --two-block does not take --host"),
+            (("quasi", "--host", "{host}", "--seed", "3"),
+             "quasi --host does not take --seed without --samples"),
+        ],
+        ids=["construct-params", "construct-graph", "quasi-two-block-host", "quasi-host-seed"],
+    )
+    def test_construct_and_quasi_refuse_input_they_do_not_read(
+        self, tmp_path, tt4_file, capsys, argv, message
+    ):
+        p2 = write_pattern(tmp_path, directed_path(1), "p2.dgf")
+        argv = [x.format(p2=p2, host=tt4_file) for x in argv]
+        assert TestEmptyInputs.error(capsys, argv) == f"error: {message}"
+
     def test_dedup_needs_exhaustive(self, tmp_path, capsys):
         pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
         argv = ["check", "anti", "--pattern", pattern, "--dedup", "--family", "transitive",

@@ -19,7 +19,7 @@ from toursid.counting import (
     HostColumns,
     PinnedPattern,
     _backtrack,
-    _search_order,
+    _plan,
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
@@ -32,12 +32,19 @@ from toursid.digraph import (
     Digraph,
     SizeLimitError,
     Tournament,
+    disjoint_union,
     fill_to_tournament,
     transitive_host,
 )
 from toursid.hosts import class_codes, tournament_representatives, uniform_tournament
 import toursid
-from toursid.properties import check_anti_exhaustive, is_impartial_upto, two_block_tournament
+from toursid.properties import (
+    check_anti_exhaustive,
+    check_anti_on_family,
+    check_strong_anti,
+    is_impartial_upto,
+    two_block_tournament,
+)
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -459,6 +466,36 @@ class TestCountTable:
             )
             assert total == math.perm(n, 5) << n * (n - 1) // 2 >> 4, (pins, n)
 
+    @pytest.mark.parametrize(
+        "d, isolated",
+        [
+            (Digraph(3, [(0, 1)]), 2),
+            (Digraph(4, [(0, 1)]), 3),
+            (disjoint_union(directed_cycle(3), Digraph(2)), 3),
+        ],
+        ids=["edge+1", "edge+2", "c3+2"],
+    )
+    def test_isolated_vertices_in_closed_form(self, d, isolated):
+        # the table walks the edges only and scales each row by the
+        # injective placements of the isolated vertices; vertex 0 has an edge
+        for n in range(1, 6):
+            columns = raw_columns(n)
+            hosts = [Tournament.from_code(n, c) for c in range(1 << n * (n - 1) // 2)]
+            expected = [oracle_count(d, t, "labeled") for t in hosts]
+            assert list(labeled_counts(d, columns)) == expected, n
+            assert [count_labeled(d, t).value for t in hosts] == expected, n
+            for v in (isolated, 0):
+                p = PinnedPattern(d, (v,))
+                per_anchor = []
+                for a in range(n):
+                    counts = list(labeled_counts(d, columns, {v: a}))
+                    assert counts == [
+                        count_labeled_pinned(p, t, {v: a}).value for t in hosts
+                    ], (v, a, n)
+                    per_anchor.append(counts)
+                # every injective map extends exactly one anchor of v
+                assert [sum(c) for c in zip(*per_anchor)] == expected, (v, n)
+
     def test_rows_merge_equal_constraints(self):
         # the 5 rotations of a 5-cycle map impose the same constraints
         rows = count_table(directed_cycle(5), 6)
@@ -482,6 +519,8 @@ class TestCountTable:
             count_table(directed_path(2), 4, {0: 1, 2: 1})
         with pytest.raises(ValueError):
             count_table(directed_path(2), 4, {0: 4})
+        with pytest.raises(ValueError, match="not a subset of the pattern"):
+            count_table(directed_path(2), 4, {5: 0})
 
 
 class TestSizeGuards:
@@ -525,13 +564,26 @@ class TestTwinClosedForm:
     def test_twin_class_goes_last(self):
         # star(2, 2): out-leaves {1, 2} and in-leaves {3, 4} tie in size, so
         # the class holding the smaller vertex goes last
-        assert _search_order(star(2, 2), list(range(5))) == [0, 3, 4, 1, 2]
-        assert _search_order(star(1, 3), list(range(5))) == [0, 1, 2, 3, 4]
-        assert _search_order(star(3, 1), list(range(5))) == [0, 4, 1, 2, 3]
+        def walk(d, pinned=()):
+            order, _, _, group = _plan(d, pinned)
+            return order, group
+
+        assert walk(star(2, 2)) == ((0, 3, 4, 1, 2), 3)
+        assert walk(star(1, 3)) == ((0, 1, 2, 3, 4), 2)
+        assert walk(star(3, 1)) == ((0, 4, 1, 2, 3), 2)
         # a pinned leaf leaves the class and joins the prefix
-        assert _search_order(star(1, 3), list(range(5)), (2,)) == [2, 0, 1, 3, 4]
-        # no twins: the plain greedy order
-        assert _search_order(directed_path(3), list(range(4))) == [1, 2, 0, 3]
+        assert walk(star(1, 3), (2,)) == ((2, 0, 1, 3, 4), 3)
+        # no twins: the plain greedy order, and the last vertex alone is the group
+        assert walk(directed_path(3)) == ((1, 2, 0, 3), 3)
+
+    def test_each_pattern_is_compiled_once(self):
+        d = star(2, 2)
+        _plan.cache_clear()
+        check_anti_on_family(d, "transitive", range(4, 13))
+        assert _plan.cache_info().misses == 1
+        _plan.cache_clear()
+        check_strong_anti(PinnedPattern(d, (0,)), 6)
+        assert _plan.cache_info().misses == 1
 
     def test_pinned_vertices_stay_out_of_the_group(self):
         # two pinned isolated vertices share an empty constraint list but

@@ -16,10 +16,12 @@ SHA-256.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -610,7 +612,8 @@ MEMORY_PROBE = textwrap.dedent(
 def test_sampling_streams_in_bounded_blocks():
     # an unchunked rewrite holds 200k x 5 map slots (8 MB) or 300 x 768 x 12
     # subset words (22 MB) at once; the streamed blocks stay far below 2 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run(
-        [sys.executable, "-c", MEMORY_PROBE], capture_output=True, text=True, check=True
+        [sys.executable, "-c", MEMORY_PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert int(out) < 2048
