@@ -21,7 +21,6 @@ from .counting import (
     CountResult,
     PinnedPattern,
     count_homomorphisms,
-    count_labeled,
     count_labeled_pinned,
     labeled_bound,
 )
@@ -215,21 +214,19 @@ def _cmd_count(args) -> int:
         return _error("count --mode homs does not take --pins")
     pattern = _load_pattern(args.pattern)
     host = host_loads(Path(args.host).read_text())
-    if args.pins:
-        pins = _parse_pins(args.pins)
-        pat = PinnedPattern(pattern, tuple(pins))
-        res = count_labeled_pinned(pat, host, pins)
-        doc = res.to_json_dict()
-        doc["mode"] = "labeled-pinned"
-        doc["pins"] = {str(k): v for k, v in sorted(pins.items())}
-    elif args.mode == "homs":
-        value = count_homomorphisms(pattern, host)
-        doc = CountResult(value, labeled_bound(pattern, host.n)).to_json_dict()
-        doc["mode"] = "homs"
+    if args.mode == "homs":
+        res = CountResult(count_homomorphisms(pattern, host), labeled_bound(pattern, host.n))
+        doc = {"mode": "homs"}
     else:
-        res = count_labeled(pattern, host)
-        doc = res.to_json_dict()
-        doc["mode"] = "labeled"
+        # no --pins is the empty anchor: the unpinned count and bound
+        pins = _parse_pins(args.pins) if args.pins else {}
+        res = count_labeled_pinned(PinnedPattern(pattern, tuple(pins)), host, pins)
+        doc = {"mode": "labeled"}
+        if pins:
+            doc = {"mode": "labeled-pinned", "pins": {str(k): v for k, v in sorted(pins.items())}}
+    ratio = res.ratio
+    doc |= {"value": str(res.value), "bound": _frac(res.bound), "ratio": _frac(ratio)}
+    doc["ratio_approx"] = float(ratio)
     return _emit_doc(doc, _render_count_text, args)
 
 

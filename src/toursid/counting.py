@@ -40,7 +40,7 @@ TOURSID_BUDGET environment variable (default DEFAULT_BUDGET); no function
 takes it as an argument.
 
 All verdict arithmetic (bounds, ratios) is exact: big integers and Fractions.
-Floating point appears only in convenience report fields.
+No report is serialized here; the `*_approx` floats are written by callers.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .digraph import (
     pair_count,
     pair_order,
 )
-from .formats import _frac
 from .hosts import REPRESENTATIVES_LIMIT
 
 DEFAULT_BUDGET = 10**9
@@ -127,14 +126,6 @@ class CountResult(NamedTuple):
         if not self.bound:
             raise ValueError("the labeled ratio is undefined on the empty host")
         return Fraction(self.value) / self.bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "bound": _frac(self.bound),
-            "ratio": _frac(self.ratio),
-            "ratio_approx": float(self.ratio),
-        }
 
 
 class _PinnedFields(NamedTuple):

@@ -112,24 +112,29 @@ class PropertyReport(_ReportFields):
 
     @staticmethod
     def from_json(text: str, verify: bool = True) -> "PropertyReport":
+        """Load a report-v1 document; a malformed one is a ValueError."""
         doc = json.loads(text)
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ValueError(f"unknown report schema {doc.get('schema')!r}")
-        report = PropertyReport(
-            property_name=doc["property"],
-            pattern_dgf=doc["pattern"]["dgf"],
-            provenance=doc["pattern"]["provenance"],
-            regime=doc["regime"],
-            verdict=doc["verdict"],
-            extremal_ratio=None
-            if doc["extremal_ratio"] is None
-            else _unfrac(doc["extremal_ratio"]),
-            witness_trn=doc["witness_trn"],
-            curve=tuple(doc["curve"]),
-            extra=doc["extra"],
-        )
-        if verify and report.verdict == "violated":
-            report.verify_witness()
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != REPORT_SCHEMA:
+            raise ValueError(f"unknown report schema {schema!r}")
+        try:
+            report = PropertyReport(
+                property_name=doc["property"],
+                pattern_dgf=doc["pattern"]["dgf"],
+                provenance=doc["pattern"]["provenance"],
+                regime=doc["regime"],
+                verdict=doc["verdict"],
+                extremal_ratio=None
+                if doc["extremal_ratio"] is None
+                else _unfrac(doc["extremal_ratio"]),
+                witness_trn=doc["witness_trn"],
+                curve=tuple(doc["curve"]),
+                extra=doc["extra"],
+            )
+            if verify and report.verdict == "violated":
+                report.verify_witness()
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from None
         return report
 
     def verify_witness(self) -> None:
@@ -320,8 +325,11 @@ class SampledDensity(NamedTuple):
         p = self.hits / self.samples
         return math.sqrt(max(p * (1 - p), 0.0) / self.samples)
 
-    def violates(self, bound: Fraction, sigmas: float = 3.0) -> bool:
-        return float(self.estimate) - sigmas * self.stderr > float(bound)
+    def violates(self, bound: Fraction) -> bool:
+        """The estimate p lies more than three standard errors above `bound`,
+        decided in rationals: p > bound and (p - bound)^2 samples > 9 p (1 - p)."""
+        p = self.estimate
+        return p > bound and (p - bound) ** 2 * self.samples > 9 * p * (1 - p)
 
 
 def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> SampledDensity:
@@ -372,16 +380,21 @@ def check_anti_on_family(
 
     family "transitive": hosts are the transitive tournaments at each value n.
     family "blowup": hosts are lexicographically filled balanced blowups of
-    `base` (default: the pattern itself) at each multiplier value.
+    `base` (default: the pattern itself) at each multiplier value; a given
+    base is recorded as DGF/1 in `regime.base`.
     family "two-block": hosts are the planted two-block tournaments at sizes
     `values` with left fraction `c` and the given seed. With `samples` set (any
     family; it needs the seed) the density is estimated by seeded map sampling
-    and a violation is called only at three standard errors past the baseline.
+    and a violation is called only at three standard errors past the baseline,
+    decided in rationals by `SampledDensity.violates`.
     """
     if not values:
         raise ValueError("family scan needs at least one host value")
     if samples is not None and seed is None:
         raise ValueError("sampled family scan needs a seed")
+    regime: dict = {"kind": "family", "family": family, "values": list(values)}
+    if samples is not None:
+        regime |= {"kind": "sampled-family", "samples": samples}
     # each host is built when the loop below reaches it, so a scan that
     # fails its budget early has not built the hosts after the failing one
     if family == "transitive":
@@ -389,10 +402,13 @@ def check_anti_on_family(
     elif family == "blowup":
         src = base if base is not None else d
         hosts = ((m, fill_to_tournament(src.blowup(m), "lex")) for m in values)
+        if base is not None:
+            regime["base"] = dgf_dumps(base)
     elif family == "two-block":
         if c is None or seed is None:
             raise ValueError("two-block family needs c and seed")
         hosts = ((n, two_block_tournament(n, c, seed)) for n in values)
+        regime |= {"c": str(Fraction(c)), "seed": seed}
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -436,13 +452,6 @@ def check_anti_on_family(
         best_ratio = max(best_ratio, ratio)
 
     violated = any(row["violated"] for row in curve)
-    regime: dict = {"kind": "family", "family": family, "values": list(values)}
-    if family == "two-block":
-        regime["c"] = str(Fraction(c))
-        regime["seed"] = seed
-    if samples is not None:
-        regime["kind"] = "sampled-family"
-        regime["samples"] = samples
     extra = {}
     if witness is not None and samples is not None:
         extra["witness_hits"] = witness_row["hits"]
@@ -704,18 +713,17 @@ def interpolate_to_density(
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
     pairs = [(i, j) for i, j in pair_order(n) if not (excl >> i & 1 or excl >> j & 1)]
     rows = list(t_lo.out_rows())
-    h_values = [count_homomorphisms(d, t_lo)]
+    h = count_homomorphisms(d, t_lo)
+    h_values = [h]
     snapshots = [tuple(rows)]
     for i, j in pairs:
-        if rows[i] >> j & 1 and not t_hi.has_edge(i, j):
-            rows[i] &= ~(1 << j)
-            rows[j] |= 1 << i
-        elif rows[j] >> i & 1 and not t_hi.has_edge(j, i):
-            rows[j] &= ~(1 << i)
-            rows[i] |= 1 << j
-        snapshot = tuple(rows)
-        snapshots.append(snapshot)
-        h_values.append(count_homomorphisms(d, Tournament.from_rows(snapshot)))
+        # flip a pair that t_hi orients the other way; only a flip moves the count
+        if rows[i] >> j & 1 != t_hi.has_edge(i, j):
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            h = count_homomorphisms(d, Tournament.from_rows(rows))
+        snapshots.append(tuple(rows))
+        h_values.append(h)
     lo, hi = h_values[0], h_values[-1]
     if not (min(lo, hi) <= target <= max(lo, hi)):
         raise ValueError(

@@ -9,7 +9,9 @@ After a deliberate change of report bytes, re-record the file with
     PYTHONPATH=src python tests/record_report_digests.py
 
 It rewrites `report_digests.json` and prints every key whose digest changed,
-appeared or disappeared; that list belongs in the change's notes.
+appeared or disappeared; that list belongs in the change's notes. With
+`--check` it prints the same keys without rewriting the file, and exits 1
+if there are any.
 
 The corpus: catalog(4) plus C5, C7, star(2,2), TT5 and d_family(3) (d_family(2)
 is already in the catalog), each scanned by `check anti` and `sidorenko-scan`
@@ -162,25 +164,36 @@ def reports():
     yield from _forcing_docs()
 
 
-def digests() -> dict[str, str]:
+def digests(entries=None) -> dict[str, str]:
+    """The digest of each (key, text) of `entries`, by default `reports()`."""
     out = {}
-    for key, text in reports():
+    for key, text in reports() if entries is None else entries:
         if key in out:
             raise ValueError(f"duplicate corpus key {key!r}")
         out[key] = digest(text)
     return out
 
 
-def main() -> int:
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """The keys whose digest changed, appeared or disappeared."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: record_report_digests.py [--check]", file=sys.stderr)
+        return 2
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     new = digests()
-    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    if not check:
+        DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    changed = changed_keys(old, new)
     for key in changed:
         print(key)
     print(f"{len(new)} digests, {len(changed)} changed", file=sys.stderr)
-    return 0
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -11,6 +11,7 @@ from toursid.constructions import (
     directed_path,
     impartial_four_tree,
     star,
+    subset_bipartite,
     transitive_tournament,
 )
 from toursid.digraph import transitive_host
@@ -64,6 +65,12 @@ class TestConstruct:
         assert main(["construct", "all-orientations-union", "--graph", src]) == 0
         d = dgf_loads(capsys.readouterr().out)
         assert (d.n, d.edge_count) == (12, 8)
+
+    def test_subset_bipartite_emits_the_digraph_without_its_part(self, capsys):
+        assert main(["construct", "subset-bipartite", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# constructed: subset-bipartite k=2\n")
+        assert dgf_loads(out) == subset_bipartite(2)[0]
 
     def test_unknown_family_errors(self, capsys):
         assert main(["construct", "zigzag", "1"]) == 1
@@ -129,6 +136,22 @@ class TestCount:
         assert main(["count", "--pattern", str(bad), "--host", tt4_file]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_pinned_and_unpinned_documents(self, tmp_path, tt4_file, capsys):
+        # one labeled path: with no --pins the anchor is empty, and only the
+        # mode and the pins tell the two documents apart
+        pattern = write_pattern(tmp_path, star(1, 1), "s11.dgf")
+        argv = ["count", "--pattern", pattern, "--host", tt4_file]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{"bound":{"den":"1","num":"16"},"mode":"labeled",'
+            '"ratio":{"den":"4","num":"1"},"ratio_approx":0.25,"value":"4"}\n'
+        )
+        assert main(argv + ["--pins", "0:1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"bound":{"den":"1","num":"4"},"mode":"labeled-pinned","pins":{"0":1},'
+            '"ratio":{"den":"2","num":"1"},"ratio_approx":0.5,"value":"2"}\n'
+        )
+
     def test_budget_abort_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOURSID_BUDGET", "4")
         pattern = write_pattern(tmp_path, d_family(2), "d2.dgf")
@@ -155,6 +178,17 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, SCHEMA)
         assert doc["witness_trn"].startswith("12\n")
+
+    def test_blowup_report_names_its_base(self, tmp_path, capsys):
+        pattern = write_pattern(tmp_path, directed_path(3), "p3.dgf")
+        base = write_pattern(tmp_path, directed_cycle(3), "c3.dgf")
+        argv = ["check", "anti", "--pattern", pattern, "--family", "blowup", "--n", "2..3"]
+        code = main(argv)
+        assert "base" not in json.loads(capsys.readouterr().out)["regime"]
+        assert main(argv + ["--base", base]) == code
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["regime"]["base"] == dgf_dumps(directed_cycle(3))
 
     def test_impartial(self, tmp_path, capsys):
         pattern = write_pattern(tmp_path, impartial_four_tree(), "i4.dgf")
@@ -464,6 +498,19 @@ class TestInvalidOptions:
     ):
         p2 = write_pattern(tmp_path, directed_path(1), "p2.dgf")
         argv = [x.format(p2=p2, host=tt4_file) for x in argv]
+        assert TestEmptyInputs.error(capsys, argv) == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("construct", "tree-orientation"), "tree-orientation needs --graph FILE"),
+            (("quasi",), "quasi needs --host or --two-block"),
+            (("quasi", "--host", "{host}", "--samples", "5"), "sampled mode requires --seed"),
+        ],
+        ids=["construct-graph", "quasi-host", "quasi-host-samples-seed"],
+    )
+    def test_construct_and_quasi_need_their_input(self, tt4_file, capsys, argv, message):
+        argv = [x.format(host=tt4_file) for x in argv]
         assert TestEmptyInputs.error(capsys, argv) == f"error: {message}"
 
     def test_dedup_needs_exhaustive(self, tmp_path, capsys):

@@ -140,6 +140,12 @@ class TestPinned:
         with pytest.raises(ValueError, match="range"):
             count_labeled_pinned(p, TT3, {0: 7})
 
+    @pytest.mark.parametrize("anchor", [{1: 0}, {}, {0: 0, 1: 2}], ids=["off", "empty", "extra"])
+    def test_anchor_must_cover_exactly_the_pinned_set(self, anchor):
+        p = PinnedPattern(star(1, 1), (0,))
+        with pytest.raises(ValueError, match="exactly the pinned set"):
+            count_labeled_pinned(p, TT3, anchor)
+
     def test_partition_identity(self):
         # each labeled copy restricts to exactly one anchor map
         cases = [
@@ -163,6 +169,10 @@ class TestDensity:
 
     def test_cycle_zero(self):
         assert density(directed_cycle(3), transitive_host(5)) == 0
+
+    def test_empty_host_is_an_error(self):
+        with pytest.raises(ValueError, match="undefined on the empty host"):
+            density(Digraph(1), Tournament(0))
 
     def test_blowup_host_beats_uniform_floor(self):
         tt7 = transitive_tournament(7)

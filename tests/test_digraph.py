@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,19 @@ class TestInvariants:
         d.meta = {"family": "x"}
         with pytest.raises(AttributeError):
             d.meta = {"family": "y"}
+
+    def test_tournament_from_rows_needs_all_pairs(self):
+        with pytest.raises(ValueError, match="not a tournament"):
+            Tournament.from_rows([0b10, 0, 0])
+
+    @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_class_rows_and_meta(self, copy_of):
+        for d in (directed_cycle(5), transitive_host(4), Digraph(3, [(0, 2)])):
+            twin = copy_of(d)
+            assert type(twin) is type(d) and twin == d
+            assert twin.meta == d.meta
+        assert copy_of(directed_cycle(5)).meta == {"family": "directed-cycle", "params": {"r": 5}}
 
 
 class TestReverse:

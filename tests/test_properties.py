@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,15 +17,17 @@ from toursid.constructions import (
 from toursid.counting import (
     BudgetExceededError,
     PinnedPattern,
+    count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
     oracle_count,
 )
 from toursid.digraph import Digraph, Tournament, transitive_host
-from toursid.formats import trn_loads
+from toursid.formats import trn_dumps, trn_loads
 from toursid.hosts import uniform_tournament
 from toursid.properties import (
     PropertyReport,
+    SampledDensity,
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
@@ -176,6 +179,34 @@ class TestFamilyScan:
         with pytest.raises(BudgetExceededError):
             check_anti_on_family(star(2, 2), family, range(6, 100), **options)
         assert len(built) == 1
+
+
+class TestSampledVerdict:
+    """A sampled row is violated iff its estimate p lies more than three
+    standard errors above the bound, decided in rationals."""
+
+    @pytest.mark.parametrize(
+        "hits, samples, bound",
+        [(8, 16, Fraction(1, 8)), (48, 72, Fraction(1, 2))],
+    )
+    def test_exactly_three_standard_errors_is_not_a_violation(self, hits, samples, bound):
+        est = SampledDensity(hits, samples)
+        p = est.estimate
+        assert (p - bound) ** 2 * samples == 9 * p * (1 - p)
+        assert not est.violates(bound)
+
+    def test_just_past_three_standard_errors_is_a_violation(self):
+        assert SampledDensity(9, 16).violates(Fraction(1, 8))
+
+    @pytest.mark.parametrize("hits", [0, 1, 500])
+    def test_an_estimate_at_or_below_the_bound_never_violates(self, hits):
+        # far below the bound (p - bound)^2 is large; only p > bound may call it
+        assert not SampledDensity(hits, 1000).violates(Fraction(1, 2))
+
+    def test_all_hits_violate_any_bound_below_one(self):
+        # p = 1 has no spread, so any margin is more than three errors
+        assert SampledDensity(5, 5).violates(Fraction(99, 100))
+        assert not SampledDensity(5, 5).violates(Fraction(1))
 
 
 class TestBlowupFalsifier:
@@ -383,14 +414,44 @@ class TestInterpolation:
         end = walked.h_values[-1]
         assert end == final
         # pairs touching the excluded vertices keep the low orientation
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if i >= 3 or j >= 3:
-                    continue
         for v in (3, 4):
             for u in range(5):
                 if u != v:
                     assert walked.tournament.has_edge(u, v) == t5.has_edge(u, v)
+
+    @staticmethod
+    def expected_walk(d, t_lo, t_hi):
+        """The counts of the walk's hosts, rebuilt from pair codes: after k
+        steps, the first k pairs (in code order) follow t_hi."""
+        lo, hi, pairs = t_lo.code(), t_hi.code(), t_lo.n * (t_lo.n - 1) // 2
+        steps = [(hi & (1 << k) - 1) | (lo & ~((1 << k) - 1)) for k in range(pairs + 1)]
+        return [count_homomorphisms(d, Tournament.from_code(t_lo.n, c)) for c in steps]
+
+    def test_walk_flips_pairs_toward_the_upper_orientation(self):
+        # from the reverse of TT5 (code 0) every pair i < j with i -> j in
+        # the rotational host flips from j -> i to i -> j
+        d, t_lo = directed_path(2), transitive_host(5).reverse()
+        t_hi = Tournament.from_rows(sum(1 << (u + k) % 5 for k in (1, 2)) for u in range(5))
+        res = interpolate_to_density(d, t_lo, t_hi, 0, target=15)
+        assert (t_lo.code(), res.h_values[0], res.h_values[-1]) == (0, 10, 20)
+        assert list(res.h_values) == self.expected_walk(d, t_lo, t_hi)
+        assert res.tournament.code() == t_hi.code() & (1 << res.index) - 1
+
+    def test_walk_skips_pairs_that_already_agree(self, monkeypatch):
+        # only pairs 2 and 6 differ, and both flip from j -> i to i -> j
+        d, t_hi = directed_path(2), transitive_host(5)
+        t_lo = Tournament.from_code(5, t_hi.code() ^ 0b1000100)
+        calls = []
+        count = properties.count_homomorphisms
+        monkeypatch.setattr(
+            properties, "count_homomorphisms", lambda *a: calls.append(a) or count(*a)
+        )
+        res = interpolate_to_density(d, t_lo, t_hi, 0, target=14)
+        assert len(calls) == 3  # the start, then once per flip
+        assert list(res.h_values) == self.expected_walk(d, t_lo, t_hi)
+        assert [k for k, delta in enumerate(res.deltas) if delta] == [2, 6]
+        assert res.index == 3
+        assert res.tournament == Tournament.from_code(5, t_hi.code() ^ 0b1000000)
 
     def test_unbracketed_target_rejected(self):
         e = Digraph(2, [(0, 1)])
@@ -497,6 +558,104 @@ class TestReports:
         doc["witness_trn"] = "3\n111\n"
         with pytest.raises(ValueError, match="re-verification|ratio"):
             PropertyReport.from_json(json.dumps(doc))
+
+    @staticmethod
+    def tampered(report, edit) -> str:
+        doc = json.loads(report.to_json())
+        edit(doc)
+        return json.dumps(doc)
+
+    def test_violated_report_without_witness_rejected(self):
+        report = check_anti_on_family(star(2, 0), "transitive", [12])
+        text = self.tampered(report, lambda doc: doc.update(witness_trn=None))
+        with pytest.raises(ValueError, match="carries no witness"):
+            PropertyReport.from_json(text)
+
+    def test_exhaustive_witness_at_or_below_the_baseline_rejected(self):
+        report = check_anti_exhaustive(transitive_tournament(4), 8)
+        assert report.verdict == "violated"
+        text = self.tampered(report, lambda doc: doc.update(witness_trn="4\n111111\n"))
+        with pytest.raises(ValueError, match="ratio not above 1"):
+            PropertyReport.from_json(text)
+
+    @pytest.mark.parametrize(
+        "scan, ratio",
+        [
+            (lambda: check_anti_exhaustive(transitive_tournament(4), 8), Fraction(35, 32)),
+            (lambda: check_strong_anti(PinnedPattern(star(2, 0), (0,)), 5), Fraction(48, 25)),
+        ],
+        ids=["exhaustive", "exhaustive-pinned"],
+    )
+    def test_edited_exhaustive_extremal_ratio_rejected(self, scan, ratio):
+        report = scan()
+        assert report.extremal_ratio == ratio
+        PropertyReport.from_json(report.to_json())
+        edited = {"num": str(ratio.numerator + 1), "den": str(ratio.denominator)}
+        text = self.tampered(report, lambda doc: doc.update(extremal_ratio=edited))
+        with pytest.raises(ValueError, match="differs from the recorded extremal ratio"):
+            PropertyReport.from_json(text)
+
+    def test_family_witness_above_the_recorded_ratio_rejected(self):
+        # the witness at n = 12 has ratio 55/54; 100/99 is above 1 but below it
+        report = check_anti_on_family(star(2, 0), "transitive", range(4, 15))
+        edited = {"num": "100", "den": "99"}
+        text = self.tampered(report, lambda doc: doc.update(extremal_ratio=edited))
+        with pytest.raises(ValueError, match="exceeds the recorded extremal ratio"):
+            PropertyReport.from_json(text)
+
+    def test_sampled_witness_with_edited_hits_rejected(self):
+        report = check_anti_on_family(star(2, 0), "transitive", [30], seed=3, samples=20_000)
+        hits = report.extra["witness_hits"] + 1
+        text = self.tampered(report, lambda doc: doc["extra"].update(witness_hits=hits))
+        with pytest.raises(ValueError, match="did not reproduce its hit count"):
+            PropertyReport.from_json(text)
+
+    def test_sampled_witness_that_no_longer_violates_rejected(self):
+        # a regular host holds the out-star's density below 1/4; its own hit
+        # count is written in, so only the violation test can refuse it
+        report = check_anti_on_family(star(2, 0), "transitive", [30], seed=3, samples=20_000)
+        regular = Tournament.from_rows(
+            sum(1 << (u + k) % 31 for k in range(1, 16)) for u in range(31)
+        )
+        seed = report.extra["witness_map_seed"]
+        hits = sampled_density(star(2, 0), regular, 20_000, seed).hits
+
+        def edit(doc):
+            doc["witness_trn"] = trn_dumps(regular)
+            doc["extra"]["witness_hits"] = hits
+
+        with pytest.raises(ValueError, match="no longer violates the bound"):
+            PropertyReport.from_json(self.tampered(report, edit))
+
+    def test_impartiality_witness_pair_of_one_host_rejected(self):
+        bad = impartiality_report(directed_path(2), 3)
+        pair = [bad.witness_trn] * 2
+        text = self.tampered(bad, lambda doc: doc["extra"].update(witness_pair=pair))
+        with pytest.raises(ValueError, match="no longer disagree"):
+            PropertyReport.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "unknown report schema None"),
+            ('{"schema": "toursid/report-v0"}', "unknown report schema 'toursid/report-v0'"),
+            ('{"schema": "toursid/report-v1"}', "malformed report: KeyError: 'property'"),
+        ],
+    )
+    def test_malformed_documents_are_value_errors(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PropertyReport.from_json(text)
+
+    def test_malformed_fields_are_value_errors(self):
+        report = check_anti_on_family(star(2, 0), "transitive", [12])
+        for edit in (
+            lambda doc: doc.update(pattern=[]),
+            lambda doc: doc.update(regime=[]),
+            lambda doc: doc.update(extremal_ratio={"num": "1"}),
+            lambda doc: doc["extra"].update(witness_anchor=[]),
+        ):
+            with pytest.raises(ValueError, match="malformed report"):
+                PropertyReport.from_json(self.tampered(report, edit))
 
     def test_sampled_witness_reverifies(self):
         report = check_anti_on_family(
