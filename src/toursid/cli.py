@@ -221,12 +221,12 @@ def _cmd_count(args) -> int:
         # no --pins is the empty anchor: the unpinned count and bound
         pins = _parse_pins(args.pins) if args.pins else {}
         res = count_labeled_pinned(PinnedPattern(pattern, tuple(pins)), host, pins)
-        doc = {"mode": "labeled"}
+        doc = {"mode": "labeled-pinned" if pins else "labeled"}
         if pins:
-            doc = {"mode": "labeled-pinned", "pins": {str(k): v for k, v in sorted(pins.items())}}
+            doc["pins"] = {str(k): v for k, v in pins.items()}
     ratio = res.ratio
-    doc |= {"value": str(res.value), "bound": _frac(res.bound), "ratio": _frac(ratio)}
-    doc["ratio_approx"] = float(ratio)
+    doc |= {"value": str(res.value), "bound": _frac(res.bound),
+            "ratio": _frac(ratio), "ratio_approx": float(ratio)}
     return _emit_doc(doc, _render_count_text, args)
 
 

@@ -53,7 +53,6 @@ FORCING_EXACT_MAPS = 10**8
 
 REPORT_SCHEMA = "toursid/report-v1"
 
-
 class _ReportFields(NamedTuple):
     property_name: str
     pattern_dgf: str
@@ -131,10 +130,10 @@ class PropertyReport(_ReportFields):
                 curve=tuple(doc["curve"]),
                 extra=doc["extra"],
             )
-            if verify and report.verdict == "violated":
-                report.verify_witness()
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from None
+        if verify:
+            report.verify_witness()
         return report
 
     def verify_witness(self) -> None:
@@ -144,26 +143,30 @@ class PropertyReport(_ReportFields):
             return
         if self.witness_trn is None:
             raise ValueError("violated report carries no witness")
-        pattern = dgf_loads(self.pattern_dgf)
-        host = trn_loads(self.witness_trn)
-        kind = self.regime.get("kind")
+        # read the fields before the first count, so that a malformed field is
+        # a ValueError and an error of the counting engines stays its own
+        try:
+            pattern, host = dgf_loads(self.pattern_dgf), trn_loads(self.witness_trn)
+            kind = self.regime.get("kind")
+            pins = {int(k): int(v) for k, v in self.extra.get("witness_anchor", {}).items()}
+            if kind == "impartial-scan":
+                first, second = (trn_loads(s) for s in self.extra["witness_pair"])
+            if kind == "sampled-family":
+                samples, map_seed = self.regime["samples"], self.extra["witness_map_seed"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from None
         if kind == "impartial-scan":
-            pair = [trn_loads(s) for s in self.extra["witness_pair"]]
-            counts = [count_labeled(pattern, t).value for t in pair]
-            if counts[0] == counts[1]:
+            if count_labeled(pattern, first).value == count_labeled(pattern, second).value:
                 raise ValueError("impartiality witnesses no longer disagree")
             return
         if kind == "sampled-family":
-            est = sampled_density(
-                pattern, host, self.regime["samples"], self.extra["witness_map_seed"]
-            )
+            est = sampled_density(pattern, host, samples, map_seed)
             bound = Fraction(1, 1 << pattern.edge_count)
             if est.hits != self.extra.get("witness_hits"):
                 raise ValueError("sampled witness did not reproduce its hit count")
             if not est.violates(bound):
                 raise ValueError("sampled witness no longer violates the bound")
             return
-        pins = {int(k): int(v) for k, v in self.extra.get("witness_anchor", {}).items()}
         res = count_labeled_pinned(PinnedPattern(pattern, tuple(pins)), host, pins)
         if res.ratio <= 1:
             raise ValueError("witness failed re-verification: ratio not above 1")
@@ -171,9 +174,7 @@ class PropertyReport(_ReportFields):
         # first violating host, whose ratio may sit below the curve maximum
         if kind in ("exhaustive", "exhaustive-pinned"):
             if self.extremal_ratio is not None and res.ratio != self.extremal_ratio:
-                raise ValueError(
-                    "witness ratio differs from the recorded extremal ratio"
-                )
+                raise ValueError("witness ratio differs from the recorded extremal ratio")
         elif self.extremal_ratio is not None and res.ratio > self.extremal_ratio:
             raise ValueError("witness ratio exceeds the recorded extremal ratio")
 

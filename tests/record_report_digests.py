@@ -9,9 +9,9 @@ After a deliberate change of report bytes, re-record the file with
     PYTHONPATH=src python tests/record_report_digests.py
 
 It rewrites `report_digests.json` and prints every key whose digest changed,
-appeared or disappeared; that list belongs in the change's notes. With
-`--check` it prints the same keys without rewriting the file, and exits 1
-if there are any.
+appeared or disappeared; that list belongs in the change's notes. To list the
+changed keys without rewriting the file, run `test_report_digests.py`: its
+failure message names every one.
 
 The corpus: catalog(4) plus C5, C7, star(2,2), TT5 and d_family(3) (d_family(2)
 is already in the catalog), each scanned by `check anti` and `sidorenko-scan`
@@ -179,21 +179,16 @@ def changed_keys(old: dict, new: dict) -> list[str]:
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
 
-def main(argv: list[str]) -> int:
-    check = argv == ["--check"]
-    if argv and not check:
-        print("usage: record_report_digests.py [--check]", file=sys.stderr)
-        return 2
+def main() -> int:
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     new = digests()
-    if not check:
-        DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     changed = changed_keys(old, new)
     for key in changed:
         print(key)
     print(f"{len(new)} digests, {len(changed)} changed", file=sys.stderr)
-    return 1 if check and changed else 0
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -657,6 +657,24 @@ class TestReports:
             with pytest.raises(ValueError, match="malformed report"):
                 PropertyReport.from_json(self.tampered(report, edit))
 
+    def test_missing_witness_fields_are_value_errors(self):
+        sampled = check_anti_on_family(star(2, 0), "transitive", [30], seed=3, samples=20_000)
+        impartial = impartiality_report(directed_path(2), 3)
+        for report, key in ((sampled, "witness_map_seed"), (impartial, "witness_pair")):
+            text = self.tampered(report, lambda doc: doc["extra"].pop(key))
+            with pytest.raises(ValueError, match=f"malformed report: KeyError: '{key}'"):
+                PropertyReport.from_json(text)
+
+    def test_an_engine_error_while_reverifying_is_not_called_malformed(self, monkeypatch):
+        report = check_anti_on_family(star(2, 0), "transitive", [12])
+
+        def broken(*args):
+            raise KeyError("engine")
+
+        monkeypatch.setattr(properties, "count_labeled_pinned", broken)
+        with pytest.raises(KeyError, match="engine"):
+            PropertyReport.from_json(report.to_json())
+
     def test_sampled_witness_reverifies(self):
         report = check_anti_on_family(
             star(2, 0), "transitive", [30], seed=3, samples=20_000

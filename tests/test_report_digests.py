@@ -34,7 +34,7 @@ def test_every_report_matches_its_recorded_digest():
     recorded = json.loads(DIGESTS.read_text())
     seen = []
     changed = changed_keys(recorded, digests(_validated(reports(), seen)))
-    assert not changed, f"{len(changed)} reports changed, e.g. {changed[:5]}"
+    assert not changed, f"{len(changed)} reports changed:\n" + "\n".join(changed)
     # the quasi and forcing entries are not reports
     assert len(seen) == sum(not k.startswith(("quasi|", "forcing|")) for k in recorded)
 
