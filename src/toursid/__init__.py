@@ -48,7 +48,6 @@ from .properties import (
     forcing_probe,
     impartiality_report,
     interpolate_to_density,
-    is_impartial_upto,
     quasirandom_epsilon,
     sampled_density,
     sidorenko_scan_exhaustive,
@@ -84,7 +83,6 @@ __all__ = [
     "forcing_probe",
     "impartiality_report",
     "interpolate_to_density",
-    "is_impartial_upto",
     "oracle_count",
     "quasirandom_epsilon",
     "sampled_density",

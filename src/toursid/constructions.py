@@ -199,23 +199,10 @@ def cycle_with_chord(k: int) -> Digraph:
 
 def _paired_subsets(s: int, t: int) -> list[int]:
     """First t subsets of [s] in complement-paired counter order:
-    (0, ~0), (1, ~1), ... skipping already-emitted values."""
+    (0, ~0), (1, ~1), ... For t <= 2^s every complement exceeds the counter
+    values still to come, so no subset repeats."""
     full = (1 << s) - 1
-    out: list[int] = []
-    used = set()
-    c = 0
-    while len(out) < t:
-        if c in used:
-            c += 1
-            continue
-        out.append(c)
-        used.add(c)
-        if len(out) < t:
-            comp = full ^ c
-            out.append(comp)
-            used.add(comp)
-        c += 1
-    return out
+    return [x for c in range((t + 1) // 2) for x in (c, full ^ c)][:t]
 
 
 def unique_hom_digraph(k: int) -> Digraph:
@@ -230,9 +217,7 @@ def unique_hom_digraph(k: int) -> Digraph:
     if k < 2:
         raise ValueError("need k >= 2")
     s = (k - 1).bit_length()
-    t = k - s - 1
-    if t > (1 << s):
-        raise ValueError(f"precondition t <= 2^s violated: t={t}, 2^s={1 << s}")
+    t = k - s - 1  # t < k <= 2^s, the bound `_paired_subsets` needs
     if t <= 2 * s + 1:
         raise ValueError(f"precondition t > 2s+1 violated: t={t}, 2s+1={2 * s + 1}")
     full = (1 << s) - 1
@@ -505,8 +490,6 @@ def catalog(max_vertices: int = 4) -> list[Digraph]:
         pool.append(impartial_four_tree())
     out: list[Digraph] = []
     for d in pool:
-        if d.n > max_vertices:
-            continue
         if not any(
             c.n == d.n and c.edge_count == d.edge_count and are_isomorphic(c, d)
             for c in out

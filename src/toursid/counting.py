@@ -65,7 +65,6 @@ from .digraph import (
     pair_count,
     pair_order,
 )
-from .hosts import REPRESENTATIVES_LIMIT
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
@@ -435,13 +434,11 @@ def count_table(
     `digraph.pair_order` does (the `Tournament.code` order). Maps with equal
     (mask, req) share a row whose multiplicity counts them. The enumeration
     volume P(n - |pins|, v(d) - |pins|) is checked against the work budget
-    before anything is enumerated. The maps are walked position by position
-    along `_plan`, each partial map carrying its mask and req; the isolated
-    vertices, which constrain nothing, multiply every row by
-    (n - walked)_isolated.
+    before anything is enumerated; the budget is the table's only size bound.
+    The maps are walked position by position along `_plan`, each partial map
+    carrying its mask and req; the isolated vertices, which constrain
+    nothing, multiply every row by (n - walked)_isolated.
     """
-    if n > REPRESENTATIVES_LIMIT:
-        raise SizeLimitError(f"the count table is guarded at n = {REPRESENTATIVES_LIMIT}")
     pins = pins or {}
     _check_anchor(pins, n)
     spare = [h for h in range(n) if h not in pins.values()]

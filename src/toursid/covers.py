@@ -212,7 +212,7 @@ def homomorphism_multiplicity_probe(
     identically, remaining pairs filled lexicographically."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    designed = fill_to_tournament(d, "lex")
+    designed = fill_to_tournament(d)
     designed_count = count_homomorphisms(d, designed, limit=2)
     worst = 0
     for trial in range(trials):

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .rng import coin
-
 ISO_VERTEX_LIMIT = 12
 
 
@@ -314,26 +312,14 @@ def transitive_host(n: int) -> Tournament:
     return Tournament.from_code(n, (1 << pair_count(n)) - 1)
 
 
-def fill_to_tournament(d: Digraph, strategy: str = "lex", seed: Optional[int] = None) -> Tournament:
-    """Complete d to a tournament, one new edge per unordered non-adjacent pair.
-
-    strategy "lex": u->v for u<v (the reproducible default).
-    strategy "seeded": direction decided by a counter RNG under `seed`.
-    The output restricted to d's edge set is d itself.
-    """
-    if strategy not in ("lex", "seeded"):
-        raise ValueError(f"unknown fill strategy {strategy!r}")
-    if strategy == "seeded" and seed is None:
-        raise ValueError("seeded fill requires an explicit seed")
+def fill_to_tournament(d: Digraph) -> Tournament:
+    """Complete d to a tournament lexicographically: u->v for u<v on every
+    non-adjacent pair. The output restricted to d's edge set is d itself."""
     rows = list(d.out_rows())
     for u in range(d.n):
         for v in range(u + 1, d.n):
-            if (rows[u] >> v | rows[v] >> u) & 1:
-                continue
-            if strategy == "lex" or coin(seed, u, v) == 0:
+            if not (rows[u] >> v | rows[v] >> u) & 1:
                 rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
     return Tournament.from_rows(rows)
 
 

@@ -207,21 +207,6 @@ def _report(
 # -- exhaustive and family checks -------------------------------------------
 
 
-def is_impartial_upto(
-    d: Digraph, n_max: int = 7
-) -> tuple[bool, Optional[tuple[Tournament, Tournament]]]:
-    """True iff the labeled count is constant over all tournaments at each
-    n <= n_max; on False, returns two hosts with differing counts.
-
-    Scans the smallest code of each isomorphism class (the count is an
-    isomorphism invariant, so constancy on one code per class is constancy
-    everywhere). The pair is the first class, code 0, the transitive
-    tournament, and the first class whose count differs from it.
-    """
-    found = _impartiality_witness(d, n_max)
-    return (True, None) if found is None else (False, found[0])
-
-
 def _guard_scan(n_max: int, pinned: int = 0, scan: str = "exhaustive scan") -> None:
     """The size guard of every exhaustive scan: n_max at most the class
     table's REPRESENTATIVES_LIMIT, and at least the first size `_scan_steps`
@@ -385,9 +370,10 @@ def check_anti_on_family(
     base is recorded as DGF/1 in `regime.base`.
     family "two-block": hosts are the planted two-block tournaments at sizes
     `values` with left fraction `c` and the given seed. With `samples` set (any
-    family; it needs the seed) the density is estimated by seeded map sampling
-    and a violation is called only at three standard errors past the baseline,
-    decided in rationals by `SampledDensity.violates`.
+    family; it needs the seed, recorded in `regime.seed`) the density is
+    estimated by seeded map sampling and a violation is called only at three
+    standard errors past the baseline, decided in rationals by
+    `SampledDensity.violates`.
     """
     if not values:
         raise ValueError("family scan needs at least one host value")
@@ -395,14 +381,14 @@ def check_anti_on_family(
         raise ValueError("sampled family scan needs a seed")
     regime: dict = {"kind": "family", "family": family, "values": list(values)}
     if samples is not None:
-        regime |= {"kind": "sampled-family", "samples": samples}
+        regime |= {"kind": "sampled-family", "samples": samples, "seed": seed}
     # each host is built when the loop below reaches it, so a scan that
     # fails its budget early has not built the hosts after the failing one
     if family == "transitive":
         hosts = ((n, transitive_host(n)) for n in values)
     elif family == "blowup":
         src = base if base is not None else d
-        hosts = ((m, fill_to_tournament(src.blowup(m), "lex")) for m in values)
+        hosts = ((m, fill_to_tournament(src.blowup(m))) for m in values)
         if base is not None:
             regime["base"] = dgf_dumps(base)
     elif family == "two-block":
@@ -460,19 +446,20 @@ def check_anti_on_family(
     return _report("anti-sidorenko-family", d, regime, violated, best_ratio, witness, curve, extra)
 
 
-def falsify_by_blowup(d: Digraph, multiplier: int = 2) -> Optional[tuple[Tournament, Fraction]]:
-    """The filled balanced blowup host that over-represents any pattern with
-    e(D) >= v(D) log2 v(D); None when the density premise fails.
+def falsify_by_blowup(d: Digraph) -> Optional[tuple[Tournament, Fraction]]:
+    """The filled balanced 2-blowup host that over-represents any pattern
+    with e(D) >= v(D) log2 v(D); None when the density premise fails.
 
-    The returned host has multiplier * v(D) vertices and exact density at
-    least v(D)^(-v(D)), which beats 2^(-e(D)) under the premise.
+    The returned host has 2 v(D) vertices and exact density at least
+    v(D)^(-v(D)), which beats 2^(-e(D)) under the premise. Other multipliers
+    are the blowup family of `check_anti_on_family`.
     """
     v = d.n
     if v == 0:
         return None
     if (1 << d.edge_count) < v**v:
         return None
-    host = fill_to_tournament(d.blowup(multiplier), "lex")
+    host = fill_to_tournament(d.blowup(2))
     dens = density(d, host)
     if dens < Fraction(1, v**v):
         raise AssertionError("blowup host lost the block embeddings; counting bug")
@@ -510,30 +497,26 @@ def sidorenko_scan_exhaustive(d: Digraph, n_max: int, *, dedup: bool = False) ->
     return _report("sidorenko-ratio-scan", d, regime, None, curve=curve)
 
 
-def _impartiality_witness(d: Digraph, n_max: int):
-    """The impartiality reduction over `_scan_steps`. At the first size whose
-    counts are not all equal: the pair of the first class (the transitive
-    tournament) and the first class whose count differs from it, and their
-    two counts. None when the count is constant at every n <= n_max."""
+def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
+    """Constant-count check across isomorphism classes at each n <= n_max.
+
+    Scans the smallest code of each isomorphism class (the count is an
+    isomorphism invariant, so constancy on one code per class is constancy
+    everywhere). At the first size whose counts are not all equal, the
+    witness pair is the first class (code 0, the transitive tournament) and
+    the first class whose count differs from it, with their two counts.
+    """
     _guard_scan(n_max, scan="impartiality scan")
+    extra, witness = {}, None
     for *_, (counts,), _, host_at in _scan_steps(d, n_max, (), dedup=True):
         j = counts.first_differing()
         if j is not None:
-            return (host_at(0), host_at(j)), (counts[0], counts[j])
-    return None
-
-
-def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
-    """Constant-count check across isomorphism classes at each n <= n_max."""
-    found = _impartiality_witness(d, n_max)
-    extra, witness = {}, None
-    if found is not None:
-        pair, counts = found
-        witness = pair[0]
-        extra["witness_pair"] = [trn_dumps(t) for t in pair]
-        extra["witness_counts"] = [str(c) for c in counts]
+            witness = host_at(0)
+            extra["witness_pair"] = [trn_dumps(witness), trn_dumps(host_at(j))]
+            extra["witness_counts"] = [str(counts[0]), str(counts[j])]
+            break
     regime = {"kind": "impartial-scan", "n_max": n_max, "dedup": True}
-    return _report("impartial", d, regime, found is not None, witness=witness, extra=extra)
+    return _report("impartial", d, regime, witness is not None, witness=witness, extra=extra)
 
 
 # -- stars and the two-block family ------------------------------------------

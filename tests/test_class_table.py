@@ -77,7 +77,6 @@ from toursid.properties import (
     check_strong_anti,
     impartiality_report,
     _scan_steps,
-    is_impartial_upto,
     sidorenko_scan_exhaustive,
 )
 
@@ -315,7 +314,8 @@ class TestScansAtEight:
         assert host_at(6879) == reps[6879]
 
     def test_impartiality_at_eight(self):
-        assert is_impartial_upto(star(1, 0), 8) == (True, None)
+        holds = impartiality_report(star(1, 0), 8)
+        assert holds.verdict == "holds-upto" and holds.extra == {}
         report = impartiality_report(star(2, 1), 8)
         assert report.regime["n_max"] == 8
 

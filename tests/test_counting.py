@@ -42,9 +42,10 @@ from toursid.properties import (
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
-    is_impartial_upto,
+    impartiality_report,
     two_block_tournament,
 )
+from toursid.formats import trn_loads
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -269,24 +270,27 @@ class TestInvariants:
 
 class TestImpartiality:
     def test_four_vertex_tree(self):
-        ok, witness = is_impartial_upto(impartial_four_tree(), 6)
-        assert ok and witness is None
+        report = impartiality_report(impartial_four_tree(), 6)
+        assert report.verdict == "holds-upto"
+        assert report.witness_trn is None and report.extra == {}
 
     def test_single_edge(self):
-        ok, _ = is_impartial_upto(Digraph(2, [(0, 1)]), 6)
-        assert ok
+        report = impartiality_report(Digraph(2, [(0, 1)]), 6)
+        assert report.verdict == "holds-upto"
 
     def test_two_edge_path_fails_at_three(self):
-        ok, witness = is_impartial_upto(directed_path(2), 3)
-        assert not ok
+        report = impartiality_report(directed_path(2), 3)
+        assert report.verdict == "violated"
+        witness = [trn_loads(s) for s in report.extra["witness_pair"]]
         counts = sorted(count_labeled(directed_path(2), t).value for t in witness)
         assert counts == [1, 3]
+        assert sorted(int(c) for c in report.extra["witness_counts"]) == counts
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            is_impartial_upto(Digraph(1), 9)
+            impartiality_report(Digraph(1), 9)
         with pytest.raises(ValueError, match="needs n_max >= 1"):
-            is_impartial_upto(Digraph(1), 0)
+            impartiality_report(Digraph(1), 0)
 
 
 class TestBudget:
@@ -523,14 +527,33 @@ class TestCountTable:
         assert sum(mult for _, _, mult in count_table(directed_path(2), 4, {0: 0})) == 6
 
     def test_guards(self):
-        with pytest.raises(SizeLimitError):
-            count_table(directed_path(1), 9)
+        # the work budget is the table's only size bound: n = 9 is counted
+        assert sum(mult for _, _, mult in count_table(directed_path(1), 9)) == 9 * 8
         with pytest.raises(ValueError):
             count_table(directed_path(2), 4, {0: 1, 2: 1})
         with pytest.raises(ValueError):
             count_table(directed_path(2), 4, {0: 4})
         with pytest.raises(ValueError, match="not a subset of the pattern"):
             count_table(directed_path(2), 4, {5: 0})
+
+    @pytest.mark.parametrize(
+        "d", [directed_cycle(5), star(2, 2), directed_path(3)], ids=["C5", "S22", "P3"]
+    )
+    def test_seeded_hosts_past_the_class_table(self, d):
+        # no scan reaches n > 8, but the table is exact there too
+        for n in range(9, 13):
+            hosts = [uniform_tournament(n, seed) for seed in range(6)]
+            columns = HostColumns.of_codes(n, [t.code() for t in hosts])
+            expected = [count_labeled(d, t).value for t in hosts]
+            assert list(labeled_counts(d, columns)) == expected, n
+
+    def test_pinned_seeded_hosts_past_the_class_table(self):
+        p, anchor = PinnedPattern(star(2, 2), (1, 3)), {1: 0, 3: 9}
+        for n in range(10, 13):
+            hosts = [uniform_tournament(n, seed) for seed in range(6)]
+            columns = HostColumns.of_codes(n, [t.code() for t in hosts])
+            expected = [count_labeled_pinned(p, t, anchor).value for t in hosts]
+            assert list(labeled_counts(p.pattern, columns, anchor)) == expected, n
 
 
 class TestSizeGuards:

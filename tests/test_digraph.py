@@ -230,22 +230,13 @@ class TestFill:
     @settings(max_examples=40, deadline=None)
     def test_restriction_recovers_input(self, seed, n):
         d = random_digraph(seed, n)
-        t = fill_to_tournament(d, "seeded", seed=seed + 1)
+        t = fill_to_tournament(d)
         for u, v in d.edges():
             assert t.has_edge(u, v)
-
-    def test_seeded_is_deterministic(self):
-        d = Digraph(6)
-        assert fill_to_tournament(d, "seeded", seed=3) == fill_to_tournament(
-            d, "seeded", seed=3
-        )
-        assert fill_to_tournament(d, "seeded", seed=3) != fill_to_tournament(
-            d, "seeded", seed=4
-        )
-
-    def test_seeded_requires_seed(self):
-        with pytest.raises(ValueError):
-            fill_to_tournament(Digraph(3), "seeded")
+        # every pair d leaves open is filled from the smaller vertex
+        for u, v in itertools.combinations(range(n), 2):
+            if not d.adjacent(u, v):
+                assert t.has_edge(u, v)
 
 
 class TestDisjointUnion:

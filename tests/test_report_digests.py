@@ -42,13 +42,18 @@ def test_every_report_matches_its_recorded_digest():
 def test_schema_refuses_a_key_outside_its_regime():
     validator = jsonschema.Draft7Validator(SCHEMA)
     doc = json.loads(check_anti_on_family(star(2, 2), "transitive", [4, 5]).to_json())
-    assert validator.is_valid(doc)
-    for edit in (
-        lambda d: d["regime"].update(base="1 0\n"),  # base belongs to blowup
-        lambda d: d["regime"].update(samples=5),  # samples to sampled-family
-        lambda d: d["curve"][0].update(hits=1),  # an exact row has no hits
-        lambda d: d["extra"].update(witness_hits=1),
+    sampled = json.loads(
+        check_anti_on_family(star(2, 2), "transitive", [4, 5], seed=3, samples=10).to_json()
+    )
+    assert validator.is_valid(doc) and validator.is_valid(sampled)
+    for original, edit in (
+        (doc, lambda d: d["regime"].update(base="1 0\n")),  # base belongs to blowup
+        (doc, lambda d: d["regime"].update(samples=5)),  # samples to sampled-family
+        (doc, lambda d: d["curve"][0].update(hits=1)),  # an exact row has no hits
+        (doc, lambda d: d["extra"].update(witness_hits=1)),
+        (doc, lambda d: d["regime"].update(seed=3)),  # an exact transitive scan has none
+        (sampled, lambda d: d["regime"].pop("seed")),  # a sampled scan records its seed
     ):
-        tampered = json.loads(json.dumps(doc))
+        tampered = json.loads(json.dumps(original))
         edit(tampered)
         assert not validator.is_valid(tampered)
