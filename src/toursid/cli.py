@@ -140,16 +140,13 @@ def _parse_range(spec: str) -> list[int]:
     return _parse_ints(spec, "--n")
 
 
-def _parse_pins(spec: str) -> dict[int, int]:
-    pins = {}
+def _parse_pins(spec: str) -> list[tuple[int, int]]:
+    pairs = []
     for piece in spec.split(","):
         if piece.count(":") != 1:
             raise ValueError(f"--pins: expected pv:hv pairs, got {spec!r}")
-        k, v = (_int(x, "--pins", spec) for x in piece.split(":"))
-        if k in pins:
-            raise ValueError(f"pattern vertex {k} is pinned twice")
-        pins[k] = v
-    return pins
+        pairs.append(tuple(_int(x, "--pins", spec) for x in piece.split(":")))
+    return pairs
 
 
 # per family: its builder in `constructions`, and the number of integer
@@ -219,11 +216,12 @@ def _cmd_count(args) -> int:
         doc = {"mode": "homs"}
     else:
         # no --pins is the empty anchor: the unpinned count and bound
-        pins = _parse_pins(args.pins) if args.pins else {}
-        res = count_labeled_pinned(PinnedPattern(pattern, tuple(pins)), host, pins)
-        doc = {"mode": "labeled-pinned" if pins else "labeled"}
-        if pins:
-            doc["pins"] = {str(k): v for k, v in pins.items()}
+        pairs = _parse_pins(args.pins) if args.pins else []
+        pinned = PinnedPattern(pattern, [k for k, _ in pairs])
+        res = count_labeled_pinned(pinned, host, dict(pairs))
+        doc = {"mode": "labeled-pinned" if pairs else "labeled"}
+        if pairs:
+            doc["pins"] = {str(k): v for k, v in pairs}
     ratio = res.ratio
     doc |= {"value": str(res.value), "bound": _frac(res.bound),
             "ratio": _frac(ratio), "ratio_approx": float(ratio)}

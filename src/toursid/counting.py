@@ -144,8 +144,9 @@ class PinnedPattern(_PinnedFields):
     def __new__(cls, pattern: Digraph, pinned):
         if not isinstance(pinned, int):
             vertices = list(pinned)
-            pinned = mask_of(vertices)
-            if pinned.bit_count() != len(vertices):
+            # a negative vertex is refused below, as one past the pattern is
+            pinned = mask_of(vertices) if min(vertices, default=0) >= 0 else -1
+            if pinned >= 0 and pinned.bit_count() != len(vertices):
                 twice = next(v for v in vertices if vertices.count(v) > 1)
                 raise ValueError(f"pattern vertex {twice} is pinned twice")
         if pinned >> pattern.n:
@@ -154,6 +155,11 @@ class PinnedPattern(_PinnedFields):
             if (pattern.out(v) | pattern.inn(v)) & pinned:
                 raise ValueError("pinned set must be independent in the pattern")
         return super().__new__(cls, pattern, pinned)
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`: both re-run the checks above
+        return cls(*fields)
 
     @property
     def pinned_vertices(self) -> tuple[int, ...]:

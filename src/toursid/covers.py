@@ -50,6 +50,11 @@ class BicliqueCover(_CoverFields):
             norm.append((a, b))
         return super().__new__(cls, host_n, tuple(norm))
 
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`: both re-run the checks above
+        return cls(*fields)
+
 
 def verify_cover(
     h: UndirectedGraph, c: BicliqueCover

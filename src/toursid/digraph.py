@@ -1,11 +1,12 @@
 """Oriented-graph and tournament data model.
 
 Vertices are the dense integers 0..n-1. Out-adjacency is stored as packed bit
-rows (Python ints); in-rows are obtained on demand and cached: by one
-`_transpose` of the packed rows in general, and as the complement of the
-out-row in a tournament. `Digraph.from_rows` checks orientedness exactly on
+rows (Python ints); in-rows are obtained on demand, by one `_transpose` of the
+packed rows, and cached. `Digraph.from_rows` checks orientedness exactly on
 every input, with the same transpose instead of a loop over the edges, so
-building a large host stays pure Python and never loads numpy.
+building a large host stays pure Python and never loads numpy. Every
+constructor ends in one setter, `_set`, which holds the only check that a
+`Tournament` carries an edge on every pair.
 This module defines the pair order: bit p of a tournament's pair code
 (`pair_count(n)` bits) is set iff i->j for the p-th pair (i, j), i < j, in
 lexicographic order. Row i's pairs are consecutive bits, so `from_code` and
@@ -68,16 +69,22 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple([int(flat[v::width][::-1] or "0", 2) for v in range(width)])
 
 
-def _trusted(cls, rows: tuple[int, ...], m: int):
-    """An instance of cls over out-rows already known to be valid, with m
-    edges; no validation."""
-    d = cls.__new__(cls)
+def _set(d: "Digraph", rows: tuple[int, ...], m: int) -> "Digraph":
+    """Set d's fields over oriented out-rows with m edges, and return d; a
+    Tournament must also carry an edge on every pair."""
+    if isinstance(d, Tournament) and m != pair_count(len(rows)):
+        raise ValueError("not a tournament: some pair carries no edge")
     object.__setattr__(d, "n", len(rows))
     object.__setattr__(d, "_out", rows)
     object.__setattr__(d, "_in", None)
     object.__setattr__(d, "_m", m)
     object.__setattr__(d, "meta", None)
     return d
+
+
+def _trusted(cls, rows: tuple[int, ...], m: int):
+    """An instance of cls over out-rows already known to be oriented, with m edges."""
+    return _set(cls.__new__(cls), rows, m)
 
 
 class Digraph:
@@ -105,11 +112,7 @@ class Digraph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             m += 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_out", tuple(rows))
-        object.__setattr__(self, "_in", None)
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "meta", None)
+        _set(self, tuple(rows), m)
 
     def __setattr__(self, name, value):
         if name == "meta" and self.meta is None:
@@ -207,19 +210,6 @@ class Digraph:
             self.n, [(u, v) for u, v in self.edges()]
         )
 
-    def is_transitive(self) -> bool:
-        """True iff for all edges (x,y),(y,z), any edge on {x,z} is (x,z).
-
-        The condition is conditional: a missing {x,z} edge never violates it.
-        """
-        inr = self.in_rows()
-        for y in range(self.n):
-            for z in bits(self._out[y]):
-                # an edge z->x with x an in-neighbor of y closes a bad triple
-                if self._out[z] & inr[y]:
-                    return False
-        return True
-
     def blowup(self, m: int) -> "Digraph":
         """Balanced m-blowup: vertex v becomes the block v*m..v*m+m-1.
 
@@ -259,26 +249,6 @@ class Tournament(Digraph):
     """A digraph with exactly one edge on every pair of distinct vertices."""
 
     __slots__ = ()
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        super().__init__(n, edges)
-        if self._m != pair_count(n):
-            raise ValueError("not a tournament: some pair carries no edge")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int]) -> "Tournament":
-        t = super().from_rows(rows)
-        if t._m != pair_count(t.n):
-            raise ValueError("not a tournament: some pair carries no edge")
-        return t
-
-    def in_rows(self) -> tuple[int, ...]:
-        # in(v) is every vertex other than v that v does not beat
-        if self._in is None:
-            full = (1 << self.n) - 1
-            rows = tuple(full ^ row ^ (1 << v) for v, row in enumerate(self._out))
-            object.__setattr__(self, "_in", rows)
-        return self._in
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Tournament":

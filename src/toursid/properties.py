@@ -88,6 +88,11 @@ class PropertyReport(_ReportFields):
             raise ValueError("holds verdict contradicts an extremal ratio above 1")
         return self
 
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`: both re-run the checks above
+        return cls(*fields)
+
     def to_json_dict(self) -> dict:
         return {
             "schema": REPORT_SCHEMA,

@@ -31,8 +31,25 @@ from toursid.counting import PinnedPattern
 from toursid.digraph import Digraph, UndirectedGraph, are_isomorphic, bits, disjoint_union
 
 
+HOMOGENEITY = "the designated vertices do not share in- and out-neighborhoods"
+
+
 def sizes(d):
     return d.n, d.edge_count
+
+
+def vertex_sets(patterns):
+    """(d, s) for each pattern d and each set s of at least two of its vertices."""
+    return [
+        (d, s)
+        for d in patterns
+        for k in range(2, d.n + 1)
+        for s in itertools.combinations(range(d.n), k)
+    ]
+
+
+def is_homogeneous(d, s):
+    return len({(d.out(v), d.inn(v)) for v in s}) == 1
 
 
 class TestBasicFamilies:
@@ -275,8 +292,22 @@ class TestExtend:
             anti_extend(star(2, 2), (3, 4), Digraph(3))
 
     def test_requires_independent_set(self):
-        with pytest.raises(ValueError, match="independent"):
+        # an edge inside the set already breaks homogeneity
+        with pytest.raises(ValueError, match=HOMOGENEITY):
             sid_extend(directed_path(2), (0, 1), Digraph(2))
+
+    def test_homogeneous_sets_are_independent(self):
+        # `_extend` checks homogeneity alone and relies on this
+        homogeneous = [(d, s) for d, s in vertex_sets(catalog(5)) if is_homogeneous(d, s)]
+        assert len(homogeneous) == 57
+        for d, s in homogeneous:
+            assert not any((d.out(v) | d.inn(v)) >> w & 1 for v in s for w in s)
+
+    def test_refuses_every_non_homogeneous_set(self):
+        for d, s in vertex_sets(catalog(5)):
+            if not is_homogeneous(d, s):
+                with pytest.raises(ValueError, match=f"^{HOMOGENEITY}$"):
+                    anti_extend(d, s, Digraph(len(s)))
 
     def test_edge_arithmetic(self):
         out = sid_extend(d_family(3), (1, 2, 3), transitive_tournament(3))

@@ -1,6 +1,8 @@
 """The package's import graph, read from the source with `ast` (nothing is
-imported): each module's `from .x import` targets, at any depth, must equal
-the table below, so a new edge between modules is made on purpose."""
+imported): each module's `from .x import` targets, and the private names it
+takes from them, at any depth, must equal the tables below, so a new edge
+between modules, or a new reach into another module's private names, is made
+on purpose."""
 
 import ast
 from pathlib import Path
@@ -24,9 +26,24 @@ IMPORTS = {
     "cli": {"constructions", "counting", "digraph", "formats", "properties"},
 }
 
+# module -> the `_`-prefixed names it imports from other toursid modules, as
+# "module.name"; `properties` reads `hosts._BLOCK` inside `_exact_best`
+PRIVATE_IMPORTS = {
+    "cli": {"formats._frac"},
+    "counting": {"digraph._transpose"},
+    "properties": {
+        "counting._add_plane",
+        "formats._frac",
+        "formats._unfrac",
+        "hosts._block_rows",
+        "hosts._BLOCK",
+    },
+}
 
-def package_imports(module: str) -> list[tuple[str, str | None]]:
-    """(target, enclosing function or None) of each relative import in `module`."""
+
+def package_imports(module: str) -> list[tuple[str, str | None, list[str]]]:
+    """(target, enclosing function or None, imported names) of each relative
+    import in `module`; `from . import x` imports the module x itself."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
     found = []
 
@@ -36,10 +53,11 @@ def package_imports(module: str) -> list[tuple[str, str | None]]:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.ImportFrom) and child.level:
+                names = [alias.name for alias in child.names]
                 if child.module:  # from .x import ...
-                    found.append((child.module.split(".")[0], where))
+                    found.append((child.module.split(".")[0], where, names))
                 else:  # from . import x
-                    found.extend((alias.name, where) for alias in child.names)
+                    found.extend((name, where, []) for name in names)
             visit(child, where)
 
     visit(tree, None)
@@ -52,9 +70,20 @@ def test_every_module_is_in_the_table():
 
 @pytest.mark.parametrize("module", sorted(IMPORTS))
 def test_imports_match_the_table(module):
-    assert {target for target, _ in package_imports(module)} == IMPORTS[module]
+    assert {target for target, _, _ in package_imports(module)} == IMPORTS[module]
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTS))
+def test_private_imports_match_the_table(module):
+    private = {
+        f"{target}.{name}"
+        for target, _, names in package_imports(module)
+        for name in names
+        if name.startswith("_")
+    }
+    assert private == PRIVATE_IMPORTS.get(module, set())
 
 
 def test_cli_loads_the_catalog_only_to_construct():
-    where = {w for target, w in package_imports("cli") if target == "constructions"}
+    where = {w for target, w, _ in package_imports("cli") if target == "constructions"}
     assert where == {"_cmd_construct"}

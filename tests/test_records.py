@@ -132,6 +132,7 @@ class TestValidatingConstructors:
             ((5,), "pinned set is not a subset of the pattern vertices"),
             (1 << 5, "pinned set is not a subset of the pattern vertices"),
             ((0, 1), "pinned set must be independent in the pattern"),
+            ((-1,), "pinned set is not a subset of the pattern vertices"),
         ],
     )
     def test_pinned_pattern_errors(self, pinned, message):

@@ -22,10 +22,11 @@ from toursid.constructions import (
     unique_hom_digraph,
 )
 from toursid.counting import PinnedPattern, count_homomorphisms
-from toursid.covers import bcv_loads, leading_lower_bound, tight_weight_form
+from toursid.covers import BicliqueCover, bcv_loads, leading_lower_bound, tight_weight_form
 from toursid.digraph import Digraph, Tournament, are_isomorphic, transitive_host
-from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_loads
+from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
 from toursid.properties import (
+    PropertyReport,
     check_anti_on_family,
     interpolate_to_density,
     quasirandom_epsilon,
@@ -138,13 +139,6 @@ def test_isolated_vertex_has_no_homomorphism_into_the_empty_host(d):
     assert count_homomorphisms(d, Tournament(0)) == 0
 
 
-def _glue_onto_edge(identification):
-    # `_replace` skips PinnedPattern's independence check, so p1 may pin
-    # both ends of its edge and glue onto an edge of p2
-    p1 = PinnedPattern(EDGE, ())._replace(pinned=0b11)
-    return glue(p1, PinnedPattern(Digraph(2, [(0, 1)]), ()), identification)
-
-
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -161,8 +155,6 @@ def _glue_onto_edge(identification):
             ValueError,
             "identified vertex 2 out of range",
         ),
-        (lambda: _glue_onto_edge({0: 0, 1: 1}), ValueError, "duplicates the edge (0,1)"),
-        (lambda: _glue_onto_edge({0: 1, 1: 0}), ValueError, "antiparallel pair on {1,0}"),
         (lambda: substitute(star(1, 1), 3, EDGE), ValueError, "substituted vertex out of range"),
         (lambda: substitute(star(1, 1), 0, Digraph(0)), ValueError, "cannot substitute an empty"),
         (
@@ -181,8 +173,6 @@ def _glue_onto_edge(identification):
         "unique-hom-one",
         "extend-out-of-range",
         "glue-out-of-range",
-        "glue-duplicate-edge",
-        "glue-antiparallel",
         "substitute-out-of-range",
         "substitute-empty",
         "dominating-direction",
@@ -190,6 +180,59 @@ def _glue_onto_edge(identification):
 )
 def test_constructions_refuses(call, error, fragment):
     refuses(call, error, fragment)
+
+
+PINNED = PinnedPattern(EDGE, (1,))
+REPORT = PropertyReport(
+    "p", dgf_dumps(EDGE), None, {"kind": "exhaustive"}, "holds-upto", Fraction(1), None, (), {}
+)
+COVER = BicliqueCover(3, [(0b001, 0b010)])
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: PINNED._replace(pinned=0b11), "pinned set must be independent in the pattern"),
+        (lambda: PinnedPattern._make([EDGE, 0b11]), "pinned set must be independent in the pattern"),
+        (
+            lambda: REPORT._replace(verdict="violated"),
+            "violated verdict requires an extremal ratio above 1",
+        ),
+        (
+            lambda: PropertyReport._make([*REPORT[:4], "violated", *REPORT[5:]]),
+            "violated verdict requires an extremal ratio above 1",
+        ),
+        (lambda: COVER._replace(parts=((0b011, 0b010),)), "biclique parts must be disjoint"),
+        (lambda: BicliqueCover._make([3, ((0b011, 0b010),)]), "biclique parts must be disjoint"),
+    ],
+    ids=["pinned-replace", "pinned-make", "report-replace", "report-make", "cover-replace",
+         "cover-make"],
+)
+def test_records_rebuild_through_their_checks(call, fragment):
+    refuses(call, ValueError, fragment)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "strong-anti", "--pins-set", "-1", "--exhaustive", "3"],
+        ["count", "--pins=-1:0"],
+    ],
+    ids=["pins-set", "pins"],
+)
+def test_cli_refuses_a_negative_pinned_vertex(tmp_path, capsys, argv):
+    pattern = tmp_path / "edge.dgf"
+    pattern.write_text(dgf_dumps(EDGE))
+    host = tmp_path / "tt3.trn"
+    host.write_text(trn_dumps(TT3))
+    if argv[0] == "count":
+        argv = argv + ["--host", str(host)]
+    assert main(argv + ["--pattern", str(pattern)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: pinned set is not a subset of the pattern vertices\n",
+    )
 
 
 def test_cli_renders_a_measured_scan_as_text(tmp_path, capsys):
