@@ -297,7 +297,12 @@ def tree_anti_orientation(r: UndirectedGraph) -> Digraph:
 
 
 def _extend(d1: Digraph, i_set, d2: Digraph, family: str) -> Digraph:
-    i_mask = i_set if isinstance(i_set, int) else mask_of(i_set)
+    if isinstance(i_set, int):
+        i_mask = i_set
+    else:
+        vertices = list(i_set)
+        # a negative vertex is refused below, as one past d1 is
+        i_mask = mask_of(vertices) if min(vertices, default=0) >= 0 else -1
     if i_mask >> d1.n:
         raise ValueError("designated set out of range")
     members = sorted(bits(i_mask))

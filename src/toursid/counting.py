@@ -21,10 +21,13 @@ unpinned degree-0 vertices in closed form, outside the walk.
   (unpinned vertices with equal in- and out-rows, hence pairwise
   non-adjacent) goes last, and that trailing group is counted in closed form
   from its one candidate row: (c)_k injective maps or c^k homomorphisms for
-  k twins with c candidates. The last walked position counts the group in
-  its own candidate loop, one expansion per candidate, so the search makes
-  no call per leaf. A star's leaves are such a class, so a star costs one
-  walk over its centre and its other leaf class.
+  k twins with c candidates. The last walked position is not walked either:
+  when no group constraint falls on it, as in every star, every candidate
+  meets the same row and the position is counted in closed form; otherwise
+  its count depends only on its candidate and base rows and is memoised on
+  that pair (in C5 on its blowups, one pair serves every image of position
+  1). Either way it is charged one expansion per candidate, as walking it
+  would be, so the search makes no call per leaf.
 
 `oracle_count` is an independent, unpruned full enumeration used to validate
 both engines; it must never share their code path.
@@ -72,6 +75,12 @@ _BUDGET_ENV = "TOURSID_BUDGET"
 # deepest pattern the recursive backtracker accepts; well under Python's
 # default recursion limit of 1000, leaving room for the callers' frames
 SEARCH_DEPTH_LIMIT = 500
+
+# bounds of `_backtrack`'s memo of last-position counts, one per call: at
+# most 2^14 entries, each keyed by two n-bit host rows, and at most 2^24 / n
+# of them, so the keys hold at most 4 MiB on a host of any size
+_MEMO_ENTRIES = 1 << 14
+_MEMO_BITS = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -233,14 +242,23 @@ def _backtrack(
     so is the plan's trailing group. Its constraint list refers only to
     earlier positions, so the k group vertices draw from one candidate row:
     with c candidates, c^k homomorphisms, and with c unused candidates,
-    (c)_k injective maps. The last walked position counts the group in its
-    own candidate loop, from one base row of the group's constraints on
-    earlier positions cut by each candidate's row.
+    (c)_k injective maps. The last walked position counts the group from
+    one base row of the group's constraints on earlier positions, cut by
+    each candidate's row when a group constraint falls on the position.
+    When none does, every candidate meets the base row itself, and the
+    position is counted in closed form: with c = |base|, (c - 1)_k for each
+    candidate in base and (c)_k for each outside it, or c^k homomorphisms
+    per candidate. Otherwise the position's count depends only on the pair
+    (candidates, base); its candidate loop runs once per pair and the result
+    is memoised, in a table of at most min(2^14, 2^24 / n) entries per call.
 
     Each expansion of a search position counts against the work budget, and
     the trailing group is one expansion per candidate of the last walked
-    position, however large it is. With `limit` set, the count saturates
-    there (early exit), checked after each candidate.
+    position, however large it is, whether the loop, the closed form or the
+    memo counts it. With `limit` set, the count saturates there (early
+    exit), checked after each candidate: a position whose whole count would
+    reach the limit is walked by the loop, so it is charged exactly the
+    candidates up to the one that reaches it.
     """
     pins = pins or {}
     order, plan, isolated, group = _plan(d, tuple(sorted(pins)))
@@ -269,6 +287,8 @@ def _backtrack(
     ceiling = work_budget()
     exceeded = f"search exceeded the work budget of {ceiling} expansions"
     images = [0] * len(order)
+    memo: dict[tuple[int, int], int] = {}
+    room = min(_MEMO_ENTRIES, _MEMO_BITS // max(n, 1))
     nodes = 0
     total = 0
 
@@ -295,6 +315,30 @@ def _backtrack(
                 base &= out_rows[images[s]] if forward else in_rows[images[s]]
             if injective:
                 base &= ~used
+            key = None
+            if tail_rows is None:
+                # every candidate meets the same row: |base| free images,
+                # less one when the candidate itself lies in base
+                c = base.bit_count()
+                if injective:
+                    inside = (cand & base).bit_count()
+                    whole = (cand.bit_count() - inside) * math.perm(c, size)
+                    if inside:
+                        whole += inside * math.perm(c - 1, size)
+                else:
+                    whole = cand.bit_count() * c**size
+            else:
+                key = (cand, base)
+                whole = memo.get(key)
+            # a whole position that leaves the limit unmet is one the loop
+            # below would walk to its end, charging one node per candidate
+            if whole is not None and (limit is None or total + whole < limit):
+                nodes += cand.bit_count()
+                if nodes > ceiling:
+                    raise BudgetExceededError(exceeded)
+                total += whole
+                return False
+            whole = 0
             while cand:
                 b = cand & -cand
                 cand ^= b
@@ -303,12 +347,15 @@ def _backtrack(
                     raise BudgetExceededError(exceeded)
                 row = base if tail_rows is None else base & tail_rows[b.bit_length() - 1]
                 if injective:
-                    free = (row & ~b).bit_count()
-                    total += math.perm(free, size)
+                    whole += math.perm((row & ~b).bit_count(), size)
                 else:
-                    total += row.bit_count() ** size
-                if limit is not None and total >= limit:
+                    whole += row.bit_count() ** size
+                if limit is not None and total + whole >= limit:
+                    total += whole
                     return True
+            total += whole
+            if key is not None and len(memo) < room:
+                memo[key] = whole
             return False
         while cand:
             b = cand & -cand

@@ -41,10 +41,10 @@ _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
 # glibc's default mmap threshold, and each exact-scan int is 2 KiB.
 _BLOCK = 1 << 14
 # rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
-# wide a row is. The floor binds only for rows of more than 2^11 entries: the
-# sampled quasi subsets from n = 342 on, and coin chunks past n = 2048. At
-# n = 768 a block holds 8 subsets of 768 x 12 words and its largest temporary
-# is about 0.6 MB; with fewer rows the per-block calls dominate the scan
+# wide a row is. The floor binds only for rows of more than 2^11 entries:
+# coin chunks and sampled quasi subsets, one entry per vertex, past n = 2048;
+# with fewer rows the per-block calls dominate the scan. At n = 768 a block
+# holds 21 subsets, and each temporary 21 x 768 entries, at most 126 KiB
 _BLOCK_ROWS = 1 << 10
 _MIN_BLOCK_ROWS = 8
 

@@ -595,10 +595,13 @@ def quasirandom_epsilon(
 
     For fixed A the optimal B takes every vertex outside A with positive
     signed in-degree toward A. Exact mode scans all 2^n subsets A (guarded at
-    n = 20) on bit-sliced Python ints, without numpy. Sampled mode streams
-    seeded random subsets A through numpy blocks of 64-bit word masks and
-    returns the high-water value, an exact lower bound on the true eps. Both
-    modes work in fixed-size blocks, so memory stays bounded at any n.
+    n = 20) on bit-sliced Python ints, without numpy. Sampled mode draws
+    seeded random subsets A as 64-bit word masks, in blocks of
+    `hosts._block_rows(n)` subsets, and returns the high-water value, an exact
+    lower bound on the true eps. A block meets the out-rows one word at a
+    time: the popcounts of its subsets' word w against word w of every
+    out-row add into one subsets x vertices counter, reused by every block.
+    Both modes work in fixed-size blocks, so memory stays bounded at any n.
     """
     n = t.n
     if n <= 1:
@@ -615,10 +618,13 @@ def quasirandom_epsilon(
         raise ValueError("need at least one sample")
     import numpy as np
 
-    out_words = _packed_rows(t)
-    v, words = np.arange(n), (n + 63) // 64
-    word_of, bit_of = v >> 6, (v & 63).astype(np.uint64)
-    step = _block_rows(n * words)
+    words = (n + 63) // 64
+    # out_cols[w]: word w of every vertex's out-row
+    out_cols = np.ascontiguousarray(_packed_rows(t).T)
+    step = _block_rows(n)
+    # the counter and its two temporaries, one subset per row and one vertex
+    # per column, allocated once and reused by every block
+    buffers = [np.empty((step, n), dtype) for dtype in (np.int32, np.uint64, np.uint8)]
     best = 0
     for start in range(0, samples, step):
         # word w of subset A_j is blend(seed, j, w), cut to the n vertices
@@ -626,14 +632,23 @@ def quasirandom_epsilon(
         a = blend_array(seed, j, np.arange(words))
         if n % 64:
             a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+        meet, word, ones = (buf[: len(a)] for buf in buffers)
+        meet.fill(0)
+        for w in range(words):
+            np.bitwise_and(a[:, w, None], out_cols[w], out=word)
+            np.bitwise_count(word, out=ones)
+            meet += ones
         # for v outside A the signed in-degree toward A is
-        # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
-        size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
-        meet = np.bitwise_count(a[:, None, :] & out_words).sum(axis=2, dtype=np.int32)
-        signed = size[:, None] - 2 * meet
-        signed[(a[:, word_of] >> bit_of & np.uint64(1)).astype(bool)] = 0
-        np.maximum(signed, 0, out=signed)
-        best = max(best, int(signed.sum(axis=1).max()))
+        # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament,
+        # written over `meet`
+        meet *= -2
+        meet += np.bitwise_count(a).sum(axis=1, dtype=np.int32)[:, None]
+        inside = np.unpackbits(
+            a.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
+        )
+        np.copyto(meet, 0, where=inside.view(bool))
+        np.maximum(meet, 0, out=meet)
+        best = max(best, int(meet.sum(axis=1).max()))
     return Fraction(best, n * n)
 
 

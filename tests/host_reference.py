@@ -4,7 +4,8 @@ orbit-minimum search that checks it, the bit columns of every raw host, the
 invariant the enumeration buckets by, every oriented graph on a few
 vertices, the per-pair pair-code decode and encode that the row-slice
 codec of `Tournament.from_code` and `Tournament.code` must equal, and the
-numpy block loop that the bit-sliced exact quasirandom scan must equal."""
+numpy block loop that the bit-sliced exact quasirandom scan must equal, and
+the popcount cube that the word-sliced sampled scan must equal."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,6 +15,7 @@ from toursid.counting import HostColumns
 from toursid.digraph import Digraph, Tournament, are_isomorphic, bits, pair_count
 from toursid.hosts import _block_rows
 from toursid.properties import _packed_rows
+from toursid.rng import blend_array
 
 
 def pairwise_from_code(n: int, code: int) -> Tournament:
@@ -191,6 +193,35 @@ def numpy_quasi_epsilon(t: Tournament) -> Fraction:
         a = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)[:, None]
         # for v outside A the signed in-degree toward A is
         # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
+        size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
+        meet = np.bitwise_count(a[:, None, :] & out_words).sum(axis=2, dtype=np.int32)
+        signed = size[:, None] - 2 * meet
+        signed[(a[:, word_of] >> bit_of & np.uint64(1)).astype(bool)] = 0
+        np.maximum(signed, 0, out=signed)
+        best = max(best, int(signed.sum(axis=1).max()))
+    return Fraction(best, n * n)
+
+
+def cube_sampled_quasi_epsilon(t: Tournament, samples: int, seed: int) -> Fraction:
+    """Sampled quasirandom eps by the popcount cube that the word-sliced scan
+    replaced: each block's subsets meet every out-row in one
+    subsets x vertices x words array, summed over its last axis."""
+    import numpy as np
+
+    n = t.n
+    if n <= 1:
+        return Fraction(0)
+    out_words = _packed_rows(t)
+    v, words = np.arange(n), (n + 63) // 64
+    word_of, bit_of = v >> 6, (v & 63).astype(np.uint64)
+    step = _block_rows(n * words)
+    best = 0
+    for start in range(0, samples, step):
+        # word w of subset A_j is blend(seed, j, w), cut to the n vertices
+        j = np.arange(start, min(start + step, samples))[:, None]
+        a = blend_array(seed, j, np.arange(words))
+        if n % 64:
+            a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
         size = np.bitwise_count(a).sum(axis=1, dtype=np.int32)
         meet = np.bitwise_count(a[:, None, :] & out_words).sum(axis=2, dtype=np.int32)
         signed = size[:, None] - 2 * meet

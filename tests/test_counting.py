@@ -50,6 +50,7 @@ from toursid.formats import trn_loads
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
 U20 = uniform_tournament(20, 3)
+C5_BLOWUP6 = fill_to_tournament(directed_cycle(5).blowup(6))
 
 
 class TestHomomorphisms:
@@ -369,6 +370,15 @@ class TestBudget:
             7,
             38,
         ),
+        (lambda: count_labeled(star(2, 2), transitive_host(32)).value, 10449, 805504),
+        (
+            lambda: count_labeled_pinned(PinnedPattern(star(2, 2), [0]), U20, {0: 3}).value,
+            66,
+            6160,
+        ),
+        (lambda: count_labeled(directed_cycle(5), C5_BLOWUP6).value, 68219, 326430),
+        (lambda: count_homomorphisms(directed_cycle(5), C5_BLOWUP6), 70163, 326430),
+        (lambda: count_homomorphisms(directed_cycle(5), C5_BLOWUP6, limit=100000), 27089, 100000),
     ]
 
     @pytest.mark.parametrize("count, smallest, value", PINNED_BUDGETS)
@@ -386,6 +396,75 @@ class TestBudget:
         for k in (1, 2, 3, 7, 100, 1234, 30001, exact - 1, exact, exact + 1):
             assert count_homomorphisms(c5, U20, limit=k) == min(k, exact)
             assert _backtrack(c5, U20, injective=True, limit=k) == min(k, labeled)
+
+
+def _last_position_branch(d, pinned=()):
+    """How `_backtrack` counts the last walked position of d's plan: "closed"
+    when no constraint of the trailing group falls on it, so every candidate
+    meets one row, and "memo" when one does."""
+    _, cons, _, group = _plan(d, pinned)
+    return "memo" if any(s == group - 1 for s, _ in cons[-1]) else "closed"
+
+
+def _pinned_brute(d, t, injective, pins):
+    """Maps of d into t extending `pins`, by full enumeration of the free
+    vertices; like `oracle_count`, it shares no code with the backtracker."""
+    free = [v for v in range(d.n) if v not in pins]
+    edges, rows = d.edges(), t.out_rows()
+    phi = [pins.get(v, 0) for v in range(d.n)]
+    count = 0
+    for images in itertools.product(range(t.n), repeat=len(free)):
+        for v, h in zip(free, images):
+            phi[v] = h
+        if injective and len(set(phi)) < d.n:
+            continue
+        count += all(rows[phi[u]] >> phi[v] & 1 for u, v in edges)
+    return count
+
+
+class TestLastPosition:
+    """The last walked position is counted without walking its candidates:
+
+    * star(1, 2), directed_path(3), and star(1, 2) pinned at its centre reach
+      the closed form: no constraint of the trailing group falls on the last
+      walked position, so every candidate meets the same base row;
+    * transitive_tournament(3), directed_cycle(5), directed_cycle(5) pinned at
+      0 and star(2, 1) pinned at its two out-leaves reach the memo. In C5 the
+      last walked position and the group read the images of positions 0 and
+      2 only, so the memo answers every image of position 1 after the first;
+      in the other two every visit has its own pair, so they fill the memo
+      without reading it.
+
+    Each is checked on every raw host with n <= 5, injective and homs, against
+    an enumeration that shares no code with the backtracker. A pinned set is
+    anchored at the host's first vertices; over all raw hosts that is every
+    anchor up to relabelling.
+    """
+
+    CASES = [
+        (star(1, 2), (), "closed"),
+        (directed_path(3), (), "closed"),
+        (star(1, 2), (0,), "closed"),
+        (transitive_tournament(3), (), "memo"),
+        (directed_cycle(5), (), "memo"),
+        (directed_cycle(5), (0,), "memo"),
+        (star(2, 1), (1, 2), "memo"),
+    ]
+
+    @pytest.mark.parametrize("injective", [True, False], ids=["labeled", "homs"])
+    @pytest.mark.parametrize("d, pinned, branch", CASES)
+    def test_matches_enumeration_on_raw_hosts(self, d, pinned, branch, injective, hosts_upto_5):
+        assert _last_position_branch(d, pinned) == branch
+        mode = "labeled" if injective else "homs"
+        for t in hosts_upto_5:
+            if pinned and t.n < len(pinned):
+                continue
+            pins = {v: h for h, v in enumerate(pinned)}
+            if pinned:
+                expected = _pinned_brute(d, t, injective, pins)
+            else:
+                expected = oracle_count(d, t, mode)
+            assert _backtrack(d, t, injective=injective, pins=pins) == expected, t.code()
 
 
 class TestHostColumns:

@@ -24,7 +24,7 @@ from toursid.counting import (
 )
 from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.formats import trn_dumps, trn_loads
-from toursid.hosts import uniform_tournament
+from toursid.hosts import _block_rows, uniform_tournament
 from toursid.properties import (
     PropertyReport,
     SampledDensity,
@@ -45,7 +45,7 @@ from toursid.properties import (
 )
 from toursid.rng import blend
 
-from host_reference import numpy_quasi_epsilon
+from host_reference import cube_sampled_quasi_epsilon, numpy_quasi_epsilon
 
 
 def poly_derivative_at_zero(f, degree):
@@ -395,6 +395,22 @@ class TestExactQuasiReference:
         hosts += [two_block_tournament(n, Fraction(3, 10), seed) for seed in seeds]
         for t in hosts:
             assert quasirandom_epsilon(t) == numpy_quasi_epsilon(t)
+
+
+class TestSampledQuasiReference:
+    """The word-sliced sampled scan against the popcount cube it replaced,
+    with a short last block: n % 64 == 0 at 64 and 768, several words past 64."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 768])
+    def test_equals_popcount_cube(self, n):
+        samples = 3 * _block_rows(n) + 5
+        for seed in range(4):
+            if seed % 2:
+                t = two_block_tournament(n, Fraction(3, 10), seed)
+            else:
+                t = uniform_tournament(n, seed)
+            got = quasirandom_epsilon(t, "sampled", samples=samples, seed=seed + 11)
+            assert got == cube_sampled_quasi_epsilon(t, samples, seed + 11), seed
 
 
 class TestInterpolation:

@@ -150,6 +150,7 @@ def test_isolated_vertex_has_no_homomorphism_into_the_empty_host(d):
         (lambda: d_family(-1), ValueError, "middle count must be nonnegative"),
         (lambda: unique_hom_digraph(1), ValueError, "need k >= 2"),
         (lambda: anti_extend(Digraph(2), 0b100, Digraph(1)), ValueError, "designated set out of range"),
+        (lambda: anti_extend(star(2, 2), (-1,), Digraph(1)), ValueError, "designated set out of range"),
         (
             lambda: glue(PinnedPattern(EDGE, (1,)), PinnedPattern(EDGE, ()), {1: 2}),
             ValueError,
@@ -172,6 +173,7 @@ def test_isolated_vertex_has_no_homomorphism_into_the_empty_host(d):
         "fan-negative",
         "unique-hom-one",
         "extend-out-of-range",
+        "extend-negative",
         "glue-out-of-range",
         "substitute-out-of-range",
         "substitute-empty",
