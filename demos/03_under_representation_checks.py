@@ -6,8 +6,9 @@ up to a host size; structured families (transitive hosts, filled blowups)
 hunt for violations beyond exhaustive reach.
 """
 
-from toursid import check_anti_exhaustive, check_anti_on_family, falsify_by_blowup
+from toursid import check_anti_exhaustive, check_anti_on_family
 from toursid.constructions import directed_cycle, directed_path, star, transitive_tournament
+from toursid.experiments import falsify_by_blowup
 
 print("== exhaustive certification over every host with up to 6 vertices ==")
 for pattern in (directed_path(2), directed_cycle(3), star(1, 1)):

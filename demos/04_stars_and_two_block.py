@@ -11,16 +11,10 @@ f'(0) > 0 exposes the violation.
 
 from fractions import Fraction
 
-from toursid import (
-    check_strong_anti,
-    classify_star,
-    sampled_density,
-    star_expected_density,
-    two_block_tournament,
-)
+from toursid import check_strong_anti, sampled_density, two_block_tournament
 from toursid.counting import PinnedPattern
 from toursid.constructions import star
-from toursid.properties import star_two_block_profile
+from toursid.experiments import classify_star, star_expected_density, star_two_block_profile
 from toursid.rng import blend
 
 print("== classification table ==")

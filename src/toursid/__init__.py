@@ -12,84 +12,61 @@ import os
 # toursid does no BLAS work; OpenBLAS's thread pool only slows start-up
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .counting import (
-    BudgetExceededError,
-    CountResult,
-    PinnedPattern,
-    count_homomorphisms,
-    count_labeled,
-    count_labeled_pinned,
-    density,
-    oracle_count,
-)
-from .digraph import (
-    Digraph,
-    SizeLimitError,
-    Tournament,
-    UndirectedGraph,
-    are_isomorphic,
-    disjoint_union,
-    fill_to_tournament,
-    transitive_host,
-)
-from .hosts import (
-    all_tournaments,
-    tournament_representatives,
-    uniform_tournament,
-)
-from .properties import (
-    PropertyReport,
-    StarClassification,
-    check_anti_exhaustive,
-    check_anti_on_family,
-    check_strong_anti,
-    classify_star,
-    falsify_by_blowup,
-    forcing_probe,
-    impartiality_report,
-    interpolate_to_density,
-    quasirandom_epsilon,
-    sampled_density,
-    sidorenko_scan_exhaustive,
-    star_expected_density,
-    two_block_tournament,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CountResult",
-    "Digraph",
-    "PinnedPattern",
-    "PropertyReport",
-    "SizeLimitError",
-    "StarClassification",
-    "Tournament",
-    "UndirectedGraph",
-    "all_tournaments",
-    "are_isomorphic",
-    "check_anti_exhaustive",
-    "check_anti_on_family",
-    "check_strong_anti",
-    "classify_star",
-    "count_homomorphisms",
-    "count_labeled",
-    "count_labeled_pinned",
-    "density",
-    "disjoint_union",
-    "falsify_by_blowup",
-    "fill_to_tournament",
-    "forcing_probe",
-    "impartiality_report",
-    "interpolate_to_density",
-    "oracle_count",
-    "quasirandom_epsilon",
-    "sampled_density",
-    "sidorenko_scan_exhaustive",
-    "star_expected_density",
-    "tournament_representatives",
-    "transitive_host",
-    "two_block_tournament",
-    "uniform_tournament",
-]
+# each public name and the module that defines it. A name is imported from
+# its module when it is first read (PEP 562), so `import toursid` loads no
+# submodule and `python -m toursid.cli` loads only what `cli` imports.
+_PUBLIC = {
+    "BudgetExceededError": "counting",
+    "CountResult": "counting",
+    "Digraph": "digraph",
+    "PinnedPattern": "counting",
+    "PropertyReport": "properties",
+    "SizeLimitError": "digraph",
+    "StarClassification": "experiments",
+    "Tournament": "digraph",
+    "UndirectedGraph": "digraph",
+    "all_tournaments": "hosts",
+    "are_isomorphic": "digraph",
+    "check_anti_exhaustive": "properties",
+    "check_anti_on_family": "properties",
+    "check_strong_anti": "properties",
+    "classify_star": "experiments",
+    "count_homomorphisms": "counting",
+    "count_labeled": "counting",
+    "count_labeled_pinned": "counting",
+    "density": "counting",
+    "disjoint_union": "digraph",
+    "falsify_by_blowup": "experiments",
+    "fill_to_tournament": "digraph",
+    "forcing_probe": "experiments",
+    "impartiality_report": "properties",
+    "interpolate_to_density": "experiments",
+    "oracle_count": "counting",
+    "quasirandom_epsilon": "properties",
+    "sampled_density": "properties",
+    "sidorenko_scan_exhaustive": "properties",
+    "star_expected_density": "experiments",
+    "tournament_representatives": "hosts",
+    "transitive_host": "digraph",
+    "two_block_tournament": "properties",
+    "uniform_tournament": "hosts",
+}
+
+__all__ = sorted(_PUBLIC)
+
+
+def __getattr__(name: str):
+    module = _PUBLIC.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _PUBLIC.keys())

@@ -14,20 +14,13 @@ unpinned degree-0 vertices in closed form, outside the walk.
   the AND of its columns, and each row's hits are ripple-added into a
   `HostCounts` vertical counter (one int per count bit), so every host of a
   size is counted at once and no numpy is imported;
-* the backtracker, for single hosts of any size. The plan's order puts the
-  pinned vertices first, then the others by maximum back-degree (most
-  constraints earliest), and candidate sets are bit-row intersections of the
-  already-placed images' in/out neighborhoods. The largest class of twins
-  (unpinned vertices with equal in- and out-rows, hence pairwise
-  non-adjacent) goes last, and that trailing group is counted in closed form
-  from its one candidate row: (c)_k injective maps or c^k homomorphisms for
-  k twins with c candidates. The last walked position is not walked either:
-  when no group constraint falls on it, as in every star, every candidate
-  meets the same row and the position is counted in closed form; otherwise
-  its count depends only on its candidate and base rows and is memoised on
-  that pair (in C5 on its blowups, one pair serves every image of position
-  1). Either way it is charged one expansion per candidate, as walking it
-  would be, so the search makes no call per leaf.
+* the backtracker, `search._backtrack`, for single hosts of any size. The
+  plan's order puts the pinned vertices first, then the others by maximum
+  back-degree, and the largest class of twins last; the trailing group and
+  the last walked position are counted in closed form or memoised (see
+  `search`). `count_homomorphisms`, `count_labeled` and
+  `count_labeled_pinned` import it when they are first called, so a process
+  that only scans exhaustively never loads it.
 
 `oracle_count` is an independent, unpruned full enumeration used to validate
 both engines; it must never share their code path.
@@ -75,12 +68,6 @@ _BUDGET_ENV = "TOURSID_BUDGET"
 # deepest pattern the recursive backtracker accepts; well under Python's
 # default recursion limit of 1000, leaving room for the callers' frames
 SEARCH_DEPTH_LIMIT = 500
-
-# bounds of `_backtrack`'s memo of last-position counts, one per call: at
-# most 2^14 entries, each keyed by two n-bit host rows, and at most 2^24 / n
-# of them, so the keys hold at most 4 MiB on a host of any size
-_MEMO_ENTRIES = 1 << 14
-_MEMO_BITS = 1 << 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -228,161 +215,22 @@ def _plan(
     return tuple(order), cons, d.n - len(order), group
 
 
-def _backtrack(
-    d: Digraph,
-    host: Tournament,
-    *,
-    injective: bool,
-    pins: Optional[dict[int, int]] = None,
-    limit: Optional[int] = None,
-) -> int:
-    """Count maps V(d) -> V(host) preserving directed edges, walking `_plan`.
-
-    Degree-0 unpinned pattern vertices are factored out in closed form, and
-    so is the plan's trailing group. Its constraint list refers only to
-    earlier positions, so the k group vertices draw from one candidate row:
-    with c candidates, c^k homomorphisms, and with c unused candidates,
-    (c)_k injective maps. The last walked position counts the group from
-    one base row of the group's constraints on earlier positions, cut by
-    each candidate's row when a group constraint falls on the position.
-    When none does, every candidate meets the base row itself, and the
-    position is counted in closed form: with c = |base|, (c - 1)_k for each
-    candidate in base and (c)_k for each outside it, or c^k homomorphisms
-    per candidate. Otherwise the position's count depends only on the pair
-    (candidates, base); its candidate loop runs once per pair and the result
-    is memoised, in a table of at most min(2^14, 2^24 / n) entries per call.
-
-    Each expansion of a search position counts against the work budget, and
-    the trailing group is one expansion per candidate of the last walked
-    position, however large it is, whether the loop, the closed form or the
-    memo counts it. With `limit` set, the count saturates there (early
-    exit), checked after each candidate: a position whose whole count would
-    reach the limit is walked by the loop, so it is charged exactly the
-    candidates up to the one that reaches it.
-    """
-    pins = pins or {}
-    order, plan, isolated, group = _plan(d, tuple(sorted(pins)))
-    n = host.n
-    if injective and n < d.n:
-        return 0
-
-    # closed-form multiplier for the isolated vertices
-    mult = math.perm(n - len(order), isolated) if injective else n**isolated
-    if mult == 0:
-        return 0
-
-    size = len(order) - group
-    out_rows = host.out_rows()
-    in_rows = host.in_rows()
-    # A nonempty group follows at least one walked position (its vertices
-    # have edges, and only to earlier positions), and in an oriented pattern
-    # at most one group constraint falls on the last walked position.
-    last = group - 1 if size else -1
-    group_plan = plan[-1] if size else []
-    head = [(s, forward) for s, forward in group_plan if s < last]
-    tail = [out_rows if forward else in_rows for s, forward in group_plan if s == last]
-    tail_rows = tail[0] if tail else None
-
-    full = (1 << n) - 1
-    ceiling = work_budget()
-    exceeded = f"search exceeded the work budget of {ceiling} expansions"
-    images = [0] * len(order)
-    memo: dict[tuple[int, int], int] = {}
-    room = min(_MEMO_ENTRIES, _MEMO_BITS // max(n, 1))
-    nodes = 0
-    total = 0
-
-    def rec(t: int, used: int) -> bool:
-        """Returns True when the limit was reached (stop unwinding)."""
-        nonlocal nodes, total
-        if t == len(order):
-            total += 1
-            return limit is not None and total >= limit
-        nodes += 1
-        if nodes > ceiling:
-            raise BudgetExceededError(exceeded)
-        v = order[t]
-        cand = full
-        for s, forward in plan[t]:
-            cand &= out_rows[images[s]] if forward else in_rows[images[s]]
-        if v in pins:
-            cand &= 1 << pins[v]
-        if injective:
-            cand &= ~used
-        if t == last:
-            base = full
-            for s, forward in head:
-                base &= out_rows[images[s]] if forward else in_rows[images[s]]
-            if injective:
-                base &= ~used
-            key = None
-            if tail_rows is None:
-                # every candidate meets the same row: |base| free images,
-                # less one when the candidate itself lies in base
-                c = base.bit_count()
-                if injective:
-                    inside = (cand & base).bit_count()
-                    whole = (cand.bit_count() - inside) * math.perm(c, size)
-                    if inside:
-                        whole += inside * math.perm(c - 1, size)
-                else:
-                    whole = cand.bit_count() * c**size
-            else:
-                key = (cand, base)
-                whole = memo.get(key)
-            # a whole position that leaves the limit unmet is one the loop
-            # below would walk to its end, charging one node per candidate
-            if whole is not None and (limit is None or total + whole < limit):
-                nodes += cand.bit_count()
-                if nodes > ceiling:
-                    raise BudgetExceededError(exceeded)
-                total += whole
-                return False
-            whole = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                nodes += 1
-                if nodes > ceiling:
-                    raise BudgetExceededError(exceeded)
-                row = base if tail_rows is None else base & tail_rows[b.bit_length() - 1]
-                if injective:
-                    whole += math.perm((row & ~b).bit_count(), size)
-                else:
-                    whole += row.bit_count() ** size
-                if limit is not None and total + whole >= limit:
-                    total += whole
-                    return True
-            total += whole
-            if key is not None and len(memo) < room:
-                memo[key] = whole
-            return False
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            images[t] = b.bit_length() - 1
-            if rec(t + 1, used | b):
-                return True
-        return False
-
-    rec(0, 0)
-    if limit is not None and total >= limit:
-        return limit
-    return total * mult
-
-
 def count_homomorphisms(d: Digraph, t: Tournament, *, limit: Optional[int] = None) -> int:
     """Exact number of (not necessarily injective) edge-preserving maps.
 
     With `limit` set the search may exit early: the result is exact whenever
     it is below `limit`; any result >= limit certifies count >= limit.
     """
+    from .search import _backtrack
+
     return _backtrack(d, t, injective=False, limit=limit)
 
 
 def count_labeled(d: Digraph, t: Tournament) -> CountResult:
     """Exact number of injective edge-preserving maps, with its baseline
     bound 2^(-e(D)) n^(v(D))."""
+    from .search import _backtrack
+
     value = _backtrack(d, t, injective=True)
     return CountResult(value, labeled_bound(d, t.n))
 
@@ -397,6 +245,8 @@ def count_labeled_pinned(p: PinnedPattern, t: Tournament, anchor: dict[int, int]
     if set(anchor) != set(pinned):
         raise ValueError("anchor must be defined on exactly the pinned set")
     _check_anchor(anchor, t.n)
+    from .search import _backtrack
+
     value = _backtrack(p.pattern, t, injective=True, pins=anchor)
     return CountResult(value, labeled_bound(p.pattern, t.n, len(pinned)))
 

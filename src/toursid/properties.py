@@ -1,12 +1,16 @@
-"""Verdict engines: exhaustive small-host certification, falsifier
-constructions, the star classifier, pinned checks, quasirandom-direction
-measurement, and the edge-flip interpolation walk.
+"""Verdict engines: exhaustive small-host certification, family scans,
+pinned checks, impartiality, the planted two-block host and
+quasirandom-direction measurement, the code every `check` and `quasi`
+command runs.
 
 Verdicts compare exact counts against the random-orientation baseline
 2^(-e(D)) n^(v(D)) (labeled form). All ratios are exact rationals; a report
 is "violated" exactly when its extremal ratio exceeds 1. Boolean
 over-representation verdicts at a fixed host size are never issued; the
 over-representation side is reported as ratio scans only.
+
+The star classifier, the blowup falsifier, the interpolation walk and the
+forcing probe, which no command runs, live in `experiments`.
 """
 
 from __future__ import annotations
@@ -15,17 +19,15 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .counting import (
     HostColumns,
     HostCounts,
     PinnedPattern,
     _add_plane,
-    count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
-    density,
     labeled_bound,
     labeled_counts,
 )
@@ -34,9 +36,7 @@ from .digraph import (
     Tournament,
     bits,
     fill_to_tournament,
-    mask_of,
     pair_count,
-    pair_order,
     transitive_host,
 )
 from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
@@ -47,9 +47,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 QUASI_EXACT_LIMIT = 20
-# hosts with at most this many pattern maps get an exact density in
-# `forcing_probe`; larger ones are sampled
-FORCING_EXACT_MAPS = 10**8
 
 REPORT_SCHEMA = "toursid/report-v1"
 
@@ -451,26 +448,6 @@ def check_anti_on_family(
     return _report("anti-sidorenko-family", d, regime, violated, best_ratio, witness, curve, extra)
 
 
-def falsify_by_blowup(d: Digraph) -> Optional[tuple[Tournament, Fraction]]:
-    """The filled balanced 2-blowup host that over-represents any pattern
-    with e(D) >= v(D) log2 v(D); None when the density premise fails.
-
-    The returned host has 2 v(D) vertices and exact density at least
-    v(D)^(-v(D)), which beats 2^(-e(D)) under the premise. Other multipliers
-    are the blowup family of `check_anti_on_family`.
-    """
-    v = d.n
-    if v == 0:
-        return None
-    if (1 << d.edge_count) < v**v:
-        return None
-    host = fill_to_tournament(d.blowup(2))
-    dens = density(d, host)
-    if dens < Fraction(1, v**v):
-        raise AssertionError("blowup host lost the block embeddings; counting bug")
-    return host, dens
-
-
 def check_strong_anti(p: PinnedPattern, n_max: int, *, dedup: bool = False) -> PropertyReport:
     """Pinned exhaustive check: for every tournament with n <= n_max and every
     injective anchor of the pinned set, the pinned count stays at or below
@@ -524,35 +501,7 @@ def impartiality_report(d: Digraph, n_max: int) -> PropertyReport:
     return _report("impartial", d, regime, witness is not None, witness=witness, extra=extra)
 
 
-# -- stars and the two-block family ------------------------------------------
-
-
-class StarClassification(NamedTuple):
-    sidorenko: bool
-    anti_sidorenko: bool
-
-    @property
-    def label(self) -> str:
-        if self.sidorenko and self.anti_sidorenko:
-            return "both"
-        if self.sidorenko:
-            return "sidorenko"
-        if self.anti_sidorenko:
-            return "anti-sidorenko"
-        return "neither"
-
-
-def classify_star(d_out: int, d_in: int) -> StarClassification:
-    """Classification of oriented stars: over-represented iff one side is
-    empty (the star maps onto an edge), under-represented iff the center's
-    in- and out-degrees differ by at most one. The single edge carries both
-    flags."""
-    if d_out < 0 or d_in < 0 or d_out + d_in < 1:
-        raise ValueError("star needs at least one leaf")
-    return StarClassification(
-        sidorenko=min(d_out, d_in) == 0,
-        anti_sidorenko=abs(d_out - d_in) <= 1,
-    )
+# -- the planted two-block host ---------------------------------------------
 
 
 def two_block_tournament(n: int, c, seed: int) -> Tournament:
@@ -562,23 +511,6 @@ def two_block_tournament(n: int, c, seed: int) -> Tournament:
     if not 0 <= frac <= 1:
         raise ValueError("block fraction must lie in [0, 1]")
     return Tournament.from_rows(coin_rows(n, seed, math.floor(frac * n)))
-
-
-def star_two_block_profile(c, d_out: int, d_in: int) -> Fraction:
-    """The exact block-profile polynomial
-    f(c) = c^(1+d_in) (2-c)^(d_out) + (1-c)^(1+d_out) (1+c)^(d_in),
-    normalized so f(0) = f(1) = 1."""
-    if d_out < 1 or d_in < 1:
-        raise ValueError("profile needs both degrees positive")
-    x = Fraction(c)
-    return x ** (1 + d_in) * (2 - x) ** d_out + (1 - x) ** (1 + d_out) * (1 + x) ** d_in
-
-
-def star_expected_density(c, d_out: int, d_in: int) -> Fraction:
-    """Large-host expected density of the oriented star in the two-block
-    family: 2^(-s) f(c) with s = d_out + d_in, exact in rationals."""
-    s = d_out + d_in
-    return star_two_block_profile(c, d_out, d_in) / (1 << s)
 
 
 # -- quasirandom direction ----------------------------------------------------
@@ -596,9 +528,9 @@ def quasirandom_epsilon(
     For fixed A the optimal B takes every vertex outside A with positive
     signed in-degree toward A. Exact mode scans all 2^n subsets A (guarded at
     n = 20) on bit-sliced Python ints, without numpy. Sampled mode draws
-    seeded random subsets A as 64-bit word masks, in blocks of
-    `hosts._block_rows(n)` subsets, and returns the high-water value, an exact
-    lower bound on the true eps. A block meets the out-rows one word at a
+    seeded random subsets A as 64-bit word masks, as many blocks of
+    `hosts._block_rows(n)` subsets at a time as fit in `hosts._BLOCK` words,
+    and returns the high-water value, an exact lower bound on the true eps. A block meets the out-rows one word at a
     time: the popcounts of its subsets' word w against word w of every
     out-row add into one subsets x vertices counter, reused by every block.
     Both modes work in fixed-size blocks, so memory stays bounded at any n.
@@ -618,37 +550,44 @@ def quasirandom_epsilon(
         raise ValueError("need at least one sample")
     import numpy as np
 
+    from .hosts import _BLOCK  # read per call, so a patched block size holds
+
     words = (n + 63) // 64
     # out_cols[w]: word w of every vertex's out-row
     out_cols = np.ascontiguousarray(_packed_rows(t).T)
     step = _block_rows(n)
+    # the words of as many whole blocks as fit in _BLOCK entries are drawn in
+    # one `blend_array` call: one call for 1000 subsets at n = 768
+    chunk = step * max(1, _BLOCK // (step * words))
     # the counter and its two temporaries, one subset per row and one vertex
     # per column, allocated once and reused by every block
     buffers = [np.empty((step, n), dtype) for dtype in (np.int32, np.uint64, np.uint8)]
     best = 0
-    for start in range(0, samples, step):
+    for first in range(0, samples, chunk):
         # word w of subset A_j is blend(seed, j, w), cut to the n vertices
-        j = np.arange(start, min(start + step, samples))[:, None]
-        a = blend_array(seed, j, np.arange(words))
+        j = np.arange(first, min(first + chunk, samples))[:, None]
+        drawn = blend_array(seed, j, np.arange(words))
         if n % 64:
-            a[:, -1] &= np.uint64((1 << (n % 64)) - 1)
-        meet, word, ones = (buf[: len(a)] for buf in buffers)
-        meet.fill(0)
-        for w in range(words):
-            np.bitwise_and(a[:, w, None], out_cols[w], out=word)
-            np.bitwise_count(word, out=ones)
-            meet += ones
-        # for v outside A the signed in-degree toward A is
-        # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament,
-        # written over `meet`
-        meet *= -2
-        meet += np.bitwise_count(a).sum(axis=1, dtype=np.int32)[:, None]
-        inside = np.unpackbits(
-            a.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
-        )
-        np.copyto(meet, 0, where=inside.view(bool))
-        np.maximum(meet, 0, out=meet)
-        best = max(best, int(meet.sum(axis=1).max()))
+            drawn[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+        for start in range(0, len(drawn), step):
+            a = drawn[start : start + step]
+            meet, word, ones = (buf[: len(a)] for buf in buffers)
+            meet.fill(0)
+            for w in range(words):
+                np.bitwise_and(a[:, w, None], out_cols[w], out=word)
+                np.bitwise_count(word, out=ones)
+                meet += ones
+            # for v outside A the signed in-degree toward A is
+            # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a
+            # tournament, written over `meet`
+            meet *= -2
+            meet += np.bitwise_count(a).sum(axis=1, dtype=np.int32)[:, None]
+            inside = np.unpackbits(
+                a.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
+            )
+            np.copyto(meet, 0, where=inside.view(bool))
+            np.maximum(meet, 0, out=meet)
+            best = max(best, int(meet.sum(axis=1).max()))
     return Fraction(best, n * n)
 
 
@@ -685,122 +624,3 @@ def _exact_best(t: Tournament) -> int:
                 _add_plane(acc, p, j)
         best = max(best, HostCounts(1 << b, acc).max()[0])
     return best
-
-
-class InterpolationResult(NamedTuple):
-    tournament: Tournament
-    index: int
-    h_values: tuple[int, ...]
-    deltas: tuple[int, ...]
-
-
-def interpolate_to_density(
-    d: Digraph,
-    t_lo: Tournament,
-    t_hi: Tournament,
-    exclude=0,
-    *,
-    target: int,
-) -> InterpolationResult:
-    """Walk from t_lo toward t_hi one pair at a time (lexicographic order,
-    pairs meeting `exclude` never touched), tracking the homomorphism count.
-
-    Returns the first intermediate whose count crosses `target` together with
-    the full count sequence and per-step deltas. The per-step change obeys
-    |delta| <= v(D)^2 n^(v(D)-2); the proof-level bound has no explicit
-    constant, the v(D)^2 factor is the testable form used here. Errors when
-    the target is not bracketed by the walk endpoints.
-    """
-    if t_lo.n != t_hi.n:
-        raise ValueError("hosts must share a vertex count")
-    n = t_lo.n
-    excl = exclude if isinstance(exclude, int) else mask_of(exclude)
-    pairs = [(i, j) for i, j in pair_order(n) if not (excl >> i & 1 or excl >> j & 1)]
-    rows = list(t_lo.out_rows())
-    h = count_homomorphisms(d, t_lo)
-    h_values = [h]
-    snapshots = [tuple(rows)]
-    for i, j in pairs:
-        # flip a pair that t_hi orients the other way; only a flip moves the count
-        if rows[i] >> j & 1 != t_hi.has_edge(i, j):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            h = count_homomorphisms(d, Tournament.from_rows(rows))
-        snapshots.append(tuple(rows))
-        h_values.append(h)
-    lo, hi = h_values[0], h_values[-1]
-    if not (min(lo, hi) <= target <= max(lo, hi)):
-        raise ValueError(
-            f"target {target} not bracketed by walk endpoints {lo} and {hi}"
-        )
-    if lo <= hi:
-        idx = next(i for i, h in enumerate(h_values) if h >= target)
-    else:
-        idx = next(i for i, h in enumerate(h_values) if h <= target)
-    deltas = tuple(b - a for a, b in zip(h_values, h_values[1:]))
-    return InterpolationResult(
-        Tournament.from_rows(snapshots[idx]), idx, tuple(h_values), deltas
-    )
-
-
-class ForcingRow(NamedTuple):
-    label: str
-    n: int
-    deviation: Optional[Fraction]
-    deviation_approx: float
-    epsilon: Optional[Fraction]
-    epsilon_approx: float
-    sampled: bool
-
-
-def forcing_probe(
-    d: Digraph,
-    hosts: Iterable[tuple[str, Tournament]],
-    *,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> list[ForcingRow]:
-    """For each labeled host, the density deviation |t_D - 2^(-e(D))| next to
-    the quasirandom-direction eps; the correct-count/small-eps trend is the
-    experiment, nothing is asserted here.
-
-    Hosts too large for exact work fall back to seeded sampling (requires
-    samples and seed).
-    """
-    bound = Fraction(1, 1 << d.edge_count)
-    out = []
-    for label, host in hosts:
-        exact_density = host.n**d.n <= FORCING_EXACT_MAPS
-        exact_eps = host.n <= QUASI_EXACT_LIMIT
-        sampled = not (exact_density and exact_eps)
-        if sampled and (samples is None or seed is None):
-            raise ValueError(f"host {label!r} needs samples and seed")
-        if exact_density:
-            dens: Fraction | float = density(d, host)
-            deviation = abs(dens - bound)
-            dev_approx = float(deviation)
-        else:
-            est = sampled_density(d, host, samples, blend(seed, host.n))
-            deviation = None
-            dev_approx = abs(float(est.estimate) - float(bound))
-        if exact_eps:
-            eps = quasirandom_epsilon(host)
-            eps_approx = float(eps)
-        else:
-            eps_est = quasirandom_epsilon(
-                host, "sampled", samples=max(1, samples // 100), seed=blend(seed, host.n, 1)
-            )
-            eps = None
-            eps_approx = float(eps_est)
-        out.append(
-            ForcingRow(
-                label=label,
-                n=host.n,
-                deviation=deviation,
-                deviation_approx=dev_approx,
-                epsilon=eps,
-                epsilon_approx=eps_approx,
-                sampled=sampled,
-            )
-        )
-    return out

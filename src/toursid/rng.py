@@ -84,17 +84,21 @@ def blend_array(seed: int, *indices) -> np.ndarray:
     Each index is an integer or an integer array; negative entries wrap
     modulo 2**64 exactly as in `blend`. Returns a uint64 array of the
     broadcast shape whose entries equal the scalar `blend` bit for bit.
+    Each index is mixed at its own shape and the running hash at the shape
+    of the indices so far, so a column of sample indices against a row of
+    slots is mixed once per sample, not once per slot.
     """
     import numpy as np
 
-    arrays = np.broadcast_arrays(*(_as_uint64(ix) for ix in indices))
-    shape = arrays[0].shape if arrays else ()
-    # work on 1-d copies: 0-d operands would decay to numpy scalars, whose
-    # multiplications warn on the intended 64-bit wrap-around
-    size = arrays[0].size if arrays else 1
-    h = np.full(size, _mix((seed + _GOLDEN) & _MASK), dtype=np.uint64)
+    arrays = [_as_uint64(ix) for ix in indices]
+    shape = np.broadcast_shapes(*(arr.shape for arr in arrays))
+    # work on copies of at least one dimension: 0-d operands would decay to
+    # numpy scalars, whose multiplications warn on the intended 64-bit
+    # wrap-around
+    ndim = max(len(shape), 1)
+    h = np.full((1,) * ndim, _mix((seed + _GOLDEN) & _MASK), dtype=np.uint64)
     for arr in arrays:
-        x = arr.reshape(-1) + np.uint64(_GOLDEN)
-        h ^= _mix_array(x)
+        x = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape) + np.uint64(_GOLDEN)
+        h = h ^ _mix_array(x)
         _mix_array(h)
     return h.reshape(shape)

@@ -37,13 +37,13 @@ from toursid.constructions import (
     transitive_tournament,
 )
 from toursid.counting import PinnedPattern
+from toursid.experiments import forcing_probe
 from toursid.formats import json_dumps
 from toursid.hosts import uniform_tournament
 from toursid.properties import (
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
-    forcing_probe,
     impartiality_report,
     quasirandom_epsilon,
     sidorenko_scan_exhaustive,

@@ -43,18 +43,20 @@ from toursid.covers import (
     verify_cover,
 )
 from toursid.digraph import Digraph, Tournament, are_isomorphic, transitive_host
+from toursid.experiments import (
+    classify_star,
+    falsify_by_blowup,
+    interpolate_to_density,
+    star_two_block_profile,
+)
 from toursid.formats import trn_loads
 from toursid.hosts import all_tournaments, tournament_representatives, uniform_tournament
 from toursid.properties import (
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
-    classify_star,
-    falsify_by_blowup,
     impartiality_report,
-    interpolate_to_density,
     quasirandom_epsilon,
-    star_two_block_profile,
     two_block_tournament,
 )
 from toursid.rng import blend

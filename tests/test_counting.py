@@ -18,7 +18,6 @@ from toursid.counting import (
     BudgetExceededError,
     HostColumns,
     PinnedPattern,
-    _backtrack,
     _plan,
     count_homomorphisms,
     count_labeled,
@@ -46,6 +45,7 @@ from toursid.properties import (
     two_block_tournament,
 )
 from toursid.formats import trn_loads
+from toursid.search import _backtrack
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)

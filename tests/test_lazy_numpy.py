@@ -4,10 +4,12 @@ every exhaustive, pinned and impartiality scan and the exact quasirandom scan
 (bit-sliced Python ints, so `quasi --host` and the exact `forcing_probe`
 rows) never import it, while the sampled quasirandom scan does, after
 `toursid/__init__.py` has set OPENBLAS_NUM_THREADS. The same probe guards the
-rest of the start-up set: no command loads `dataclasses`, `inspect` is absent
-until numpy brings it, and `toursid.constructions` loads only at `construct`.
-Each case runs in a fresh interpreter, since this test process has long
-imported numpy."""
+rest of the start-up set: `import toursid` loads no submodule, no command
+loads `dataclasses` or `toursid.experiments`, `inspect` is absent until numpy
+brings it, `toursid.constructions` loads only at `construct`, and the
+backtracker, `toursid.search`, only at `count` and the family checks. Each
+case runs in a fresh interpreter, since this test process has long imported
+numpy."""
 
 import json
 import os
@@ -25,9 +27,11 @@ from toursid.hosts import uniform_tournament
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints one JSON object: per step, the step's exit code and which of the
-# watched modules are in sys.modules after it, and OPENBLAS_NUM_THREADS as it
-# was when numpy's import began.
+# Prints one JSON object: the toursid submodules that `import toursid`
+# loads; per step, the step's exit code and which of the watched modules are
+# in sys.modules after it; and OPENBLAS_NUM_THREADS as it was when numpy's
+# import began. The watched toursid modules are dropped from sys.modules
+# after each step, so every step shows the ones it loads itself.
 PROBE = textwrap.dedent(
     """
     import importlib.abc
@@ -43,18 +47,26 @@ PROBE = textwrap.dedent(
                 Watch.blas = os.environ.get("OPENBLAS_NUM_THREADS")
             return None
 
+    OWN = ("toursid.constructions", "toursid.experiments", "toursid.search")
+
     def loaded():
-        watched = ("numpy", "inspect", "dataclasses", "toursid.constructions")
-        return [name for name in watched if name in sys.modules]
+        watched = ("numpy", "inspect", "dataclasses") + OWN
+        found = [name for name in watched if name in sys.modules]
+        for name in OWN:
+            sys.modules.pop(name, None)
+        return found
 
     sys.meta_path.insert(0, Watch())
+    import toursid
+
+    package = [name for name in sys.modules if name.startswith("toursid.")]
     import toursid.cli
 
     steps = [["import", None, loaded()]]
     for name, argv in json.loads(sys.argv[1]):
         code = toursid.cli.main(argv + ["--out", name + ".out"])
         steps.append([name, code, loaded()])
-    print(json.dumps({"steps": steps, "blas": Watch.blas}))
+    print(json.dumps({"package": package, "steps": steps, "blas": Watch.blas}))
     """
 )
 
@@ -100,12 +112,13 @@ def run_probe(tmp_path, blas):
 @pytest.mark.parametrize("blas, expected", [(None, "1"), ("3", "3")], ids=["unset", "caller-set"])
 def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
     got = run_probe(tmp_path, blas)
+    assert got["package"] == []
     assert got["steps"] == [
         ["import", None, []],
-        ["transitive", 0, []],
-        ["blowup", 0, []],
-        ["count", 0, []],
-        ["count-homs", 0, []],
+        ["transitive", 0, ["toursid.search"]],
+        ["blowup", 0, ["toursid.search"]],
+        ["count", 0, ["toursid.search"]],
+        ["count-homs", 0, ["toursid.search"]],
         ["exhaustive", 0, []],
         ["dedup", 0, []],
         ["sidorenko", 0, []],
@@ -115,7 +128,7 @@ def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
         ["impartial", 2, []],
         ["quasi-host", 0, []],
         ["construct", 0, ["toursid.constructions"]],
-        ["quasi-sampled", 0, ["numpy", "inspect", "toursid.constructions"]],
+        ["quasi-sampled", 0, ["numpy", "inspect"]],
     ]
     assert got["blas"] == expected
 
@@ -127,7 +140,7 @@ FORCING_PROBE = textwrap.dedent(
     import sys
     from toursid.constructions import star
     from toursid.formats import trn_loads
-    from toursid.properties import forcing_probe
+    from toursid.experiments import forcing_probe
 
     hosts = [(str(i), trn_loads(text)) for i, text in enumerate(sys.argv[1:])]
     rows = forcing_probe(star(1, 2), hosts)

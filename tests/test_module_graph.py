@@ -12,25 +12,32 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "toursid"
 
 # module -> the toursid modules it imports; `rng` and `digraph` are leaves,
-# and the data formats and the counting engines read `digraph` alone
+# the data formats read `digraph` alone, and so do the counting engines, but
+# for the backtracker in `search`, which they import when first called. The
+# package `__init__` imports nothing: it names each public name's module in
+# a table, read on first access.
 IMPORTS = {
-    "__init__": {"counting", "digraph", "hosts", "properties"},
+    "__init__": set(),
     "rng": set(),
     "digraph": set(),
-    "counting": {"digraph"},
+    "counting": {"digraph", "search"},
+    "search": {"counting", "digraph"},
     "formats": {"digraph"},
     "hosts": {"digraph", "rng"},
     "constructions": {"counting", "digraph"},
     "properties": {"counting", "digraph", "formats", "hosts", "rng"},
+    "experiments": {"counting", "digraph", "properties", "rng"},
     "covers": {"counting", "digraph", "formats", "hosts", "rng"},
     "cli": {"constructions", "counting", "digraph", "formats", "properties"},
 }
 
 # module -> the `_`-prefixed names it imports from other toursid modules, as
-# "module.name"; `properties` reads `hosts._BLOCK` inside `_exact_best`
+# "module.name"; `properties` reads `hosts._BLOCK` inside `_exact_best` and
+# `quasirandom_epsilon`, and `search` walks the plan of `counting._plan`
 PRIVATE_IMPORTS = {
     "cli": {"formats._frac"},
-    "counting": {"digraph._transpose"},
+    "counting": {"digraph._transpose", "search._backtrack"},
+    "search": {"counting._plan"},
     "properties": {
         "counting._add_plane",
         "formats._frac",
@@ -87,3 +94,8 @@ def test_private_imports_match_the_table(module):
 def test_cli_loads_the_catalog_only_to_construct():
     where = {w for target, w, _ in package_imports("cli") if target == "constructions"}
     assert where == {"_cmd_construct"}
+
+
+def test_counting_loads_the_backtracker_only_to_count_one_host():
+    where = {w for target, w, _ in package_imports("counting") if target == "search"}
+    assert where == {"count_homomorphisms", "count_labeled", "count_labeled_pinned"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toursid import properties
+from toursid import experiments, properties
 from toursid.constructions import (
     d_family,
     directed_cycle,
@@ -23,6 +23,14 @@ from toursid.counting import (
     oracle_count,
 )
 from toursid.digraph import Digraph, Tournament, transitive_host
+from toursid.experiments import (
+    classify_star,
+    falsify_by_blowup,
+    forcing_probe,
+    interpolate_to_density,
+    star_expected_density,
+    star_two_block_profile,
+)
 from toursid.formats import trn_dumps, trn_loads
 from toursid.hosts import _block_rows, uniform_tournament
 from toursid.properties import (
@@ -31,16 +39,10 @@ from toursid.properties import (
     check_anti_exhaustive,
     check_anti_on_family,
     check_strong_anti,
-    classify_star,
-    falsify_by_blowup,
-    forcing_probe,
     impartiality_report,
-    interpolate_to_density,
     quasirandom_epsilon,
     sampled_density,
     sidorenko_scan_exhaustive,
-    star_expected_density,
-    star_two_block_profile,
     two_block_tournament,
 )
 from toursid.rng import blend
@@ -469,9 +471,9 @@ class TestInterpolation:
         d, t_hi = directed_path(2), transitive_host(5)
         t_lo = Tournament.from_code(5, t_hi.code() ^ 0b1000100)
         calls = []
-        count = properties.count_homomorphisms
+        count = experiments.count_homomorphisms
         monkeypatch.setattr(
-            properties, "count_homomorphisms", lambda *a: calls.append(a) or count(*a)
+            experiments, "count_homomorphisms", lambda *a: calls.append(a) or count(*a)
         )
         res = interpolate_to_density(d, t_lo, t_hi, 0, target=14)
         assert len(calls) == 3  # the start, then once per flip

@@ -10,13 +10,8 @@ from toursid.constructions import directed_cycle, star
 from toursid.counting import CountResult, PinnedPattern
 from toursid.covers import BicliqueCover, MultiplicityProbe, ProfileClaimReport
 from toursid.digraph import transitive_host
-from toursid.properties import (
-    ForcingRow,
-    InterpolationResult,
-    PropertyReport,
-    SampledDensity,
-    StarClassification,
-)
+from toursid.experiments import ForcingRow, InterpolationResult, StarClassification
+from toursid.properties import PropertyReport, SampledDensity
 
 
 def report(verdict, ratio, kind="exhaustive"):

@@ -24,14 +24,13 @@ from toursid.constructions import (
 from toursid.counting import PinnedPattern, count_homomorphisms
 from toursid.covers import BicliqueCover, bcv_loads, leading_lower_bound, tight_weight_form
 from toursid.digraph import Digraph, Tournament, are_isomorphic, transitive_host
+from toursid.experiments import interpolate_to_density, star_two_block_profile
 from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
 from toursid.properties import (
     PropertyReport,
     check_anti_on_family,
-    interpolate_to_density,
     quasirandom_epsilon,
     sampled_density,
-    star_two_block_profile,
 )
 
 EDGE = Digraph(2, [(0, 1)])
