@@ -79,10 +79,8 @@ def _render_report_text(doc: dict) -> str:
     ]
     for row in doc["curve"]:
         key = "max_ratio" if "max_ratio" in row else "min_ratio"
-        label = row.get("n", row.get("value"))
-        if key in row:
-            flag = " VIOLATED" if row.get("violated") else ""
-            lines.append(f"  n={label}: {key}={_rational_str(row[key])}{flag}")
+        flag = " VIOLATED" if row.get("violated") else ""
+        lines.append(f"  n={row['n']}: {key}={_rational_str(row[key])}{flag}")
     if doc["witness_trn"]:
         n = doc["witness_trn"].splitlines()[0]
         lines.append(f"witness: {n}-vertex tournament (TRN/1 embedded in JSON report)")

@@ -23,7 +23,8 @@ unpinned degree-0 vertices in closed form, outside the walk.
   that only scans exhaustively never loads it.
 
 `oracle_count` is an independent, unpruned full enumeration used to validate
-both engines; it must never share their code path.
+both engines; it must never share their code path. `tests/test_engines.py`
+holds the one table that checks every engine against it, case by case.
 
 `labeled_bound` is the one baseline 2^(-e(D)) n^(v(D)-|I|) of every labeled
 count, I being the pinned set (empty unless `count_labeled_pinned` is given

@@ -530,9 +530,10 @@ def quasirandom_epsilon(
     n = 20) on bit-sliced Python ints, without numpy. Sampled mode draws
     seeded random subsets A as 64-bit word masks, as many blocks of
     `hosts._block_rows(n)` subsets at a time as fit in `hosts._BLOCK` words,
-    and returns the high-water value, an exact lower bound on the true eps. A block meets the out-rows one word at a
-    time: the popcounts of its subsets' word w against word w of every
-    out-row add into one subsets x vertices counter, reused by every block.
+    and returns the high-water value, an exact lower bound on the true eps.
+    A block meets the out-rows one word at a time: the popcounts of its
+    subsets' word w against word w of every out-row add into one subsets x
+    vertices counter, reused by every block.
     Both modes work in fixed-size blocks, so memory stays bounded at any n.
     """
     n = t.n

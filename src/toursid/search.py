@@ -28,10 +28,10 @@ from .counting import BudgetExceededError, _plan, work_budget
 from .digraph import Digraph, Tournament
 
 # bounds of `_backtrack`'s memo of last-position counts, one per call: at
-# most 2^14 entries, each keyed by two n-bit host rows, and at most 2^24 / n
-# of them, so the keys hold at most 4 MiB on a host of any size
-_MEMO_ENTRIES = 1 << 14
-_MEMO_BITS = 1 << 24
+# most 2^16 entries, each keyed by two n-bit host rows, and at most 2^26 / n
+# of them, so the keys hold at most 16 MiB on a host of any size
+_MEMO_ENTRIES = 1 << 16
+_MEMO_BITS = 1 << 26
 
 
 def _backtrack(
@@ -56,7 +56,7 @@ def _backtrack(
     candidate in base and (c)_k for each outside it, or c^k homomorphisms
     per candidate. Otherwise the position's count depends only on the pair
     (candidates, base); its candidate loop runs once per pair and the result
-    is memoised, in a table of at most min(2^14, 2^24 / n) entries per call.
+    is memoised, in a table of at most min(2^16, 2^26 / n) entries per call.
 
     Each expansion of a search position counts against the work budget, and
     the trailing group is one expansion per candidate of the last walked

@@ -31,7 +31,6 @@ from toursid.digraph import (
     Digraph,
     SizeLimitError,
     Tournament,
-    disjoint_union,
     fill_to_tournament,
     transitive_host,
 )
@@ -46,6 +45,7 @@ from toursid.properties import (
 )
 from toursid.formats import trn_loads
 from toursid.search import _backtrack
+from test_engines import star_sums
 
 TT3 = transitive_host(3)
 TT4 = transitive_host(4)
@@ -183,30 +183,6 @@ class TestDensity:
 
 
 class TestOracleAgreement:
-    def test_kernel_matches_oracle_on_representatives(self, small_catalog):
-        hosts = [t for n in range(1, 6) for t in tournament_representatives(n)]
-        for d in small_catalog:
-            for t in hosts:
-                assert oracle_count(d, t, "homs") == count_homomorphisms(d, t)
-                assert oracle_count(d, t, "labeled") == count_labeled(d, t).value
-
-    def test_kernel_matches_oracle_on_random_instances(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from toursid.hosts import uniform_tournament
-        from test_digraph import random_digraph
-
-        @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 5))
-        @settings(max_examples=120, deadline=None)
-        def fuzz(seed, k, n):
-            d = random_digraph(seed, k)
-            t = uniform_tournament(n, seed + 1)
-            assert oracle_count(d, t, "homs") == count_homomorphisms(d, t)
-            assert oracle_count(d, t, "labeled") == count_labeled(d, t).value
-
-        fuzz()
-
     def test_oracle_mode_validated(self):
         with pytest.raises(ValueError):
             oracle_count(Digraph(1), TT3, "nope")
@@ -398,75 +374,6 @@ class TestBudget:
             assert _backtrack(c5, U20, injective=True, limit=k) == min(k, labeled)
 
 
-def _last_position_branch(d, pinned=()):
-    """How `_backtrack` counts the last walked position of d's plan: "closed"
-    when no constraint of the trailing group falls on it, so every candidate
-    meets one row, and "memo" when one does."""
-    _, cons, _, group = _plan(d, pinned)
-    return "memo" if any(s == group - 1 for s, _ in cons[-1]) else "closed"
-
-
-def _pinned_brute(d, t, injective, pins):
-    """Maps of d into t extending `pins`, by full enumeration of the free
-    vertices; like `oracle_count`, it shares no code with the backtracker."""
-    free = [v for v in range(d.n) if v not in pins]
-    edges, rows = d.edges(), t.out_rows()
-    phi = [pins.get(v, 0) for v in range(d.n)]
-    count = 0
-    for images in itertools.product(range(t.n), repeat=len(free)):
-        for v, h in zip(free, images):
-            phi[v] = h
-        if injective and len(set(phi)) < d.n:
-            continue
-        count += all(rows[phi[u]] >> phi[v] & 1 for u, v in edges)
-    return count
-
-
-class TestLastPosition:
-    """The last walked position is counted without walking its candidates:
-
-    * star(1, 2), directed_path(3), and star(1, 2) pinned at its centre reach
-      the closed form: no constraint of the trailing group falls on the last
-      walked position, so every candidate meets the same base row;
-    * transitive_tournament(3), directed_cycle(5), directed_cycle(5) pinned at
-      0 and star(2, 1) pinned at its two out-leaves reach the memo. In C5 the
-      last walked position and the group read the images of positions 0 and
-      2 only, so the memo answers every image of position 1 after the first;
-      in the other two every visit has its own pair, so they fill the memo
-      without reading it.
-
-    Each is checked on every raw host with n <= 5, injective and homs, against
-    an enumeration that shares no code with the backtracker. A pinned set is
-    anchored at the host's first vertices; over all raw hosts that is every
-    anchor up to relabelling.
-    """
-
-    CASES = [
-        (star(1, 2), (), "closed"),
-        (directed_path(3), (), "closed"),
-        (star(1, 2), (0,), "closed"),
-        (transitive_tournament(3), (), "memo"),
-        (directed_cycle(5), (), "memo"),
-        (directed_cycle(5), (0,), "memo"),
-        (star(2, 1), (1, 2), "memo"),
-    ]
-
-    @pytest.mark.parametrize("injective", [True, False], ids=["labeled", "homs"])
-    @pytest.mark.parametrize("d, pinned, branch", CASES)
-    def test_matches_enumeration_on_raw_hosts(self, d, pinned, branch, injective, hosts_upto_5):
-        assert _last_position_branch(d, pinned) == branch
-        mode = "labeled" if injective else "homs"
-        for t in hosts_upto_5:
-            if pinned and t.n < len(pinned):
-                continue
-            pins = {v: h for h, v in enumerate(pinned)}
-            if pinned:
-                expected = _pinned_brute(d, t, injective, pins)
-            else:
-                expected = oracle_count(d, t, mode)
-            assert _backtrack(d, t, injective=injective, pins=pins) == expected, t.code()
-
-
 class TestHostColumns:
     def test_columns_are_the_code_bits(self):
         for n in (3, 7, 8):
@@ -488,34 +395,6 @@ class TestHostColumns:
 
 
 class TestCountTable:
-    def test_matches_oracle_on_all_hosts(self, small_catalog):
-        # the unpruned oracle, never the table itself, is the reference
-        for d in small_catalog:
-            for n in range(1, 6):
-                codes = list(range(1 << (n * (n - 1) // 2)))
-                counts = labeled_counts(d, raw_columns(n))
-                expected = [
-                    oracle_count(d, Tournament.from_code(n, c), "labeled") for c in codes
-                ]
-                assert list(counts) == expected, (d, n)
-                assert list(labeled_counts(d, HostColumns.of_codes(n, codes))) == expected
-
-    def test_single_pins_match_backtracker(self, small_catalog):
-        hosts = {n: list(range(1 << (n * (n - 1) // 2))) for n in range(1, 5)}
-        hosts[5] = [t.code() for t in tournament_representatives(5)]
-        for d in small_catalog:
-            for v in range(d.n):
-                p = PinnedPattern(d, (v,))
-                for n, codes in hosts.items():
-                    columns = HostColumns.of_codes(n, codes)
-                    for anchor in range(n):
-                        counts = labeled_counts(d, columns, {v: anchor})
-                        expected = [
-                            count_labeled_pinned(p, Tournament.from_code(n, c), {v: anchor}).value
-                            for c in codes
-                        ]
-                        assert list(counts) == expected, (d, v, n, anchor)
-
     def test_reductions_match_the_count_list(self, small_catalog):
         for n in (1, 3, 5):
             codes = tuple(c % (1 << n * (n - 1) // 2) for c in (5, 0, 5, 1))
@@ -559,36 +438,6 @@ class TestCountTable:
             )
             assert total == math.perm(n, 5) << n * (n - 1) // 2 >> 4, (pins, n)
 
-    @pytest.mark.parametrize(
-        "d, isolated",
-        [
-            (Digraph(3, [(0, 1)]), 2),
-            (Digraph(4, [(0, 1)]), 3),
-            (disjoint_union(directed_cycle(3), Digraph(2)), 3),
-        ],
-        ids=["edge+1", "edge+2", "c3+2"],
-    )
-    def test_isolated_vertices_in_closed_form(self, d, isolated):
-        # the table walks the edges only and scales each row by the
-        # injective placements of the isolated vertices; vertex 0 has an edge
-        for n in range(1, 6):
-            columns = raw_columns(n)
-            hosts = [Tournament.from_code(n, c) for c in range(1 << n * (n - 1) // 2)]
-            expected = [oracle_count(d, t, "labeled") for t in hosts]
-            assert list(labeled_counts(d, columns)) == expected, n
-            assert [count_labeled(d, t).value for t in hosts] == expected, n
-            for v in (isolated, 0):
-                p = PinnedPattern(d, (v,))
-                per_anchor = []
-                for a in range(n):
-                    counts = list(labeled_counts(d, columns, {v: a}))
-                    assert counts == [
-                        count_labeled_pinned(p, t, {v: a}).value for t in hosts
-                    ], (v, a, n)
-                    per_anchor.append(counts)
-                # every injective map extends exactly one anchor of v
-                assert [sum(c) for c in zip(*per_anchor)] == expected, (v, n)
-
     def test_rows_merge_equal_constraints(self):
         # the 5 rotations of a 5-cycle map impose the same constraints
         rows = count_table(directed_cycle(5), 6)
@@ -615,25 +464,6 @@ class TestCountTable:
         with pytest.raises(ValueError, match="not a subset of the pattern"):
             count_table(directed_path(2), 4, {5: 0})
 
-    @pytest.mark.parametrize(
-        "d", [directed_cycle(5), star(2, 2), directed_path(3)], ids=["C5", "S22", "P3"]
-    )
-    def test_seeded_hosts_past_the_class_table(self, d):
-        # no scan reaches n > 8, but the table is exact there too
-        for n in range(9, 13):
-            hosts = [uniform_tournament(n, seed) for seed in range(6)]
-            columns = HostColumns.of_codes(n, [t.code() for t in hosts])
-            expected = [count_labeled(d, t).value for t in hosts]
-            assert list(labeled_counts(d, columns)) == expected, n
-
-    def test_pinned_seeded_hosts_past_the_class_table(self):
-        p, anchor = PinnedPattern(star(2, 2), (1, 3)), {1: 0, 3: 9}
-        for n in range(10, 13):
-            hosts = [uniform_tournament(n, seed) for seed in range(6)]
-            columns = HostColumns.of_codes(n, [t.code() for t in hosts])
-            expected = [count_labeled_pinned(p, t, anchor).value for t in hosts]
-            assert list(labeled_counts(p.pattern, columns, anchor)) == expected, n
-
 
 class TestSizeGuards:
     def test_deep_pattern_is_a_size_error(self):
@@ -645,33 +475,9 @@ class TestSizeGuards:
             tournament_representatives(9)
 
 
-def relabellings(d):
-    """Every distinct digraph obtained from d by a vertex bijection."""
-    seen = {}
-    for perm in itertools.permutations(range(d.n)):
-        r = d.relabel(perm)
-        seen.setdefault(tuple(sorted(r.edges())), r)
-    return list(seen.values())
-
-
-def star_labeled(t, a, b):
-    # sum over centres v of (out v)_a (in v)_b, written out without the kernel
-    return sum(
-        math.perm(t.out(v).bit_count(), a) * math.perm(t.inn(v).bit_count(), b)
-        for v in range(t.n)
-    )
-
-
-def star_homs(t, a, b):
-    return sum(t.out(v).bit_count() ** a * t.inn(v).bit_count() ** b for v in range(t.n))
-
-
-STARS = [(a, s - a) for s in range(1, 5) for a in range(s + 1)]
-
-
 class TestTwinClosedForm:
-    """The trailing twin group is counted in closed form; these compare the
-    backtracker with references that share none of its code."""
+    """The trailing twin group is counted in closed form: its plan, and counts
+    that pin it (`test_engines.py` compares them with references)."""
 
     def test_twin_class_goes_last(self):
         # star(2, 2): out-leaves {1, 2} and in-leaves {3, 4} tie in size, so
@@ -703,53 +509,14 @@ class TestTwinClosedForm:
         p = PinnedPattern(Digraph(3), (0, 1))
         assert count_labeled_pinned(p, TT4, {0: 0, 1: 2}).value == 2
 
-    @pytest.mark.parametrize("a, b", STARS)
-    def test_relabelled_stars_match_oracle(self, a, b, hosts_upto_5):
-        patterns = relabellings(star(a, b))
-        for t in hosts_upto_5:
-            homs = oracle_count(star(a, b), t, "homs")
-            labeled = oracle_count(star(a, b), t, "labeled")
-            for d in patterns:
-                assert _backtrack(d, t, injective=False) == homs, (d.edges(), t.code())
-                assert _backtrack(d, t, injective=True) == labeled, (d.edges(), t.code())
-
-    def test_catalog_matches_oracle_on_all_hosts(self, small_catalog, hosts_upto_5):
-        for d in small_catalog:
-            for t in hosts_upto_5:
-                assert _backtrack(d, t, injective=False) == oracle_count(d, t, "homs")
-                assert _backtrack(d, t, injective=True) == oracle_count(d, t, "labeled")
-
-    @pytest.mark.parametrize("a, b, pins", [(2, 2, (1,)), (1, 3, (2,)), (1, 3, (2, 4)), (0, 4, (3,))])
-    def test_pin_inside_a_twin_class(self, a, b, pins):
-        d = star(a, b)
-        p = PinnedPattern(d, pins)
-        for n in range(len(pins), 6):
-            codes = list(range(1 << (n * (n - 1) // 2)))
-            columns = raw_columns(n)
-            for images in itertools.permutations(range(n), len(pins)):
-                anchor = dict(zip(pins, images))
-                expected = list(labeled_counts(d, columns, anchor))
-                got = [
-                    count_labeled_pinned(p, Tournament.from_code(n, c), anchor).value
-                    for c in codes
-                ]
-                assert got == expected, (a, b, anchor, n)
-
-    @pytest.mark.parametrize("a, b", [(2, 2), (1, 3), (3, 1), (0, 4), (1, 1), (2, 3)])
-    def test_stars_match_degree_sums(self, a, b):
-        hosts = [transitive_host(n) for n in (1, 5, 17, 32)]
-        hosts += [uniform_tournament(n, s) for n, s in ((9, 1), (30, 2), (64, 3))]
-        for t in hosts:
-            assert count_labeled(star(a, b), t).value == star_labeled(t, a, b)
-            assert count_homomorphisms(star(a, b), t) == star_homs(t, a, b)
-
     def test_acceptance_host(self):
         t = two_block_tournament(120, Fraction(1, 10), 7)
         res = count_labeled(star(1, 3), t)
-        assert res.value == star_labeled(t, 1, 3) == 1544688720
+        assert res.value == star_sums(star(1, 3), t, {}, True) == 1544688720
         assert res.ratio == Fraction(2145401, 2160000)
         assert round(float(res.ratio), 4) == 0.9932
-        assert count_homomorphisms(star(1, 3), t) == star_homs(t, 1, 3) == 1617760072
+        homs = count_homomorphisms(star(1, 3), t)
+        assert homs == star_sums(star(1, 3), t, {}, False) == 1617760072
 
     def test_limit_saturates_around_the_exact_count(self):
         t = uniform_tournament(20, 5)
