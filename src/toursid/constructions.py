@@ -15,7 +15,7 @@ from .digraph import (
     UndirectedGraph,
     are_isomorphic,
     bits,
-    mask_of,
+    vertex_mask,
 )
 
 ORIENTATION_UNION_EDGE_LIMIT = 10
@@ -282,7 +282,7 @@ def tree_anti_orientation(r: UndirectedGraph) -> Digraph:
             children = sorted(bits(r.row(v) & ~parent_mask))
             for idx, c in enumerate(children):
                 edges.append((c, v) if idx % 2 == 0 else (v, c))
-                stack.append((c, mask_of([v])))
+                stack.append((c, 1 << v))
 
     if r.n == 1:
         return _label(Digraph(1), "tree-anti-orientation", n=1)
@@ -291,21 +291,13 @@ def tree_anti_orientation(r: UndirectedGraph) -> Digraph:
     else:
         u, v = r.edges()[0]
         edges.append((u, v))
-        orient_rooted(u, mask_of([v]))
-        orient_rooted(v, mask_of([u]))
+        orient_rooted(u, 1 << v)
+        orient_rooted(v, 1 << u)
     return _label(Digraph(r.n, edges), "tree-anti-orientation", n=r.n)
 
 
 def _extend(d1: Digraph, i_set, d2: Digraph, family: str) -> Digraph:
-    if isinstance(i_set, int):
-        i_mask = i_set
-    else:
-        vertices = list(i_set)
-        # a negative vertex is refused below, as one past d1 is
-        i_mask = mask_of(vertices) if min(vertices, default=0) >= 0 else -1
-    if i_mask >> d1.n:
-        raise ValueError("designated set out of range")
-    members = sorted(bits(i_mask))
+    members = list(bits(vertex_mask(i_set, d1.n, "designated set out of range")))
     if len(members) != d2.n:
         raise ValueError(
             f"designated set has {len(members)} vertices but the installed digraph has {d2.n}"

@@ -58,9 +58,9 @@ from .digraph import (
     Tournament,
     _transpose,
     bits,
-    mask_of,
     pair_count,
     pair_order,
+    vertex_mask,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -69,6 +69,8 @@ _BUDGET_ENV = "TOURSID_BUDGET"
 # deepest pattern the recursive backtracker accepts; well under Python's
 # default recursion limit of 1000, leaving room for the callers' frames
 SEARCH_DEPTH_LIMIT = 500
+
+_OUTSIDE = "pinned set is not a subset of the pattern vertices"
 
 
 class BudgetExceededError(RuntimeError):
@@ -139,15 +141,7 @@ class PinnedPattern(_PinnedFields):
     __slots__ = ()
 
     def __new__(cls, pattern: Digraph, pinned):
-        if not isinstance(pinned, int):
-            vertices = list(pinned)
-            # a negative vertex is refused below, as one past the pattern is
-            pinned = mask_of(vertices) if min(vertices, default=0) >= 0 else -1
-            if pinned >= 0 and pinned.bit_count() != len(vertices):
-                twice = next(v for v in vertices if vertices.count(v) > 1)
-                raise ValueError(f"pattern vertex {twice} is pinned twice")
-        if pinned >> pattern.n:
-            raise ValueError("pinned set is not a subset of the pattern vertices")
+        pinned = vertex_mask(pinned, pattern.n, _OUTSIDE, "pattern vertex {} is pinned twice")
         for v in bits(pinned):
             if (pattern.out(v) | pattern.inn(v)) & pinned:
                 raise ValueError("pinned set must be independent in the pattern")
@@ -180,9 +174,7 @@ def _plan(
     of unpinned positions sharing one constraint list: the twins, or else
     just the last position.
     """
-    placed = mask_of(pinned)
-    if placed >> d.n:
-        raise ValueError("pinned set is not a subset of the pattern vertices")
+    placed = vertex_mask(pinned, d.n, _OUTSIDE)
     adj = [d.out(v) | d.inn(v) for v in range(d.n)]
     free = [v for v in range(d.n) if adj[v] and not placed >> v & 1]
     if len(pinned) + len(free) > SEARCH_DEPTH_LIMIT:
@@ -216,15 +208,11 @@ def _plan(
     return tuple(order), cons, d.n - len(order), group
 
 
-def count_homomorphisms(d: Digraph, t: Tournament, *, limit: Optional[int] = None) -> int:
-    """Exact number of (not necessarily injective) edge-preserving maps.
-
-    With `limit` set the search may exit early: the result is exact whenever
-    it is below `limit`; any result >= limit certifies count >= limit.
-    """
+def count_homomorphisms(d: Digraph, t: Tournament) -> int:
+    """Exact number of (not necessarily injective) edge-preserving maps."""
     from .search import _backtrack
 
-    return _backtrack(d, t, injective=False, limit=limit)
+    return _backtrack(d, t, injective=False)
 
 
 def count_labeled(d: Digraph, t: Tournament) -> CountResult:

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .counting import count_homomorphisms
-from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count
+from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count, vertex_mask
 from .formats import FormatError, cite, quote, read_document, uint_fields
 from .hosts import uniform_tournament
 from .rng import blend
@@ -38,13 +38,7 @@ class BicliqueCover(_CoverFields):
     def __new__(cls, host_n: int, parts):
         norm = []
         for a, b in parts:
-            # a vertex past host_n is refused before it is shifted into a mask
-            if not isinstance(a, int):
-                a = sum(1 << v for v in a) if max(a, default=-1) < host_n else 1 << host_n
-            if not isinstance(b, int):
-                b = sum(1 << v for v in b) if max(b, default=-1) < host_n else 1 << host_n
-            if a >> host_n or b >> host_n:
-                raise ValueError("biclique part out of range")
+            a, b = (vertex_mask(side, host_n, "biclique part out of range") for side in (a, b))
             if a & b:
                 raise ValueError("biclique parts must be disjoint")
             norm.append((a, b))
@@ -212,17 +206,18 @@ class MultiplicityProbe(NamedTuple):
 def homomorphism_multiplicity_probe(
     d: Digraph, trials: int, seed: int
 ) -> MultiplicityProbe:
-    """Count homomorphisms of d (early exit at 2) into seeded random
-    tournaments on v(d) vertices and into the designed host: d embedded
-    identically, remaining pairs filled lexicographically."""
+    """Count homomorphisms of d, each count capped at 2 (the probe asks only
+    whether it exceeds 1), into seeded random tournaments on v(d) vertices
+    and into the designed host: d embedded identically, remaining pairs
+    filled lexicographically. The trials stop at the first count of 2."""
     if trials < 1:
         raise ValueError("need at least one trial")
     designed = fill_to_tournament(d)
-    designed_count = count_homomorphisms(d, designed, limit=2)
+    designed_count = min(count_homomorphisms(d, designed), 2)
     worst = 0
     for trial in range(trials):
         host = uniform_tournament(d.n, blend(seed, trial))
-        worst = max(worst, count_homomorphisms(d, host, limit=2))
+        worst = max(worst, min(count_homomorphisms(d, host), 2))
         if worst >= 2:
             break
     return MultiplicityProbe(designed_count, worst, trials)

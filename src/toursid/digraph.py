@@ -30,12 +30,25 @@ class SizeLimitError(ValueError):
     """Raised when an operation is asked to exceed its hard size guard."""
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Packed bit row for a vertex subset."""
-    m = 0
+def vertex_mask(
+    vertices: int | Iterable[int], n: int, outside: str, twice: str = "vertex {} is listed twice"
+) -> int:
+    """The packed bit row of a subset of n vertices given as a mask, or as an
+    iterable of distinct vertices. A negative or out-of-range vertex, or a
+    mask outside [0, 2^n), is a ValueError with text `outside`, raised before
+    anything is shifted; a repeated vertex v is one with `twice.format(v)`."""
+    if isinstance(vertices, int):
+        if vertices < 0 or vertices >> n:
+            raise ValueError(outside)
+        return vertices
+    mask = 0
     for v in vertices:
-        m |= 1 << v
-    return m
+        if not 0 <= v < n:
+            raise ValueError(outside)
+        if mask >> v & 1:
+            raise ValueError(twice.format(v))
+        mask |= 1 << v
+    return mask
 
 
 def bits(mask: int) -> Iterator[int]:

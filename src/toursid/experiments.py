@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .counting import count_homomorphisms, density
-from .digraph import Digraph, Tournament, fill_to_tournament, mask_of, pair_order
+from .digraph import Digraph, Tournament, fill_to_tournament, pair_order, vertex_mask
 from .properties import QUASI_EXACT_LIMIT, quasirandom_epsilon, sampled_density
 from .rng import blend
 
@@ -121,7 +121,7 @@ def interpolate_to_density(
     if t_lo.n != t_hi.n:
         raise ValueError("hosts must share a vertex count")
     n = t_lo.n
-    excl = exclude if isinstance(exclude, int) else mask_of(exclude)
+    excl = vertex_mask(exclude, n, "excluded vertex out of range")
     pairs = [(i, j) for i, j in pair_order(n) if not (excl >> i & 1 or excl >> j & 1)]
     rows = list(t_lo.out_rows())
     h = count_homomorphisms(d, t_lo)

@@ -29,7 +29,12 @@ from .digraph import Digraph, Tournament
 
 # bounds of `_backtrack`'s memo of last-position counts, one per call: at
 # most 2^16 entries, each keyed by two n-bit host rows, and at most 2^26 / n
-# of them, so the keys hold at most 16 MiB on a host of any size
+# of them, so the key bits stay within 16 MiB on a host of any size (17 MiB
+# in Python's 30-bit int digits). Each entry also costs about 200 bytes of
+# key tuple, int headers, count and dict slot. Measured with tracemalloc on
+# full memos of random rows (CPython 3.11): 15.9 MB at n = 200 and 30.6 MB at
+# n = 1024, the largest, where both bounds meet; past it the entries fall as
+# 1/n, and the whole memo toward the 17 MiB of its keys (20.9 MB at n = 4096).
 _MEMO_ENTRIES = 1 << 16
 _MEMO_BITS = 1 << 26
 
@@ -40,7 +45,6 @@ def _backtrack(
     *,
     injective: bool,
     pins: Optional[dict[int, int]] = None,
-    limit: Optional[int] = None,
 ) -> int:
     """Count maps V(d) -> V(host) preserving directed edges, walking `_plan`.
 
@@ -55,16 +59,14 @@ def _backtrack(
     position is counted in closed form: with c = |base|, (c - 1)_k for each
     candidate in base and (c)_k for each outside it, or c^k homomorphisms
     per candidate. Otherwise the position's count depends only on the pair
-    (candidates, base); its candidate loop runs once per pair and the result
-    is memoised, in a table of at most min(2^16, 2^26 / n) entries per call.
+    (candidates, base); the result is memoised, in a table of at most
+    min(2^16, 2^26 / n) entries per call (at most about 31 MB, see
+    `_MEMO_BITS`), and the candidate loop runs only on a miss.
 
-    Each expansion of a search position counts against the work budget, and
-    the trailing group is one expansion per candidate of the last walked
-    position, however large it is, whether the loop, the closed form or the
-    memo counts it. With `limit` set, the count saturates there (early
-    exit), checked after each candidate: a position whose whole count would
-    reach the limit is walked by the loop, so it is charged exactly the
-    candidates up to the one that reaches it.
+    Each search position is charged against the work budget once, when its
+    candidates are known: one expansion, plus one per candidate at the last
+    walked position, which stands for the trailing group however large it
+    is, whether the closed form or the memo counts it.
     """
     pins = pins or {}
     order, plan, isolated, group = _plan(d, tuple(sorted(pins)))
@@ -91,22 +93,17 @@ def _backtrack(
 
     full = (1 << n) - 1
     ceiling = work_budget()
-    exceeded = f"search exceeded the work budget of {ceiling} expansions"
     images = [0] * len(order)
     memo: dict[tuple[int, int], int] = {}
     room = min(_MEMO_ENTRIES, _MEMO_BITS // max(n, 1))
     nodes = 0
     total = 0
 
-    def rec(t: int, used: int) -> bool:
-        """Returns True when the limit was reached (stop unwinding)."""
+    def rec(t: int, used: int) -> None:
         nonlocal nodes, total
         if t == len(order):
             total += 1
-            return limit is not None and total >= limit
-        nodes += 1
-        if nodes > ceiling:
-            raise BudgetExceededError(exceeded)
+            return
         v = order[t]
         cand = full
         for s, forward in plan[t]:
@@ -115,63 +112,48 @@ def _backtrack(
             cand &= 1 << pins[v]
         if injective:
             cand &= ~used
+        nodes += 1 + cand.bit_count() if t == last else 1
+        if nodes > ceiling:
+            raise BudgetExceededError(f"search exceeded the work budget of {ceiling} expansions")
         if t == last:
             base = full
             for s, forward in head:
                 base &= out_rows[images[s]] if forward else in_rows[images[s]]
             if injective:
                 base &= ~used
-            key = None
             if tail_rows is None:
                 # every candidate meets the same row: |base| free images,
                 # less one when the candidate itself lies in base
                 c = base.bit_count()
                 if injective:
                     inside = (cand & base).bit_count()
-                    whole = (cand.bit_count() - inside) * math.perm(c, size)
+                    total += (cand.bit_count() - inside) * math.perm(c, size)
                     if inside:
-                        whole += inside * math.perm(c - 1, size)
+                        total += inside * math.perm(c - 1, size)
                 else:
-                    whole = cand.bit_count() * c**size
-            else:
-                key = (cand, base)
-                whole = memo.get(key)
-            # a whole position that leaves the limit unmet is one the loop
-            # below would walk to its end, charging one node per candidate
-            if whole is not None and (limit is None or total + whole < limit):
-                nodes += cand.bit_count()
-                if nodes > ceiling:
-                    raise BudgetExceededError(exceeded)
-                total += whole
-                return False
-            whole = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                nodes += 1
-                if nodes > ceiling:
-                    raise BudgetExceededError(exceeded)
-                row = base if tail_rows is None else base & tail_rows[b.bit_length() - 1]
-                if injective:
-                    whole += math.perm((row & ~b).bit_count(), size)
-                else:
-                    whole += row.bit_count() ** size
-                if limit is not None and total + whole >= limit:
-                    total += whole
-                    return True
+                    total += cand.bit_count() * c**size
+                return
+            key = (cand, base)
+            whole = memo.get(key)
+            if whole is None:
+                whole = 0
+                while cand:
+                    b = cand & -cand
+                    cand ^= b
+                    row = base & tail_rows[b.bit_length() - 1]
+                    if injective:
+                        whole += math.perm((row & ~b).bit_count(), size)
+                    else:
+                        whole += row.bit_count() ** size
+                if len(memo) < room:
+                    memo[key] = whole
             total += whole
-            if key is not None and len(memo) < room:
-                memo[key] = whole
-            return False
+            return
         while cand:
             b = cand & -cand
             cand ^= b
             images[t] = b.bit_length() - 1
-            if rec(t + 1, used | b):
-                return True
-        return False
+            rec(t + 1, used | b)
 
     rec(0, 0)
-    if limit is not None and total >= limit:
-        return limit
     return total * mult

@@ -43,6 +43,29 @@ MUTANTS = [
     ("run-exits-without-flushing", "src/toursid/cli.py",
      "    sys.exit(code)\n", '    __import__("os")._exit(code)\n',
      ["tests/test_entry.py::test_process_matches_main"]),
+    # the last walked position charged as one expansion, not one per candidate
+    ("last-position-charged-once", "src/toursid/search.py",
+     "1 + cand.bit_count()", "1",
+     ["tests/test_counting.py::TestBudget::test_smallest_budget_is_pinned"]),
+    # a negative vertex then fails as a negative shift, not as out of range
+    ("negative-vertex-accepted", "src/toursid/digraph.py",
+     "if not 0 <= v < n:", "if not v < n:",
+     ["tests/test_refusals.py::test_cli_refuses_a_negative_pinned_vertex",
+      "tests/test_refusals.py::test_constructions_refuses[extend-negative]"]),
+    ("repeated-vertex-accepted", "src/toursid/digraph.py",
+     "        if mask >> v & 1:\n            raise ValueError(twice.format(v))\n", "",
+     ["tests/test_formats.py::TestBcv::test_repeated_member_rejected",
+      "tests/test_refusals.py::test_constructions_refuses[extend-repeated]"]),
+    # without the override, `_make` and `_replace` build through tuple.__new__
+    ("pinned-pattern-make-unchecked", "src/toursid/counting.py",
+     "    @classmethod\n    def _make(cls, fields):\n"
+     "        # `_replace` builds through `_make`: both re-run the checks above\n"
+     "        return cls(*fields)\n\n", "",
+     ["tests/test_refusals.py::test_records_rebuild_through_their_checks[pinned-replace]",
+      "tests/test_refusals.py::test_records_rebuild_through_their_checks[pinned-make]"]),
+    ("stray-private-import", "src/toursid/covers.py",
+     "from .rng import blend\n", "from .rng import blend\nfrom .digraph import _transpose\n",
+     ["tests/test_module_graph.py::test_private_imports_match_the_table[covers]"]),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from toursid.constructions import transitive_tournament, unique_hom_digraph
+from toursid.counting import count_homomorphisms
 from toursid.covers import (
     BicliqueCover,
     LEADING_BOUND_NOTE,
@@ -16,7 +17,7 @@ from toursid.covers import (
     two_path_condition,
     verify_cover,
 )
-from toursid.digraph import Digraph, UndirectedGraph, bits
+from toursid.digraph import Digraph, UndirectedGraph, bits, transitive_host
 
 
 class TestVerify:
@@ -195,6 +196,13 @@ class TestMultiplicityProbe:
         probe = homomorphism_multiplicity_probe(Digraph(2, [(0, 1)]), 5, seed=1)
         assert probe.designed_count == 1
         assert probe.max_random_count == 1
+
+    def test_counts_are_capped_at_two(self):
+        # an edge and an isolated vertex: 3 * 3 = 9 maps into every 3-vertex host
+        d = Digraph(3, [(0, 1)])
+        assert count_homomorphisms(d, transitive_host(3)) == 9
+        probe = homomorphism_multiplicity_probe(d, 5, seed=1)
+        assert (probe.designed_count, probe.max_random_count, probe.max_count) == (2, 2, 2)
 
     def test_needs_trials(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,13 @@ class TestBcv:
         with pytest.raises(FormatError, match="disjoint"):
             bcv_loads("4 1\n1 0 | 2 0 1\n")
 
+    def test_repeated_member_rejected(self):
+        # summed as bits, "2 0 0" would be the one member 1 and dump as
+        # "1 1": the document would not round-trip
+        with pytest.raises(FormatError) as err:
+            bcv_loads("3 1\n2 0 0 | 1 2\n")
+        assert str(err.value) == "line 1: vertex 0 is listed twice"
+
     @pytest.mark.parametrize("text, line", [("\u00b2 1\n", 1), ("4 1\n1 0 | 1 \u00b2\n", 2)])
     def test_non_ascii_digits_rejected(self, text, line):
         with pytest.raises(FormatError, match=f"line {line}"):

@@ -149,6 +149,8 @@ class TestValidatingConstructors:
             ([((0,), (3,))], "biclique part out of range"),
             ([(1 << 3, 1)], "biclique part out of range"),
             ([((0, 1), (1, 2))], "biclique parts must be disjoint"),
+            ([((-1,), (1,))], "biclique part out of range"),
+            ([((0, 0), (1,))], "vertex 0 is listed twice"),
         ],
     )
     def test_biclique_cover_errors(self, parts, message):

@@ -118,6 +118,22 @@ def test_isomorphism_needs_equal_sizes():
             ValueError,
             "hosts must share a vertex count",
         ),
+        # every walk between 3-vertex hosts brackets the edge count 3
+        (
+            lambda: interpolate_to_density(EDGE, TT3, TT3, [-1], target=3),
+            ValueError,
+            "excluded vertex out of range",
+        ),
+        (
+            lambda: interpolate_to_density(EDGE, TT3, TT3, [9], target=3),
+            ValueError,
+            "excluded vertex out of range",
+        ),
+        (
+            lambda: interpolate_to_density(EDGE, TT3, TT3, 1 << 3, target=3),
+            ValueError,
+            "excluded vertex out of range",
+        ),
     ],
     ids=[
         "no-samples",
@@ -127,6 +143,9 @@ def test_isomorphism_needs_equal_sizes():
         "quasi-unknown-mode",
         "quasi-sampled-without-seed",
         "walk-sizes-differ",
+        "walk-exclude-negative",
+        "walk-exclude-out-of-range",
+        "walk-exclude-mask-out-of-range",
     ],
 )
 def test_properties_refuses(call, error, fragment):
@@ -150,6 +169,7 @@ def test_isolated_vertex_has_no_homomorphism_into_the_empty_host(d):
         (lambda: unique_hom_digraph(1), ValueError, "need k >= 2"),
         (lambda: anti_extend(Digraph(2), 0b100, Digraph(1)), ValueError, "designated set out of range"),
         (lambda: anti_extend(star(2, 2), (-1,), Digraph(1)), ValueError, "designated set out of range"),
+        (lambda: anti_extend(star(2, 2), [1, 1, 2], EDGE), ValueError, "vertex 1 is listed twice"),
         (
             lambda: glue(PinnedPattern(EDGE, (1,)), PinnedPattern(EDGE, ()), {1: 2}),
             ValueError,
@@ -173,6 +193,7 @@ def test_isolated_vertex_has_no_homomorphism_into_the_empty_host(d):
         "unique-hom-one",
         "extend-out-of-range",
         "extend-negative",
+        "extend-repeated",
         "glue-out-of-range",
         "substitute-out-of-range",
         "substitute-empty",
