@@ -6,6 +6,7 @@ assert internally.
 """
 
 from toursid.constructions import (
+    UndirectedGraph,
     all_orientations_union,
     cycle_with_chord,
     d_family,
@@ -20,7 +21,6 @@ from toursid.constructions import (
     tree_anti_orientation,
     unique_hom_digraph,
 )
-from toursid.digraph import UndirectedGraph
 from toursid.formats import dgf_dumps
 
 rows = [

@@ -19,38 +19,38 @@ __version__ = "0.1.0"
 # submodule and `python -m toursid.cli` loads only what `cli` imports.
 _PUBLIC = {
     "BudgetExceededError": "counting",
-    "CountResult": "counting",
+    "CountResult": "search",
     "Digraph": "digraph",
     "PinnedPattern": "counting",
     "PropertyReport": "properties",
     "SizeLimitError": "digraph",
     "StarClassification": "experiments",
     "Tournament": "digraph",
-    "UndirectedGraph": "digraph",
+    "UndirectedGraph": "constructions",
     "all_tournaments": "hosts",
-    "are_isomorphic": "digraph",
+    "are_isomorphic": "constructions",
     "check_anti_exhaustive": "properties",
-    "check_anti_on_family": "properties",
+    "check_anti_on_family": "families",
     "check_strong_anti": "properties",
     "classify_star": "experiments",
-    "count_homomorphisms": "counting",
-    "count_labeled": "counting",
-    "count_labeled_pinned": "counting",
-    "density": "counting",
+    "count_homomorphisms": "search",
+    "count_labeled": "search",
+    "count_labeled_pinned": "search",
+    "density": "search",
     "disjoint_union": "digraph",
     "falsify_by_blowup": "experiments",
     "fill_to_tournament": "digraph",
     "forcing_probe": "experiments",
     "impartiality_report": "properties",
     "interpolate_to_density": "experiments",
-    "oracle_count": "counting",
-    "quasirandom_epsilon": "properties",
-    "sampled_density": "properties",
+    "oracle_count": "search",
+    "quasirandom_epsilon": "quasi",
+    "sampled_density": "families",
     "sidorenko_scan_exhaustive": "properties",
     "star_expected_density": "experiments",
     "tournament_representatives": "hosts",
     "transitive_host": "digraph",
-    "two_block_tournament": "properties",
+    "two_block_tournament": "hosts",
     "uniform_tournament": "hosts",
 }
 

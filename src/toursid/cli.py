@@ -7,6 +7,12 @@ field is suffixed "_approx". Exit codes: 0 = holds / success, 2 = violated,
 1 = error (usage errors included). Randomized runs require an explicit
 --seed. The work budget is the TOURSID_BUDGET environment variable (see
 `counting.work_budget`); a malformed value is an error exit.
+
+Each handler imports the engine it runs when it runs it, so a process loads
+only its command's code: an exhaustive, pinned or impartiality scan loads
+`properties` and the count tables, and not the backtracker (`search`), the
+family scans (`families`), the quasirandom scan (`quasi`), the catalog
+(`constructions`) or the RNG.
 """
 
 from __future__ import annotations
@@ -17,25 +23,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .counting import (
-    BudgetExceededError,
-    CountResult,
-    PinnedPattern,
-    count_homomorphisms,
-    count_labeled_pinned,
-    labeled_bound,
-)
+from .counting import BudgetExceededError, PinnedPattern, labeled_bound
 from .digraph import Digraph
 from .formats import _frac, dgf_dumps, dgf_loads, host_loads, json_dumps
-from .properties import (
-    check_anti_exhaustive,
-    check_anti_on_family,
-    check_strong_anti,
-    impartiality_report,
-    quasirandom_epsilon,
-    sidorenko_scan_exhaustive,
-    two_block_tournament,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -148,35 +138,13 @@ def _parse_pins(spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
-# per family: its builder in `constructions`, and the number of integer
-# parameters it takes (None: it takes a --graph instead)
-_FAMILIES = {
-    "directed-path": ("directed_path", 1),
-    "directed-cycle": ("directed_cycle", 1),
-    "transitive-tournament": ("transitive_tournament", 1),
-    "transitive-minus-edge": ("transitive_minus_edge", 3),
-    "star": ("star", 2),
-    "iterated-balanced-star": ("iterated_balanced_star", 1),
-    "subset-bipartite": ("subset_bipartite", 1),
-    "d-family": ("d_family", 1),
-    "cycle-with-chord": ("cycle_with_chord", 1),
-    "unique-hom-digraph": ("unique_hom_digraph", 1),
-    "subdivided-star": ("subdivided_star_orientation", 1),
-    "impartial-four-tree": ("impartial_four_tree", 0),
-    "all-orientations-union": ("all_orientations_union", None),
-    "tree-orientation": ("tree_anti_orientation", None),
-}
-
-
 def _cmd_construct(args) -> int:
-    family = args.family
-    if family not in _FAMILIES:
-        return _error(f"unknown family {family!r}")
-    name, arity = _FAMILIES[family]
-    # the catalog is loaded here only: no other command builds from it
-    from . import constructions
+    from .constructions import FAMILIES
 
-    builder = getattr(constructions, name)
+    family = args.family
+    if family not in FAMILIES:
+        return _error(f"unknown family {family!r}")
+    builder, arity = FAMILIES[family]
     if arity is None:
         if args.params:
             return _error(f"construct {family} does not take integer parameters")
@@ -206,6 +174,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .search import CountResult, count_homomorphisms, count_labeled_pinned
+
     if args.pins and args.mode == "homs":
         return _error("count --mode homs does not take --pins")
     pattern = _load_pattern(args.pattern)
@@ -271,8 +241,12 @@ def _cmd_check(args) -> int:
     if unread:
         return _error(f"check {scan} does not take {', '.join(_flags(unread))}")
     if scan == "anti --exhaustive":
+        from .properties import check_anti_exhaustive
+
         report = check_anti_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
     elif scan == "anti --family":
+        from .families import check_anti_on_family
+
         report = check_anti_on_family(
             pattern,
             args.family,
@@ -283,19 +257,28 @@ def _cmd_check(args) -> int:
             samples=args.samples,
         )
     elif scan == "strong-anti":
+        from .properties import check_strong_anti
+
         pinned = tuple(_parse_ints(args.pins_set, "--pins-set"))
         report = check_strong_anti(
             PinnedPattern(pattern, pinned), args.exhaustive, dedup=args.dedup
         )
     elif scan == "impartial":
+        from .properties import impartiality_report
+
         report = impartiality_report(pattern, _int(args.n, "--n"))
     else:
+        from .properties import sidorenko_scan_exhaustive
+
         report = sidorenko_scan_exhaustive(pattern, args.exhaustive, dedup=args.dedup)
     _emit_doc(report.to_json_dict(), _render_report_text, args)
     return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
 
 def _cmd_quasi(args) -> int:
+    from .hosts import two_block_tournament
+    from .quasi import quasirandom_epsilon
+
     if args.two_block:
         if args.host is not None:
             return _error("quasi --two-block does not take --host")

@@ -1,12 +1,12 @@
-"""Exact counters for homomorphisms, labeled copies, and pinned labeled copies.
+"""The counting layer of the exhaustive scans, and what every engine shares.
 
-Two engines, validated against each other and against an oracle, walk one
-plan: `_plan` compiles a pattern and its pinned set, once and cached, into a
-vertex order and each position's edges to earlier positions. Both count the
-unpinned degree-0 vertices in closed form, outside the walk.
+`_plan` compiles a pattern and its pinned set, once and cached, into the
+walk that both exact engines take: a vertex order and each position's edges
+to earlier positions. Both count the unpinned degree-0 vertices in closed
+form, outside the walk.
 
-* the count table, for exhaustive scans. `count_table` compiles a pattern once
-  per host size n into a list of (pair-code mask, required bits,
+* the count table, for exhaustive scans, lives here. `count_table` compiles a
+  pattern once per host size n into a list of (pair-code mask, required bits,
   multiplicity) rows, one per distinct constraint set of an injective map
   into [n], and `labeled_counts` evaluates sum mult * [(code & mask) == req]
   in one pass over those rows, bit-sliced in plain Python ints: the hosts are
@@ -14,21 +14,17 @@ unpinned degree-0 vertices in closed form, outside the walk.
   the AND of its columns, and each row's hits are ripple-added into a
   `HostCounts` vertical counter (one int per count bit), so every host of a
   size is counted at once and no numpy is imported;
-* the backtracker, `search._backtrack`, for single hosts of any size. The
-  plan's order puts the pinned vertices first, then the others by maximum
-  back-degree, and the largest class of twins last; the trailing group and
-  the last walked position are counted in closed form or memoised (see
-  `search`). `count_homomorphisms`, `count_labeled` and
-  `count_labeled_pinned` import it when they are first called, so a process
-  that only scans exhaustively never loads it.
-
-`oracle_count` is an independent, unpruned full enumeration used to validate
-both engines; it must never share their code path. `tests/test_engines.py`
-holds the one table that checks every engine against it, case by case.
+* the backtracker and the single-host counters built on it
+  (`count_homomorphisms`, `count_labeled`, `count_labeled_pinned`,
+  `density`, `CountResult`), with the oracle `oracle_count` that checks both
+  engines, live in `search`, which imports this module; this module does not
+  import it, so a process that only scans exhaustively never loads it. The
+  four counters can still be read here (`_MOVED`), as the defining module's
+  own objects.
 
 `labeled_bound` is the one baseline 2^(-e(D)) n^(v(D)-|I|) of every labeled
-count, I being the pinned set (empty unless `count_labeled_pinned` is given
-the required anchor of I).
+count, I being the pinned set (empty unless a pinned count is given the
+required anchor of I).
 
 Every engine checks its work against one budget, `work_budget()`: the
 backtracker counts its expansions, and the count table and the oracle check
@@ -42,7 +38,6 @@ No report is serialized here; the `*_approx` floats are written by callers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter
@@ -55,13 +50,32 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .digraph import (
     Digraph,
     SizeLimitError,
-    Tournament,
     _transpose,
     bits,
     pair_count,
     pair_order,
     vertex_mask,
 )
+
+# the single-host counters defined in `search`, still read here by name (as
+# `perfbench/tracing.py` does): `__getattr__` (PEP 562) returns `search`'s
+# own object, so a rebinding of it there reaches every caller
+_MOVED = {
+    "count_homomorphisms": "search",
+    "count_labeled": "search",
+    "count_labeled_pinned": "search",
+    "density": "search",
+}
+
+
+def __getattr__(name: str):
+    module = _MOVED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "TOURSID_BUDGET"
@@ -107,23 +121,6 @@ def _check_anchor(pins: dict[int, int], n: int) -> None:
     for hv in pins.values():
         if not 0 <= hv < n:
             raise ValueError(f"anchor image {hv} out of host range")
-
-
-class CountResult(NamedTuple):
-    """An exact count next to its random-orientation baseline.
-
-    bound is `labeled_bound` (pinned or not); ratio is value/bound, exact.
-    The bound is 0 only on the empty host, where the ratio is undefined.
-    """
-
-    value: int
-    bound: Fraction
-
-    @property
-    def ratio(self) -> Fraction:
-        if not self.bound:
-            raise ValueError("the labeled ratio is undefined on the empty host")
-        return Fraction(self.value) / self.bound
 
 
 class _PinnedFields(NamedTuple):
@@ -206,45 +203,6 @@ def _plan(
     while group > len(pinned) and cons[group - 1] == cons[-1]:
         group -= 1
     return tuple(order), cons, d.n - len(order), group
-
-
-def count_homomorphisms(d: Digraph, t: Tournament) -> int:
-    """Exact number of (not necessarily injective) edge-preserving maps."""
-    from .search import _backtrack
-
-    return _backtrack(d, t, injective=False)
-
-
-def count_labeled(d: Digraph, t: Tournament) -> CountResult:
-    """Exact number of injective edge-preserving maps, with its baseline
-    bound 2^(-e(D)) n^(v(D))."""
-    from .search import _backtrack
-
-    value = _backtrack(d, t, injective=True)
-    return CountResult(value, labeled_bound(d, t.n))
-
-
-def count_labeled_pinned(p: PinnedPattern, t: Tournament, anchor: dict[int, int]) -> CountResult:
-    """Labeled copies extending the anchor on the pinned set.
-
-    The bound is 2^(-e(D)) n^(v(D)-|I|). The anchor must be total on the
-    pinned set and injective into the host.
-    """
-    pinned = p.pinned_vertices
-    if set(anchor) != set(pinned):
-        raise ValueError("anchor must be defined on exactly the pinned set")
-    _check_anchor(anchor, t.n)
-    from .search import _backtrack
-
-    value = _backtrack(p.pattern, t, injective=True, pins=anchor)
-    return CountResult(value, labeled_bound(p.pattern, t.n, len(pinned)))
-
-
-def density(d: Digraph, t: Tournament) -> Fraction:
-    """Exact homomorphism density h_D(T) / n^(v(D))."""
-    if t.n == 0:
-        raise ValueError("density is undefined on the empty host")
-    return Fraction(count_homomorphisms(d, t), t.n ** d.n)
 
 
 class HostColumns:
@@ -404,36 +362,3 @@ def _add_plane(planes: list[int], hit: int, k: int) -> None:
             planes += [0] * (k + 1 - len(planes))
         planes[k], hit = planes[k] ^ hit, planes[k] & hit
         k += 1
-
-
-def oracle_count(d: Digraph, t: Tournament, mode: str = "homs") -> int:
-    """Unpruned full-enumeration counter used to validate the optimized kernel.
-
-    Enumerates all n^v maps ("homs") or all injective tuples ("labeled") and
-    checks every edge. Intentionally shares no code with the backtracker.
-    """
-    if mode not in ("homs", "labeled"):
-        raise ValueError(f"unknown oracle mode {mode!r}")
-    n, k = t.n, d.n
-    ceiling = work_budget()
-    volume = math.perm(n, k) if mode == "labeled" else n**k
-    if volume > ceiling:
-        raise BudgetExceededError(
-            f"oracle enumeration of {volume} maps exceeds the budget {ceiling}"
-        )
-    edges = tuple(d.edges())
-    rows = t.out_rows()
-    tuples: Iterable[tuple[int, ...]]
-    if mode == "homs":
-        tuples = itertools.product(range(n), repeat=k)
-    else:
-        tuples = itertools.permutations(range(n), k)
-    c = 0
-    for phi in tuples:
-        for u, v in edges:
-            if not rows[phi[u]] >> phi[v] & 1:
-                break
-        else:
-            c += 1
-    return c
-

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .counting import count_homomorphisms
-from .digraph import Digraph, UndirectedGraph, bits, fill_to_tournament, pair_count, vertex_mask
+from .constructions import UndirectedGraph
+from .digraph import Digraph, bits, fill_to_tournament, pair_count, vertex_mask
 from .formats import FormatError, cite, quote, read_document, uint_fields
 from .hosts import uniform_tournament
 from .rng import blend
+from .search import count_homomorphisms
 
 HYPERCUBE_LIMIT = 16
 
@@ -237,7 +238,7 @@ def bcv_dumps(c: BicliqueCover) -> str:
 
 
 def bcv_loads(text: str) -> BicliqueCover:
-    line_no, (n, _), body = read_document(text, "BCV/1", "'n k'", "bicliques")
+    _, (n, _), body = read_document(text, "BCV/1", "'n k'", "bicliques")
     parts = []
     for part_no, line in body:
         halves = line.split("|")
@@ -251,5 +252,6 @@ def bcv_loads(text: str) -> BicliqueCover:
             if len(fields) - 1 != fields[0]:
                 raise FormatError(part_no, f"declared {fields[0]} members, found {len(fields) - 1}")
             sides.append(fields[1:])
-        parts.append(sides)
-    return cite(line_no, BicliqueCover, n, parts)
+        # each biclique is checked at its own line
+        parts += cite(part_no, BicliqueCover, n, [sides]).parts
+    return BicliqueCover(n, parts)

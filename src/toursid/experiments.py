@@ -4,8 +4,9 @@ filled 2-blowup falsifier for dense patterns (e(D) >= v(D) log2 v(D)), the
 edge-flip interpolation walk, and the forcing probe that sets the density
 deviation of a pattern next to the quasirandom-direction eps of each host.
 
-They are library functions built on `counting` and `properties`, kept apart
-so that a CLI process never loads them.
+They are library functions built on the single-host counters (`search`),
+map sampling (`families`) and the quasirandom scan (`quasi`), kept apart so
+that a CLI process never loads them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .counting import count_homomorphisms, density
 from .digraph import Digraph, Tournament, fill_to_tournament, pair_order, vertex_mask
-from .properties import QUASI_EXACT_LIMIT, quasirandom_epsilon, sampled_density
+from .families import sampled_density
+from .quasi import QUASI_EXACT_LIMIT, quasirandom_epsilon
 from .rng import blend
+from .search import count_homomorphisms, density
 
 # hosts with at most this many pattern maps get an exact density in
 # `forcing_probe`; larger ones are sampled

@@ -1,6 +1,6 @@
 """Host-tournament generators: raw enumeration, isomorphism-class
 representatives, and seeded coin tournaments (`coin_rows`, shared by the
-uniform hosts here and the planted two-block hosts in `properties`).
+uniform hosts and the planted two-block hosts).
 
 Raw enumeration counts through the pair codes and decodes each with
 `Tournament.from_code`; `digraph` defines the pair order.
@@ -14,19 +14,21 @@ generation, so the first class at every n is code 0, the transitive
 tournament. The brute force over S_n that wrote the table lives with the
 tests, which also check it by a pruned search.
 
-Only the seeded coin tournaments use numpy, and they import it when first
-called; raw enumeration and the class table are pure Python.
+Only the seeded coin tournaments use numpy and the counter-based RNG, and
+they import both when first called; raw enumeration and the class table are
+pure Python, so an exhaustive scan loads neither.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
 from .digraph import SizeLimitError, Tournament, pair_count
-from .rng import blend_array
 
 # tournaments on n unlabeled vertices, n = 0..8 (OEIS A000568); the table
 # holds one code per class, and enumerating n = 9 (191536 classes) is far out
@@ -35,7 +37,7 @@ REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
 # entries of one streamed block: a coin chunk here (21 rows of 768 coins at
 # n = 768), a block of sampled maps or of sampled quasirandom subsets in
-# `properties`, or the 2^14 subsets that the exact quasi scan bit-slices into
+# `families` and `quasi`, or the 2^14 subsets that the exact quasi scan bit-slices into
 # one int; bounds the temporaries independently of n, of the sample count and
 # of 2^n. 2^14 uint64 entries keep each numpy temporary within 128 KiB,
 # glibc's default mmap threshold, and each exact-scan int is 2 KiB.
@@ -101,6 +103,8 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     import numpy as np
 
+    from .rng import blend_array
+
     rows: list[int] = []
     cols = np.arange(n)[None, :]
     step = _block_rows(n)
@@ -119,3 +123,12 @@ def coin_rows(n: int, seed: int, boundary: int = 0) -> list[int]:
 def uniform_tournament(n: int, seed: int) -> Tournament:
     """Seeded uniform random tournament; each pair is an independent coin."""
     return Tournament.from_rows(coin_rows(n, seed))
+
+
+def two_block_tournament(n: int, c, seed: int) -> Tournament:
+    """Planted two-block host: vertices below floor(c*n) beat vertices at or
+    above it; every other pair is a seeded coin."""
+    frac = Fraction(c)
+    if not 0 <= frac <= 1:
+        raise ValueError("block fraction must lie in [0, 1]")
+    return Tournament.from_rows(coin_rows(n, seed, math.floor(frac * n)))

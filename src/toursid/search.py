@@ -1,31 +1,98 @@
-"""The backtracker: exact counts of one pattern in one host of any size.
+"""The single-host counters: exact counts of one pattern in one host of any
+size, the backtracker they share, and the oracle that checks it.
 
-`_backtrack` walks the plan that `counting._plan` compiles. The plan's order
-puts the pinned vertices first, then the others by maximum back-degree (most
-constraints earliest), and candidate sets are bit-row intersections of the
-already-placed images' in/out neighborhoods. The largest class of twins
-(unpinned vertices with equal in- and out-rows, hence pairwise non-adjacent)
-goes last, and that trailing group is counted in closed form from its one
-candidate row: (c)_k injective maps or c^k homomorphisms for k twins with c
-candidates. The last walked position is not walked either: when no group
-constraint falls on it, as in every star, every candidate meets the same row
-and the position is counted in closed form; otherwise its count depends only
-on its candidate and base rows and is memoised on that pair (in C5 on its
-blowups, one pair serves every image of position 1). Either way it is
-charged one expansion per candidate, as walking it would be, so the search
-makes no call per leaf.
+`count_homomorphisms`, `count_labeled`, `count_labeled_pinned` and `density`
+count through `_backtrack`, which walks the plan that `counting._plan`
+compiles. The plan's order puts the pinned vertices first, then the others
+by maximum back-degree (most constraints earliest), and candidate sets are
+bit-row intersections of the already-placed images' in/out neighborhoods.
+The largest class of twins (unpinned vertices with equal in- and out-rows,
+hence pairwise non-adjacent) goes last, and that trailing group is counted
+in closed form from its one candidate row: (c)_k injective maps or c^k
+homomorphisms for k twins with c candidates. The last walked position is not
+walked either: when no group constraint falls on it, as in every star, every
+candidate meets the same row and the position is counted in closed form;
+otherwise its count depends only on its candidate and base rows and is
+memoised on that pair (in C5 on its blowups, one pair serves every image of
+position 1). Either way it is charged one expansion per candidate, as
+walking it would be, so the search makes no call per leaf.
 
-The public counters in `counting` import this module when they are first
-called; the exhaustive scans, which evaluate count tables, never load it.
+`oracle_count` is an independent, unpruned full enumeration used to validate
+the backtracker and the count table; it must never share their code path.
+`tests/test_engines.py` holds the one table that checks every engine against
+it, case by case.
+
+The exhaustive scans, which evaluate count tables (`counting`), never load
+this module; `counting` does not import it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Optional
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Optional
 
-from .counting import BudgetExceededError, _plan, work_budget
+from .counting import (
+    BudgetExceededError,
+    PinnedPattern,
+    _check_anchor,
+    _plan,
+    labeled_bound,
+    work_budget,
+)
 from .digraph import Digraph, Tournament
+
+
+class CountResult(NamedTuple):
+    """An exact count next to its random-orientation baseline.
+
+    bound is `labeled_bound` (pinned or not); ratio is value/bound, exact.
+    The bound is 0 only on the empty host, where the ratio is undefined.
+    """
+
+    value: int
+    bound: Fraction
+
+    @property
+    def ratio(self) -> Fraction:
+        if not self.bound:
+            raise ValueError("the labeled ratio is undefined on the empty host")
+        return Fraction(self.value) / self.bound
+
+
+def count_homomorphisms(d: Digraph, t: Tournament) -> int:
+    """Exact number of (not necessarily injective) edge-preserving maps."""
+    return _backtrack(d, t, injective=False)
+
+
+def count_labeled(d: Digraph, t: Tournament) -> CountResult:
+    """Exact number of injective edge-preserving maps, with its baseline
+    bound 2^(-e(D)) n^(v(D))."""
+    value = _backtrack(d, t, injective=True)
+    return CountResult(value, labeled_bound(d, t.n))
+
+
+def count_labeled_pinned(p: PinnedPattern, t: Tournament, anchor: dict[int, int]) -> CountResult:
+    """Labeled copies extending the anchor on the pinned set.
+
+    The bound is 2^(-e(D)) n^(v(D)-|I|). The anchor must be total on the
+    pinned set and injective into the host.
+    """
+    pinned = p.pinned_vertices
+    if set(anchor) != set(pinned):
+        raise ValueError("anchor must be defined on exactly the pinned set")
+    _check_anchor(anchor, t.n)
+    value = _backtrack(p.pattern, t, injective=True, pins=anchor)
+    return CountResult(value, labeled_bound(p.pattern, t.n, len(pinned)))
+
+
+def density(d: Digraph, t: Tournament) -> Fraction:
+    """Exact homomorphism density h_D(T) / n^(v(D))."""
+    if t.n == 0:
+        raise ValueError("density is undefined on the empty host")
+    return Fraction(count_homomorphisms(d, t), t.n ** d.n)
+
 
 # bounds of `_backtrack`'s memo of last-position counts, one per call: at
 # most 2^16 entries, each keyed by two n-bit host rows, and at most 2^26 / n
@@ -157,3 +224,36 @@ def _backtrack(
 
     rec(0, 0)
     return total * mult
+
+
+def oracle_count(d: Digraph, t: Tournament, mode: str = "homs") -> int:
+    """Unpruned full-enumeration counter used to validate the optimized kernel.
+
+    Enumerates all n^v maps ("homs") or all injective tuples ("labeled") and
+    checks every edge. Intentionally shares no code with the backtracker.
+    """
+    if mode not in ("homs", "labeled"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    n, k = t.n, d.n
+    ceiling = work_budget()
+    volume = math.perm(n, k) if mode == "labeled" else n**k
+    if volume > ceiling:
+        raise BudgetExceededError(
+            f"oracle enumeration of {volume} maps exceeds the budget {ceiling}"
+        )
+    edges = tuple(d.edges())
+    rows = t.out_rows()
+    tuples: Iterable[tuple[int, ...]]
+    if mode == "homs":
+        tuples = itertools.product(range(n), repeat=k)
+    else:
+        tuples = itertools.permutations(range(n), k)
+    c = 0
+    for phi in tuples:
+        for u, v in edges:
+            if not rows[phi[u]] >> phi[v] & 1:
+                break
+        else:
+            c += 1
+    return c
+

@@ -11,10 +11,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
+from toursid.constructions import are_isomorphic
 from toursid.counting import HostColumns
-from toursid.digraph import Digraph, Tournament, are_isomorphic, bits, pair_count
+from toursid.digraph import Digraph, Tournament, bits, pair_count
+from toursid.families import _packed_rows
 from toursid.hosts import _block_rows
-from toursid.properties import _packed_rows
 from toursid.rng import blend_array
 
 

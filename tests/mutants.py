@@ -33,12 +33,21 @@ MUTANTS = [
     ("memo-stores-count-plus-one", "src/toursid/search.py",
      "memo[key] = whole\n", "memo[key] = whole + 1\n",
      [f"{ENGINES}[directed-cycle-5-homs]"]),
-    ("three-sigmas-inclusive", "src/toursid/properties.py",
+    ("three-sigmas-inclusive", "src/toursid/families.py",
      "self.samples > 9 * p * (1 - p)", "self.samples >= 9 * p * (1 - p)",
      [f"{PROPERTIES}::TestSampledVerdict::test_exactly_three_standard_errors_is_not_a_violation"]),
-    ("sampled-quasi-big-endian", "src/toursid/properties.py",
+    ("sampled-quasi-big-endian", "src/toursid/quasi.py",
      'count=n, bitorder="little"', 'count=n, bitorder="big"',
      [f"{PROPERTIES}::TestSampledQuasiReference::test_equals_popcount_cube"]),
+    # every sampled subset drawn at once: the draw grows with the samples
+    ("quasi-blocks-unbounded", "src/toursid/quasi.py",
+     "chunk = step * max(1, _BLOCK // (step * words))", "chunk = samples",
+     [f"{PROPERTIES}::TestSampledQuasiBlocks::test_each_draw_is_one_bounded_block"]),
+    ("quasi-best-of-last-block", "src/toursid/quasi.py",
+     "best = max(best, int(meet.sum(axis=1).max()))", "best = int(meet.sum(axis=1).max())",
+     ["tests/test_golden.py::TestScalarReference::test_quasi_sampled",
+      "tests/test_golden.py::TestScalarReference::test_tiny_blocks_do_not_change_results",
+      f"{PROPERTIES}::TestSampledQuasiReference::test_equals_popcount_cube"]),
     # os._exit skips the flush of stdout
     ("run-exits-without-flushing", "src/toursid/cli.py",
      "    sys.exit(code)\n", '    __import__("os")._exit(code)\n',

@@ -38,17 +38,16 @@ from toursid.constructions import (
 )
 from toursid.counting import PinnedPattern
 from toursid.experiments import forcing_probe
+from toursid.families import check_anti_on_family
 from toursid.formats import json_dumps
-from toursid.hosts import uniform_tournament
+from toursid.hosts import two_block_tournament, uniform_tournament
 from toursid.properties import (
     check_anti_exhaustive,
-    check_anti_on_family,
     check_strong_anti,
     impartiality_report,
-    quasirandom_epsilon,
     sidorenko_scan_exhaustive,
-    two_block_tournament,
 )
+from toursid.quasi import quasirandom_epsilon
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 

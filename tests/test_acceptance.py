@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from toursid.constructions import (
+    add_dominating_vertex,
+    are_isomorphic,
     catalog,
     d_family,
     directed_cycle,
@@ -18,21 +20,14 @@ from toursid.constructions import (
     impartial_four_tree,
     iterated_balanced_star,
     iterated_star_edge_count,
+    sid_extend,
     star,
     subset_bipartite,
     transitive_minus_edge,
     transitive_tournament,
     unique_hom_digraph,
-    sid_extend,
-    add_dominating_vertex,
 )
-from toursid.counting import (
-    PinnedPattern,
-    count_homomorphisms,
-    count_labeled,
-    count_labeled_pinned,
-    oracle_count,
-)
+from toursid.counting import PinnedPattern
 from toursid.covers import (
     check_tt_claim,
     cover_weight,
@@ -42,24 +37,25 @@ from toursid.covers import (
     two_path_condition,
     verify_cover,
 )
-from toursid.digraph import Digraph, Tournament, are_isomorphic, transitive_host
+from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.experiments import (
     classify_star,
     falsify_by_blowup,
     interpolate_to_density,
     star_two_block_profile,
 )
+from toursid.families import check_anti_on_family
 from toursid.formats import trn_loads
-from toursid.hosts import all_tournaments, tournament_representatives, uniform_tournament
-from toursid.properties import (
-    check_anti_exhaustive,
-    check_anti_on_family,
-    check_strong_anti,
-    impartiality_report,
-    quasirandom_epsilon,
+from toursid.hosts import (
+    all_tournaments,
+    tournament_representatives,
     two_block_tournament,
+    uniform_tournament,
 )
+from toursid.properties import check_anti_exhaustive, check_strong_anti, impartiality_report
+from toursid.quasi import quasirandom_epsilon
 from toursid.rng import blend
+from toursid.search import count_homomorphisms, count_labeled, count_labeled_pinned, oracle_count
 
 from test_properties import poly_derivative_at_zero
 

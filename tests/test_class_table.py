@@ -48,9 +48,10 @@ from host_reference import (
     pruned_orbit_minimum,
     raw_columns,
 )
-from toursid import digraph, hosts, properties
+from toursid import constructions, hosts, properties
 from toursid.cli import main
 from toursid.constructions import (
+    are_isomorphic,
     catalog,
     d_family,
     directed_cycle,
@@ -60,8 +61,9 @@ from toursid.constructions import (
     star,
     transitive_tournament,
 )
-from toursid.counting import PinnedPattern, count_labeled, labeled_counts
-from toursid.digraph import Digraph, SizeLimitError, Tournament, are_isomorphic, disjoint_union
+from toursid.counting import PinnedPattern, labeled_counts
+from toursid.digraph import Digraph, SizeLimitError, Tournament, disjoint_union
+from toursid.families import check_anti_on_family
 from toursid.formats import dgf_dumps, trn_loads
 from toursid.hosts import (
     CLASS_COUNTS,
@@ -72,13 +74,13 @@ from toursid.hosts import (
 )
 from toursid.properties import (
     PropertyReport,
-    check_anti_on_family,
+    _scan_steps,
     check_anti_exhaustive,
     check_strong_anti,
     impartiality_report,
-    _scan_steps,
     sidorenko_scan_exhaustive,
 )
+from toursid.search import count_labeled
 
 
 @pytest.fixture
@@ -170,7 +172,7 @@ class TestTable:
 
         # the class enumeration lives in the tests' host_reference, out of
         # any scan's reach; only the isomorphism test could still be called
-        monkeypatch.setattr(digraph, "are_isomorphic", refuse)
+        monkeypatch.setattr(constructions, "are_isomorphic", refuse)
         report = check_anti_exhaustive(directed_cycle(5), 7, dedup=True)
         assert [row["hosts"] for row in report.curve] == list(CLASS_COUNTS[1:8])
         assert report.verdict == "holds-upto"

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from toursid.constructions import (
+    UndirectedGraph,
     add_dominating_vertex,
     all_orientations_union,
     anti_extend,
+    are_isomorphic,
     catalog,
     cycle_with_chord,
     d_family,
@@ -28,7 +30,7 @@ from toursid.constructions import (
     unique_hom_digraph,
 )
 from toursid.counting import PinnedPattern
-from toursid.digraph import Digraph, UndirectedGraph, are_isomorphic, bits, disjoint_union
+from toursid.digraph import Digraph, bits, disjoint_union
 
 
 HOMOGENEITY = "the designated vertices do not share in- and out-neighborhoods"

@@ -19,12 +19,14 @@ from toursid.counting import (
     HostColumns,
     PinnedPattern,
     _plan,
+    count_table,
+    labeled_counts,
+)
+from toursid.search import (
     count_homomorphisms,
     count_labeled,
     count_labeled_pinned,
-    count_table,
     density,
-    labeled_counts,
     oracle_count,
 )
 from toursid.digraph import (
@@ -34,15 +36,15 @@ from toursid.digraph import (
     fill_to_tournament,
     transitive_host,
 )
-from toursid.hosts import class_codes, tournament_representatives, uniform_tournament
-import toursid
-from toursid.properties import (
-    check_anti_exhaustive,
-    check_anti_on_family,
-    check_strong_anti,
-    impartiality_report,
+from toursid.hosts import (
+    class_codes,
+    tournament_representatives,
     two_block_tournament,
+    uniform_tournament,
 )
+import toursid
+from toursid.families import check_anti_on_family
+from toursid.properties import check_anti_exhaustive, check_strong_anti, impartiality_report
 from toursid.formats import trn_loads
 from test_engines import star_sums
 

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from toursid.constructions import transitive_tournament, unique_hom_digraph
-from toursid.counting import count_homomorphisms
+from toursid.constructions import UndirectedGraph, transitive_tournament, unique_hom_digraph
 from toursid.covers import (
     BicliqueCover,
     LEADING_BOUND_NOTE,
@@ -17,7 +16,8 @@ from toursid.covers import (
     two_path_condition,
     verify_cover,
 )
-from toursid.digraph import Digraph, UndirectedGraph, bits, transitive_host
+from toursid.digraph import Digraph, bits, transitive_host
+from toursid.search import count_homomorphisms
 
 
 class TestVerify:

@@ -8,13 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from host_reference import all_oriented_graphs, pairwise_code, pairwise_from_code
-from toursid.constructions import directed_cycle, directed_path, subset_bipartite, transitive_tournament
+from toursid.constructions import (
+    UndirectedGraph,
+    are_isomorphic,
+    directed_cycle,
+    directed_path,
+    subset_bipartite,
+    transitive_tournament,
+)
 from toursid.digraph import (
     Digraph,
     SizeLimitError,
     Tournament,
-    UndirectedGraph,
-    are_isomorphic,
     bits,
     disjoint_union,
     fill_to_tournament,
@@ -22,8 +27,7 @@ from toursid.digraph import (
     transitive_host,
 )
 from toursid.formats import trn_dumps
-from toursid.hosts import class_codes, uniform_tournament
-from toursid.properties import two_block_tournament
+from toursid.hosts import class_codes, two_block_tournament, uniform_tournament
 from toursid.rng import below
 
 

@@ -22,12 +22,19 @@ import pytest
 from host_reference import raw_columns
 from test_digraph import random_digraph
 from toursid import search
-from toursid.constructions import catalog, d_family, directed_cycle, directed_path
-from toursid.constructions import impartial_four_tree, star, transitive_tournament
-from toursid.counting import HostColumns, PinnedPattern, _plan, labeled_counts, oracle_count
-from toursid.counting import count_homomorphisms, count_labeled, count_labeled_pinned
+from toursid.constructions import (
+    catalog,
+    d_family,
+    directed_cycle,
+    directed_path,
+    impartial_four_tree,
+    star,
+    transitive_tournament,
+)
+from toursid.counting import HostColumns, PinnedPattern, _plan, labeled_counts
 from toursid.digraph import Digraph, disjoint_union, transitive_host
 from toursid.hosts import all_tournaments, tournament_representatives, uniform_tournament
+from toursid.search import count_homomorphisms, count_labeled, count_labeled_pinned, oracle_count
 
 
 class Case(NamedTuple):

@@ -5,16 +5,15 @@ import pytest
 from toursid.covers import BicliqueCover, bcv_dumps, bcv_loads
 from toursid.digraph import Digraph, Tournament
 from toursid.formats import (
-    VERTEX_LIMIT,
     FormatError,
+    VERTEX_LIMIT,
     dgf_dumps,
     dgf_loads,
     host_loads,
     trn_dumps,
     trn_loads,
 )
-from toursid.hosts import uniform_tournament
-from toursid.properties import two_block_tournament
+from toursid.hosts import two_block_tournament, uniform_tournament
 from toursid.rng import below
 
 from test_digraph import random_digraph
@@ -133,7 +132,21 @@ class TestBcv:
         # "1 1": the document would not round-trip
         with pytest.raises(FormatError) as err:
             bcv_loads("3 1\n2 0 0 | 1 2\n")
-        assert str(err.value) == "line 1: vertex 0 is listed twice"
+        assert str(err.value) == "line 2: vertex 0 is listed twice"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4 2\n1 0 | 1 1\n1 0 | 1 9\n", "line 3: biclique part out of range"),
+            ("4 2\n1 0 | 1 1\n\n# a comment\n1 2 | 2 3 2\n", "line 5: biclique parts must be disjoint"),
+            ("5 2\n1 0 | 1 1\n2 3 3 | 1 4\n", "line 3: vertex 3 is listed twice"),
+        ],
+        ids=["out-of-range", "overlap", "repeated"],
+    )
+    def test_each_biclique_is_cited_at_its_line(self, text, message):
+        with pytest.raises(FormatError) as err:
+            bcv_loads(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("text, line", [("\u00b2 1\n", 1), ("4 1\n1 0 | 1 \u00b2\n", 2)])
     def test_non_ascii_digits_rejected(self, text, line):
@@ -156,7 +169,7 @@ class TestReader:
             (bcv_loads, f"{LONG} 0\n", 1),
             (dgf_loads, f"3 1\n{TOKENS}\n", 2),
             (bcv_loads, f"4 1\n{TOKENS} x | 1 2\n", 2),
-            (bcv_loads, "4 1\n1 100000000000000000 | 1 1\n", 1),
+            (bcv_loads, "4 1\n1 100000000000000000 | 1 1\n", 2),
         ],
         ids=["dgf-huge-n", "trn-long-n", "dgf-long-field", "bcv-long-header",
              "dgf-long-edge-line", "bcv-long-part", "bcv-huge-member"],

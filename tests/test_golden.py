@@ -38,14 +38,11 @@ from toursid.constructions import (
     transitive_tournament,
 )
 from toursid.digraph import Digraph
+from toursid.families import sampled_density
 from toursid.formats import dgf_dumps, trn_dumps
-from toursid.hosts import coin_rows, uniform_tournament
-from toursid.properties import (
-    PropertyReport,
-    quasirandom_epsilon,
-    sampled_density,
-    two_block_tournament,
-)
+from toursid.hosts import coin_rows, two_block_tournament, uniform_tournament
+from toursid.properties import PropertyReport
+from toursid.quasi import quasirandom_epsilon
 from toursid.rng import below, blend, coin
 
 
@@ -589,7 +586,9 @@ MEMORY_PROBE = textwrap.dedent(
     from fractions import Fraction
     from pathlib import Path
     from toursid.constructions import star
-    from toursid.properties import quasirandom_epsilon, sampled_density, two_block_tournament
+    from toursid.families import sampled_density
+    from toursid.hosts import two_block_tournament
+    from toursid.quasi import quasirandom_epsilon
 
     def peak_kb():
         status = Path("/proc/self/status").read_text()

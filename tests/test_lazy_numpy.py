@@ -1,15 +1,20 @@
-"""numpy loads on first use: the commands that run only the backtracker over
-packed rows (`check anti --family transitive` and `blowup`, and `count`),
-every exhaustive, pinned and impartiality scan and the exact quasirandom scan
-(bit-sliced Python ints, so `quasi --host` and the exact `forcing_probe`
-rows) never import it, while the sampled quasirandom scan does, after
-`toursid/__init__.py` has set OPENBLAS_NUM_THREADS. The same probe guards the
-rest of the start-up set: `import toursid` loads no submodule, no command
-loads `dataclasses` or `toursid.experiments`, `inspect` is absent until numpy
-brings it, `toursid.constructions` loads only at `construct`, and the
-backtracker, `toursid.search`, only at `count` and the family checks. Each
-case runs in a fresh interpreter, since this test process has long imported
-numpy."""
+"""Each command loads only the code it runs. numpy loads on first use: the
+commands that run only the backtracker over packed rows (`check anti
+--family transitive` and `blowup`, and `count`), every exhaustive, pinned
+and impartiality scan and the exact quasirandom scan (bit-sliced Python
+ints, so `quasi --host` and the exact `forcing_probe` rows) never import it,
+while the seeded hosts and the sampled quasirandom scan do, after
+`toursid/__init__.py` has set OPENBLAS_NUM_THREADS. The same probe pins the
+toursid modules of each command: `import toursid` loads no submodule, and
+`import toursid.cli` only the modules every command shares; an exhaustive,
+pinned or impartiality scan then loads `properties` alone (no RNG, no
+backtracker, no family or quasirandom scan, no catalog), `quasi` loads no
+`properties`, the catalog (`constructions`) loads only at `construct`, the
+backtracker (`search`) only at `count` and the family checks, and no command
+loads `dataclasses` or `toursid.experiments`; `inspect` is absent until
+numpy brings it. A scan process also stays within a bound on the toursid
+source lines it compiles. Each case runs in a fresh interpreter, since this
+test process has long imported numpy."""
 
 import json
 import os
@@ -47,7 +52,8 @@ PROBE = textwrap.dedent(
                 Watch.blas = os.environ.get("OPENBLAS_NUM_THREADS")
             return None
 
-    OWN = ("toursid.constructions", "toursid.experiments", "toursid.search")
+    OWN = tuple(f"toursid.{name}" for name in (
+        "constructions", "experiments", "families", "properties", "quasi", "rng", "search"))
 
     def loaded():
         watched = ("numpy", "inspect", "dataclasses") + OWN
@@ -96,6 +102,7 @@ def run_probe(tmp_path, blas):
         ("construct", ["construct", "star", "2", "2"]),
         ("quasi-sampled", ["quasi", "--two-block", "1/10", "24", "--seed", "3",
                            "--samples", "50"]),
+        ("quasi-two-block", ["quasi", "--two-block", "1/10", "12", "--seed", "3"]),
     ]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
@@ -113,24 +120,67 @@ def run_probe(tmp_path, blas):
 def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
     got = run_probe(tmp_path, blas)
     assert got["package"] == []
+    family = ["toursid.families", "toursid.properties", "toursid.rng", "toursid.search"]
+    scan = ["toursid.properties"]
     assert got["steps"] == [
         ["import", None, []],
-        ["transitive", 0, ["toursid.search"]],
-        ["blowup", 0, ["toursid.search"]],
+        ["transitive", 0, family],
+        ["blowup", 0, family],
         ["count", 0, ["toursid.search"]],
         ["count-homs", 0, ["toursid.search"]],
-        ["exhaustive", 0, []],
-        ["dedup", 0, []],
-        ["sidorenko", 0, []],
-        ["sidorenko-dedup", 0, []],
-        ["strong-anti", 0, []],
-        ["strong-anti-dedup", 0, []],
-        ["impartial", 2, []],
-        ["quasi-host", 0, []],
+        ["exhaustive", 0, scan],
+        ["dedup", 0, scan],
+        ["sidorenko", 0, scan],
+        ["sidorenko-dedup", 0, scan],
+        ["strong-anti", 0, scan],
+        ["strong-anti-dedup", 0, scan],
+        ["impartial", 2, scan],
+        ["quasi-host", 0, ["toursid.quasi"]],
         ["construct", 0, ["toursid.constructions"]],
-        ["quasi-sampled", 0, ["numpy", "inspect"]],
+        ["quasi-sampled", 0, ["numpy", "inspect", "toursid.families", "toursid.quasi",
+                              "toursid.rng"]],
+        ["quasi-two-block", 0, ["numpy", "inspect", "toursid.quasi", "toursid.rng"]],
     ]
     assert got["blas"] == expected
+
+
+# Prints the toursid modules in sys.modules, each with its source line
+# count, after the C5 `check anti --exhaustive 6` scan has run.
+SCAN_PROBE = textwrap.dedent(
+    """
+    import json
+    import sys
+    from pathlib import Path
+
+    import toursid.cli
+
+    assert toursid.cli.main(sys.argv[1:]) == 0
+    print(json.dumps({
+        name: len(Path(module.__file__).read_text().splitlines())
+        for name, module in sys.modules.items()
+        if name == "toursid" or name.startswith("toursid.")
+    }))
+    """
+)
+
+# source lines a scan process may compile: every process without a bytecode
+# cache compiles its modules again, at about 7 ms per 1000 lines
+SCAN_LINES = 1850
+
+
+def test_a_scan_loads_only_the_scan(tmp_path):
+    (tmp_path / "c5.dgf").write_text(dgf_dumps(directed_cycle(5)))
+    argv = ["check", "anti", "--pattern", "c5.dgf", "--exhaustive", "6", "--out", "c5.json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCAN_PROBE, *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = json.loads(proc.stdout)
+    assert sorted(lines) == ["toursid"] + [f"toursid.{name}" for name in (
+        "cli", "counting", "digraph", "formats", "hosts", "properties")]
+    assert sum(lines.values()) <= SCAN_LINES
 
 
 # Prints whether numpy is in sys.modules after an all-exact `forcing_probe`

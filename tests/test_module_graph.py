@@ -1,8 +1,9 @@
 """The package's import graph, read from the source with `ast` (nothing is
-imported): each module's `from .x import` targets, and the private names it
-takes from them, at any depth, must equal the tables below, so a new edge
-between modules, or a new reach into another module's private names, is made
-on purpose."""
+imported): each module's `from .x import` targets, the private names it
+takes from them, at any depth, and the imports it makes inside a function,
+must equal the tables below, so a new edge between modules, a new reach into
+another module's private names, or a new import on a command's start-up path
+is made on purpose. The imports made at module level form no cycle."""
 
 import ast
 from pathlib import Path
@@ -11,39 +12,76 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toursid"
 
-# module -> the toursid modules it imports; `rng` and `digraph` are leaves,
-# the data formats read `digraph` alone, and so do the counting engines, but
-# for the backtracker in `search`, which they import when first called. The
-# package `__init__` imports nothing: it names each public name's module in
-# a table, read on first access.
+# module -> the toursid modules it imports, at any depth. `rng` is a leaf;
+# `digraph` reaches up to the catalog only inside `Digraph.underlying`; the
+# data formats and the count tables (`counting`) read `digraph` alone, and
+# the backtracker (`search`) sits on `counting`, which does not import it.
+# `hosts` reads `rng` inside `coin_rows`, so an exhaustive scan (`cli`,
+# `properties`, `counting`, `hosts`, `digraph`, `formats`) loads no RNG.
+# `families` reads the report path and the backtracker, and `properties`
+# reads `families` and `search`, only inside the function that needs them
+# (`LAZY`). The package `__init__` imports nothing: it names each public
+# name's module in a table, read on first access.
 IMPORTS = {
     "__init__": set(),
     "rng": set(),
-    "digraph": set(),
-    "counting": {"digraph", "search"},
+    "digraph": {"constructions"},
+    "counting": {"digraph"},
     "search": {"counting", "digraph"},
     "formats": {"digraph"},
     "hosts": {"digraph", "rng"},
     "constructions": {"counting", "digraph"},
-    "properties": {"counting", "digraph", "formats", "hosts", "rng"},
-    "experiments": {"counting", "digraph", "properties", "rng"},
-    "covers": {"counting", "digraph", "formats", "hosts", "rng"},
-    "cli": {"constructions", "counting", "digraph", "formats", "properties"},
+    "properties": {"counting", "digraph", "families", "formats", "hosts", "search"},
+    "families": {"digraph", "formats", "hosts", "properties", "rng", "search"},
+    "quasi": {"counting", "digraph", "families", "hosts", "rng"},
+    "experiments": {"digraph", "families", "quasi", "rng", "search"},
+    "covers": {"constructions", "digraph", "formats", "hosts", "rng", "search"},
+    "cli": {
+        "constructions", "counting", "digraph", "families", "formats", "hosts", "properties",
+        "quasi", "search",
+    },
 }
 
 # module -> the `_`-prefixed names it imports from other toursid modules, as
-# "module.name"; `properties` reads `hosts._BLOCK` inside `_exact_best` and
+# "module.name"; `quasi` reads `hosts._BLOCK` inside `_exact_best` and
 # `quasirandom_epsilon`, and `search` walks the plan of `counting._plan`
 PRIVATE_IMPORTS = {
     "cli": {"formats._frac"},
-    "counting": {"digraph._transpose", "search._backtrack"},
-    "search": {"counting._plan"},
-    "properties": {
+    "counting": {"digraph._transpose"},
+    "search": {"counting._check_anchor", "counting._plan"},
+    "properties": {"formats._frac", "formats._unfrac"},
+    "families": {"formats._frac", "hosts._block_rows", "properties._report"},
+    "quasi": {
         "counting._add_plane",
-        "formats._frac",
-        "formats._unfrac",
-        "hosts._block_rows",
+        "families._packed_rows",
         "hosts._BLOCK",
+        "hosts._block_rows",
+    },
+}
+
+# module -> (imported module, enclosing function) of each import made inside
+# a function, so that a command loads only the code it runs: `cli` imports
+# each engine in the handler that runs it, and the seeded hosts, the sampled
+# quasirandom scan, the family scan, a witness recount and
+# `Digraph.underlying` import what only they need
+LAZY = {
+    "cli": {
+        ("constructions", "_cmd_construct"),
+        ("families", "_cmd_check"),
+        ("hosts", "_cmd_quasi"),
+        ("properties", "_cmd_check"),
+        ("quasi", "_cmd_quasi"),
+        ("search", "_cmd_count"),
+    },
+    "digraph": {("constructions", "underlying")},
+    "hosts": {("rng", "coin_rows")},
+    "families": {("properties", "check_anti_on_family"), ("search", "check_anti_on_family")},
+    "properties": {("families", "verify_witness"), ("search", "verify_witness")},
+    "quasi": {
+        ("families", "quasirandom_epsilon"),
+        ("hosts", "_exact_best"),
+        ("hosts", "quasirandom_epsilon"),
+        ("rng", "quasirandom_epsilon"),
     },
 }
 
@@ -96,6 +134,41 @@ def test_cli_loads_the_catalog_only_to_construct():
     assert where == {"_cmd_construct"}
 
 
-def test_counting_loads_the_backtracker_only_to_count_one_host():
-    where = {w for target, w, _ in package_imports("counting") if target == "search"}
-    assert where == {"count_homomorphisms", "count_labeled", "count_labeled_pinned"}
+def test_the_backtracker_loads_only_where_one_host_is_counted():
+    where = {
+        (module, w)
+        for module in IMPORTS
+        for target, w, _ in package_imports(module)
+        if target == "search"
+    }
+    assert where == {
+        ("cli", "_cmd_count"),
+        ("covers", None),
+        ("experiments", None),
+        ("families", "check_anti_on_family"),
+        ("properties", "verify_witness"),
+    }
+
+
+@pytest.mark.parametrize("module", sorted(IMPORTS))
+def test_imports_inside_functions_match_the_table(module):
+    lazy = {(target, w) for target, w, _ in package_imports(module) if w is not None}
+    assert lazy == LAZY.get(module, set())
+
+
+def test_module_level_imports_form_no_cycle():
+    top = {
+        module: {target for target, w, _ in package_imports(module) if w is None}
+        for module in IMPORTS
+    }
+    done: set[str] = set()
+
+    def visit(module, path):
+        assert module not in path, " -> ".join(path + [module])
+        if module not in done:
+            for target in top[module]:
+                visit(target, path + [module])
+            done.add(module)
+
+    for module in sorted(top):
+        visit(module, [])

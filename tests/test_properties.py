@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toursid import experiments, properties
+from toursid import experiments, families, hosts, rng, search
 from toursid.constructions import (
     d_family,
     directed_cycle,
@@ -14,14 +14,7 @@ from toursid.constructions import (
     subset_bipartite,
     transitive_tournament,
 )
-from toursid.counting import (
-    BudgetExceededError,
-    PinnedPattern,
-    count_homomorphisms,
-    count_labeled,
-    count_labeled_pinned,
-    oracle_count,
-)
+from toursid.counting import BudgetExceededError, PinnedPattern
 from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.experiments import (
     classify_star,
@@ -31,21 +24,19 @@ from toursid.experiments import (
     star_expected_density,
     star_two_block_profile,
 )
+from toursid.families import SampledDensity, check_anti_on_family, sampled_density
 from toursid.formats import trn_dumps, trn_loads
-from toursid.hosts import _block_rows, uniform_tournament
+from toursid.hosts import _block_rows, two_block_tournament, uniform_tournament
 from toursid.properties import (
     PropertyReport,
-    SampledDensity,
     check_anti_exhaustive,
-    check_anti_on_family,
     check_strong_anti,
     impartiality_report,
-    quasirandom_epsilon,
-    sampled_density,
     sidorenko_scan_exhaustive,
-    two_block_tournament,
 )
+from toursid.quasi import quasirandom_epsilon
 from toursid.rng import blend
+from toursid.search import count_homomorphisms, count_labeled, count_labeled_pinned, oracle_count
 
 from host_reference import cube_sampled_quasi_epsilon, numpy_quasi_epsilon
 
@@ -168,13 +159,13 @@ class TestFamilyScan:
     )
     def test_hosts_are_built_as_they_are_counted(self, monkeypatch, family, builder, options):
         built = []
-        build = getattr(properties, builder)
+        build = getattr(families, builder)
 
         def counted(*args, **kwargs):
             built.append(args[0])
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(properties, builder, counted)
+        monkeypatch.setattr(families, builder, counted)
         # the first host (6 vertices, or the blowup of star(2, 2) by 6)
         # already takes more than one search expansion
         monkeypatch.setenv("TOURSID_BUDGET", "1")
@@ -226,7 +217,7 @@ class TestBlowupFalsifier:
 
     def test_floor_holds_under_arbitrary_fills(self):
         # the block embeddings survive no matter how the blowup is completed
-        from toursid.counting import density
+        from toursid.search import density
         from toursid.digraph import fill_to_tournament
 
         # star(2, 2) leaves pairs open between its leaves, so the fills differ
@@ -415,6 +406,31 @@ class TestSampledQuasiReference:
             assert got == cube_sampled_quasi_epsilon(t, samples, seed + 11), seed
 
 
+class TestSampledQuasiBlocks:
+    """The sampled quasirandom scan draws its subsets in blocks of at most
+    `hosts._BLOCK` words however many it samples, so a draw never grows with
+    the sample count."""
+
+    @pytest.mark.parametrize("n, samples", [(64, 20_000), (768, 2000)])
+    def test_each_draw_is_one_bounded_block(self, monkeypatch, n, samples):
+        t = uniform_tournament(n, 1)
+        shapes = []
+        blend_array = rng.blend_array
+
+        def recorded(*args):
+            out = blend_array(*args)
+            shapes.append(out.shape)
+            return out
+
+        # the scan imports blend_array from `rng` when it is called
+        monkeypatch.setattr(rng, "blend_array", recorded)
+        quasirandom_epsilon(t, "sampled", samples=samples, seed=2)
+        assert len(shapes) > 1
+        assert all(rows * words <= hosts._BLOCK for rows, words in shapes)
+        assert {words for _, words in shapes} == {(n + 63) // 64}
+        assert sum(rows for rows, _ in shapes) == samples
+
+
 class TestInterpolation:
     def test_constant_count_pattern_crosses_immediately(self):
         e = Digraph(2, [(0, 1)])
@@ -548,8 +564,7 @@ class TestOpenScans:
         assert PropertyReport.from_json(report.to_json()).to_json() == report.to_json()
 
     def test_tree_orientations_hold_the_bound_at_small_sizes(self):
-        from toursid.constructions import tree_anti_orientation
-        from toursid.digraph import UndirectedGraph
+        from toursid.constructions import UndirectedGraph, tree_anti_orientation
 
         trees = [
             UndirectedGraph(3, [(0, 1), (0, 2)]),
@@ -700,7 +715,7 @@ class TestReports:
         def broken(*args):
             raise KeyError("engine")
 
-        monkeypatch.setattr(properties, "count_labeled_pinned", broken)
+        monkeypatch.setattr(search, "count_labeled_pinned", broken)
         with pytest.raises(KeyError, match="engine"):
             PropertyReport.from_json(report.to_json())
 

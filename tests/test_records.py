@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from toursid.constructions import directed_cycle, star
-from toursid.counting import CountResult, PinnedPattern
+from toursid.counting import PinnedPattern
 from toursid.covers import BicliqueCover, MultiplicityProbe, ProfileClaimReport
 from toursid.digraph import transitive_host
 from toursid.experiments import ForcingRow, InterpolationResult, StarClassification
-from toursid.properties import PropertyReport, SampledDensity
+from toursid.families import SampledDensity
+from toursid.properties import PropertyReport
+from toursid.search import CountResult
 
 
 def report(verdict, ratio, kind="exhaustive"):

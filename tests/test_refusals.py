@@ -10,6 +10,7 @@ from toursid.cli import main
 from toursid.constructions import (
     add_dominating_vertex,
     anti_extend,
+    are_isomorphic,
     d_family,
     directed_path,
     glue,
@@ -21,17 +22,15 @@ from toursid.constructions import (
     transitive_tournament,
     unique_hom_digraph,
 )
-from toursid.counting import PinnedPattern, count_homomorphisms
+from toursid.counting import PinnedPattern
 from toursid.covers import BicliqueCover, bcv_loads, leading_lower_bound, tight_weight_form
-from toursid.digraph import Digraph, Tournament, are_isomorphic, transitive_host
+from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.experiments import interpolate_to_density, star_two_block_profile
+from toursid.families import check_anti_on_family, sampled_density
 from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
-from toursid.properties import (
-    PropertyReport,
-    check_anti_on_family,
-    quasirandom_epsilon,
-    sampled_density,
-)
+from toursid.properties import PropertyReport
+from toursid.quasi import quasirandom_epsilon
+from toursid.search import count_homomorphisms
 
 EDGE = Digraph(2, [(0, 1)])
 TT3 = transitive_host(3)

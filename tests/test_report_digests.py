@@ -10,7 +10,7 @@ import jsonschema
 
 from record_report_digests import DIGESTS, changed_keys, digests, reports
 from toursid.constructions import star
-from toursid.properties import check_anti_on_family
+from toursid.families import check_anti_on_family
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
