@@ -6,7 +6,6 @@ assert internally.
 """
 
 from toursid.constructions import (
-    UndirectedGraph,
     all_orientations_union,
     cycle_with_chord,
     d_family,
@@ -22,6 +21,7 @@ from toursid.constructions import (
     unique_hom_digraph,
 )
 from toursid.formats import dgf_dumps
+from toursid.graphs import UndirectedGraph
 
 rows = [
     directed_path(3),

@@ -26,9 +26,9 @@ _PUBLIC = {
     "SizeLimitError": "digraph",
     "StarClassification": "experiments",
     "Tournament": "digraph",
-    "UndirectedGraph": "constructions",
+    "UndirectedGraph": "graphs",
     "all_tournaments": "hosts",
-    "are_isomorphic": "constructions",
+    "are_isomorphic": "graphs",
     "check_anti_exhaustive": "properties",
     "check_anti_on_family": "families",
     "check_strong_anti": "properties",
@@ -70,3 +70,39 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _PUBLIC.keys())
+
+
+def _forward(owner: str, moved: dict[str, str]):
+    """The PEP 562 `__getattr__` of module `owner`, which reads each name of
+    `moved` from the submodule named beside it: the defining module's own
+    object, never a copy.
+
+    Each of those submodules not yet imported is entered in `sys.modules`
+    now as a lazy module (`importlib.util.LazyLoader`), whose code runs at
+    its first attribute read, so importing `owner` runs none of it. A tool
+    that lists `sys.modules` and then rebinds a function at every module
+    attribute holding it, as the benchmark's tracer (`perfbench/tracing.py`)
+    does for the names it reads from `owner`, so finds the defining module
+    in its list and rebinds the function there too.
+    """
+    import importlib.util
+    import sys
+
+    package = sys.modules[__name__]
+    for sub in sorted(set(moved.values())):
+        name = f"{__name__}.{sub}"
+        if name not in sys.modules:
+            spec = importlib.util.find_spec(name)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            setattr(package, sub, module)
+
+    def __getattr__(name: str):
+        sub = moved.get(name)
+        if sub is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"{__name__}.{sub}"), name)
+
+    return __getattr__

@@ -47,6 +47,7 @@ from itertools import compress
 from operator import and_, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import _forward
 from .digraph import (
     Digraph,
     SizeLimitError,
@@ -57,24 +58,15 @@ from .digraph import (
     vertex_mask,
 )
 
-# the single-host counters defined in `search`, still read here by name (as
-# `perfbench/tracing.py` does): `__getattr__` (PEP 562) returns `search`'s
-# own object, so a rebinding of it there reaches every caller
+# the single-host counters defined in `search`, still read here by name, as
+# the benchmark's tracer reads them (see `toursid._forward`)
 _MOVED = {
     "count_homomorphisms": "search",
     "count_labeled": "search",
     "count_labeled_pinned": "search",
     "density": "search",
 }
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{module}"), name)
+__getattr__ = _forward(__name__, _MOVED)
 
 
 DEFAULT_BUDGET = 10**9

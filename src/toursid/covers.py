@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .constructions import UndirectedGraph
 from .digraph import Digraph, bits, fill_to_tournament, pair_count, vertex_mask
 from .formats import FormatError, cite, quote, read_document, uint_fields
+from .graphs import UndirectedGraph
 from .hosts import uniform_tournament
 from .rng import blend
 from .search import count_homomorphisms

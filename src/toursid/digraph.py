@@ -19,27 +19,20 @@ pairs. A tournament is a digraph whose orientation is total, i.e. exactly one
 directed edge between every pair of distinct vertices.
 
 Undirected graphs (`UndirectedGraph`) and the isomorphism test
-(`are_isomorphic`), which no scan runs, live with their user, the catalog in
-`constructions`; `Digraph.underlying` imports it when it is called.
+(`are_isomorphic`), which no scan runs, live in the leaf `graphs`;
+`Digraph.underlying` imports it when it is called.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-# defined in `constructions`, still read here by name (as
-# `perfbench/tracing.py` does): `__getattr__` (PEP 562) returns
-# `constructions`' own object, so a rebinding of it there reaches every caller
-_MOVED = {"are_isomorphic": "constructions"}
+from . import _forward
 
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{module}"), name)
+# defined in `graphs`, still read here by name, as the benchmark's tracer
+# reads it (see `toursid._forward`)
+_MOVED = {"are_isomorphic": "graphs"}
+__getattr__ = _forward(__name__, _MOVED)
 
 
 class SizeLimitError(ValueError):
@@ -235,7 +228,7 @@ class Digraph:
 
     def underlying(self) -> "UndirectedGraph":
         """The underlying undirected graph: {u,v} iff u->v or v->u."""
-        from .constructions import UndirectedGraph
+        from .graphs import UndirectedGraph
 
         return UndirectedGraph(
             self.n, [(u, v) for u, v in self.edges()]

@@ -30,6 +30,8 @@ from .rng import blend, blend_array
 if TYPE_CHECKING:
     import numpy as np
 
+    from .properties import PropertyReport
+
 
 class SampledDensity(NamedTuple):
     """Monte-Carlo homomorphism-density estimate over uniform vertex maps."""

@@ -28,29 +28,21 @@ import json
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import _forward
 from .counting import HostColumns, PinnedPattern, labeled_bound, labeled_counts
 from .digraph import Digraph, Tournament, pair_count
 from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
 from .hosts import REPRESENTATIVES_LIMIT, class_codes
 
-# the engines defined elsewhere, still read here by name (as
-# `perfbench/tracing.py` does): `__getattr__` (PEP 562) returns the defining
-# module's own object, so a rebinding of it there reaches every caller
+# the engines defined elsewhere, still read here by name, as the benchmark's
+# tracer reads them (see `toursid._forward`)
 _MOVED = {
     "check_anti_on_family": "families",
     "sampled_density": "families",
     "quasirandom_epsilon": "quasi",
     "two_block_tournament": "hosts",
 }
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{module}"), name)
+__getattr__ = _forward(__name__, _MOVED)
 
 
 REPORT_SCHEMA = "toursid/report-v1"

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
-from toursid.constructions import are_isomorphic
+from toursid.graphs import are_isomorphic
 from toursid.counting import HostColumns
 from toursid.digraph import Digraph, Tournament, bits, pair_count
 from toursid.families import _packed_rows

@@ -75,6 +75,12 @@ MUTANTS = [
     ("stray-private-import", "src/toursid/covers.py",
      "from .rng import blend\n", "from .rng import blend\nfrom .digraph import _transpose\n",
      ["tests/test_module_graph.py::test_private_imports_match_the_table[covers]"]),
+    # the defining modules kept out of sys.modules until a forward is read:
+    # the benchmark's tracer, which lists sys.modules first, misses them
+    ("forward-enters-no-module", "src/toursid/__init__.py",
+     "        if name not in sys.modules:\n", "        if False:\n",
+     ["tests/test_tracing_targets.py::test_a_traced_command_counts_its_engines[count]",
+      "tests/test_tracing_targets.py::test_a_traced_command_counts_its_engines[quasi-host]"]),
 ]
 
 

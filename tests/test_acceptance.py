@@ -12,7 +12,6 @@ import pytest
 
 from toursid.constructions import (
     add_dominating_vertex,
-    are_isomorphic,
     catalog,
     d_family,
     directed_cycle,
@@ -46,6 +45,7 @@ from toursid.experiments import (
 )
 from toursid.families import check_anti_on_family
 from toursid.formats import trn_loads
+from toursid.graphs import are_isomorphic
 from toursid.hosts import (
     all_tournaments,
     tournament_representatives,

@@ -48,10 +48,9 @@ from host_reference import (
     pruned_orbit_minimum,
     raw_columns,
 )
-from toursid import constructions, hosts, properties
+from toursid import graphs, hosts, properties
 from toursid.cli import main
 from toursid.constructions import (
-    are_isomorphic,
     catalog,
     d_family,
     directed_cycle,
@@ -65,6 +64,7 @@ from toursid.counting import PinnedPattern, labeled_counts
 from toursid.digraph import Digraph, SizeLimitError, Tournament, disjoint_union
 from toursid.families import check_anti_on_family
 from toursid.formats import dgf_dumps, trn_loads
+from toursid.graphs import are_isomorphic
 from toursid.hosts import (
     CLASS_COUNTS,
     REPRESENTATIVES_LIMIT,
@@ -172,7 +172,7 @@ class TestTable:
 
         # the class enumeration lives in the tests' host_reference, out of
         # any scan's reach; only the isomorphism test could still be called
-        monkeypatch.setattr(constructions, "are_isomorphic", refuse)
+        monkeypatch.setattr(graphs, "are_isomorphic", refuse)
         report = check_anti_exhaustive(directed_cycle(5), 7, dedup=True)
         assert [row["hosts"] for row in report.curve] == list(CLASS_COUNTS[1:8])
         assert report.verdict == "holds-upto"

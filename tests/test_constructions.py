@@ -3,11 +3,9 @@ import itertools
 import pytest
 
 from toursid.constructions import (
-    UndirectedGraph,
     add_dominating_vertex,
     all_orientations_union,
     anti_extend,
-    are_isomorphic,
     catalog,
     cycle_with_chord,
     d_family,
@@ -31,6 +29,7 @@ from toursid.constructions import (
 )
 from toursid.counting import PinnedPattern
 from toursid.digraph import Digraph, bits, disjoint_union
+from toursid.graphs import UndirectedGraph, are_isomorphic
 
 
 HOMOGENEITY = "the designated vertices do not share in- and out-neighborhoods"

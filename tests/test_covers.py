@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from toursid.constructions import UndirectedGraph, transitive_tournament, unique_hom_digraph
+from toursid.constructions import transitive_tournament, unique_hom_digraph
 from toursid.covers import (
     BicliqueCover,
     LEADING_BOUND_NOTE,
@@ -17,6 +17,7 @@ from toursid.covers import (
     verify_cover,
 )
 from toursid.digraph import Digraph, bits, transitive_host
+from toursid.graphs import UndirectedGraph
 from toursid.search import count_homomorphisms
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from host_reference import all_oriented_graphs, pairwise_code, pairwise_from_code
 from toursid.constructions import (
-    UndirectedGraph,
-    are_isomorphic,
     directed_cycle,
     directed_path,
     subset_bipartite,
@@ -27,6 +25,7 @@ from toursid.digraph import (
     transitive_host,
 )
 from toursid.formats import trn_dumps
+from toursid.graphs import UndirectedGraph, are_isomorphic
 from toursid.hosts import class_codes, two_block_tournament, uniform_tournament
 from toursid.rng import below
 

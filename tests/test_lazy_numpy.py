@@ -9,12 +9,16 @@ toursid modules of each command: `import toursid` loads no submodule, and
 `import toursid.cli` only the modules every command shares; an exhaustive,
 pinned or impartiality scan then loads `properties` alone (no RNG, no
 backtracker, no family or quasirandom scan, no catalog), `quasi` loads no
-`properties`, the catalog (`constructions`) loads only at `construct`, the
+`properties`, the catalog (`constructions`) and the undirected graphs with
+the isomorphism test (`graphs`) load only at `construct`, the
 backtracker (`search`) only at `count` and the family checks, and no command
 loads `dataclasses` or `toursid.experiments`; `inspect` is absent until
 numpy brings it. A scan process also stays within a bound on the toursid
-source lines it compiles. Each case runs in a fresh interpreter, since this
-test process has long imported numpy."""
+source lines it compiles. A module "loads" when its code runs: the modules
+that define the names `counting`, `digraph` and `properties` forward
+(`_MOVED`) sit in sys.modules as lazy modules from then on, and run only
+when one of their names is read. Each case runs in a fresh interpreter,
+since this test process has long imported numpy."""
 
 import json
 import os
@@ -33,8 +37,9 @@ from toursid.hosts import uniform_tournament
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Prints one JSON object: the toursid submodules that `import toursid`
-# loads; per step, the step's exit code and which of the watched modules are
-# in sys.modules after it; and OPENBLAS_NUM_THREADS as it was when numpy's
+# loads; per step, the step's exit code and which of the watched modules have
+# run after it (a lazy module, not yet run, is in sys.modules under its own
+# type); and OPENBLAS_NUM_THREADS as it was when numpy's
 # import began. The watched toursid modules are dropped from sys.modules
 # after each step, so every step shows the ones it loads itself.
 PROBE = textwrap.dedent(
@@ -43,6 +48,7 @@ PROBE = textwrap.dedent(
     import json
     import os
     import sys
+    import types
 
     class Watch(importlib.abc.MetaPathFinder):
         blas = "not imported"
@@ -53,11 +59,12 @@ PROBE = textwrap.dedent(
             return None
 
     OWN = tuple(f"toursid.{name}" for name in (
-        "constructions", "experiments", "families", "properties", "quasi", "rng", "search"))
+        "constructions", "experiments", "families", "graphs", "properties", "quasi", "rng",
+        "search"))
 
     def loaded():
         watched = ("numpy", "inspect", "dataclasses") + OWN
-        found = [name for name in watched if name in sys.modules]
+        found = [name for name in watched if type(sys.modules.get(name)) is types.ModuleType]
         for name in OWN:
             sys.modules.pop(name, None)
         return found
@@ -136,7 +143,7 @@ def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
         ["strong-anti-dedup", 0, scan],
         ["impartial", 2, scan],
         ["quasi-host", 0, ["toursid.quasi"]],
-        ["construct", 0, ["toursid.constructions"]],
+        ["construct", 0, ["toursid.constructions", "toursid.graphs"]],
         ["quasi-sampled", 0, ["numpy", "inspect", "toursid.families", "toursid.quasi",
                               "toursid.rng"]],
         ["quasi-two-block", 0, ["numpy", "inspect", "toursid.quasi", "toursid.rng"]],
@@ -144,12 +151,14 @@ def test_numpy_loads_only_for_the_scans(tmp_path, blas, expected):
     assert got["blas"] == expected
 
 
-# Prints the toursid modules in sys.modules, each with its source line
-# count, after the C5 `check anti --exhaustive 6` scan has run.
+# Prints the toursid modules that have run, each with its source line count,
+# after the C5 `check anti --exhaustive 6` scan has run; a lazy module is
+# told by its type, before any attribute read would run it.
 SCAN_PROBE = textwrap.dedent(
     """
     import json
     import sys
+    import types
     from pathlib import Path
 
     import toursid.cli
@@ -157,8 +166,8 @@ SCAN_PROBE = textwrap.dedent(
     assert toursid.cli.main(sys.argv[1:]) == 0
     print(json.dumps({
         name: len(Path(module.__file__).read_text().splitlines())
-        for name, module in sys.modules.items()
-        if name == "toursid" or name.startswith("toursid.")
+        for name, module in list(sys.modules.items())
+        if (name == "toursid" or name.startswith("toursid.")) and type(module) is types.ModuleType
     }))
     """
 )

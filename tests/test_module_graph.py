@@ -3,7 +3,12 @@ imported): each module's `from .x import` targets, the private names it
 takes from them, at any depth, and the imports it makes inside a function,
 must equal the tables below, so a new edge between modules, a new reach into
 another module's private names, or a new import on a command's start-up path
-is made on purpose. The imports made at module level form no cycle."""
+is made on purpose. The imports made at module level form no cycle.
+
+`counting`, `digraph` and `properties` take one helper from the package
+`__init__`, `_forward`, which enters the modules that define their `_MOVED`
+names in `sys.modules` as lazy modules; those modules run no code until one
+of their names is read, so they are not edges here."""
 
 import ast
 from pathlib import Path
@@ -13,7 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "toursid"
 
 # module -> the toursid modules it imports, at any depth. `rng` is a leaf;
-# `digraph` reaches up to the catalog only inside `Digraph.underlying`; the
+# `digraph` reaches the undirected graphs (`graphs`, a leaf on `digraph`)
+# only inside `Digraph.underlying`; the
 # data formats and the count tables (`counting`) read `digraph` alone, and
 # the backtracker (`search`) sits on `counting`, which does not import it.
 # `hosts` reads `rng` inside `coin_rows`, so an exhaustive scan (`cli`,
@@ -25,17 +31,20 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "toursid"
 IMPORTS = {
     "__init__": set(),
     "rng": set(),
-    "digraph": {"constructions"},
-    "counting": {"digraph"},
+    "digraph": {"__init__", "graphs"},
+    "graphs": {"digraph"},
+    "counting": {"__init__", "digraph"},
     "search": {"counting", "digraph"},
     "formats": {"digraph"},
     "hosts": {"digraph", "rng"},
-    "constructions": {"counting", "digraph"},
-    "properties": {"counting", "digraph", "families", "formats", "hosts", "search"},
+    "constructions": {"counting", "digraph", "graphs"},
+    "properties": {
+        "__init__", "counting", "digraph", "families", "formats", "hosts", "search",
+    },
     "families": {"digraph", "formats", "hosts", "properties", "rng", "search"},
     "quasi": {"counting", "digraph", "families", "hosts", "rng"},
     "experiments": {"digraph", "families", "quasi", "rng", "search"},
-    "covers": {"constructions", "digraph", "formats", "hosts", "rng", "search"},
+    "covers": {"digraph", "formats", "graphs", "hosts", "rng", "search"},
     "cli": {
         "constructions", "counting", "digraph", "families", "formats", "hosts", "properties",
         "quasi", "search",
@@ -47,9 +56,10 @@ IMPORTS = {
 # `quasirandom_epsilon`, and `search` walks the plan of `counting._plan`
 PRIVATE_IMPORTS = {
     "cli": {"formats._frac"},
-    "counting": {"digraph._transpose"},
+    "counting": {"__init__._forward", "digraph._transpose"},
+    "digraph": {"__init__._forward"},
     "search": {"counting._check_anchor", "counting._plan"},
-    "properties": {"formats._frac", "formats._unfrac"},
+    "properties": {"__init__._forward", "formats._frac", "formats._unfrac"},
     "families": {"formats._frac", "hosts._block_rows", "properties._report"},
     "quasi": {
         "counting._add_plane",
@@ -73,7 +83,7 @@ LAZY = {
         ("quasi", "_cmd_quasi"),
         ("search", "_cmd_count"),
     },
-    "digraph": {("constructions", "underlying")},
+    "digraph": {("graphs", "underlying")},
     "hosts": {("rng", "coin_rows")},
     "families": {("properties", "check_anti_on_family"), ("search", "check_anti_on_family")},
     "properties": {("families", "verify_witness"), ("search", "verify_witness")},
@@ -101,8 +111,12 @@ def package_imports(module: str) -> list[tuple[str, str | None, list[str]]]:
                 names = [alias.name for alias in child.names]
                 if child.module:  # from .x import ...
                     found.append((child.module.split(".")[0], where, names))
-                else:  # from . import x
-                    found.extend((name, where, []) for name in names)
+                else:  # from . import x: the module x, or the package's own x
+                    for name in names:
+                        if (SRC / f"{name}.py").is_file():
+                            found.append((name, where, []))
+                        else:
+                            found.append(("__init__", where, [name]))
             visit(child, where)
 
     visit(tree, None)

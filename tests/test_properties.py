@@ -564,7 +564,8 @@ class TestOpenScans:
         assert PropertyReport.from_json(report.to_json()).to_json() == report.to_json()
 
     def test_tree_orientations_hold_the_bound_at_small_sizes(self):
-        from toursid.constructions import UndirectedGraph, tree_anti_orientation
+        from toursid.constructions import tree_anti_orientation
+        from toursid.graphs import UndirectedGraph
 
         trees = [
             UndirectedGraph(3, [(0, 1), (0, 2)]),

@@ -10,7 +10,6 @@ from toursid.cli import main
 from toursid.constructions import (
     add_dominating_vertex,
     anti_extend,
-    are_isomorphic,
     d_family,
     directed_path,
     glue,
@@ -28,6 +27,7 @@ from toursid.digraph import Digraph, Tournament, transitive_host
 from toursid.experiments import interpolate_to_density, star_two_block_profile
 from toursid.families import check_anti_on_family, sampled_density
 from toursid.formats import FormatError, dgf_dumps, dgf_loads, trn_dumps, trn_loads
+from toursid.graphs import are_isomorphic
 from toursid.properties import PropertyReport
 from toursid.quasi import quasirandom_epsilon
 from toursid.search import count_homomorphisms

@@ -1,24 +1,37 @@
 """The benchmark's tracer wraps toursid functions by name (`TARGETS` in
 `perfbench/tracing.py`). `perfbench/` lies outside the test paths, so this
-checks here that every name it wraps still exists, without wrapping any.
+checks here that every name it wraps still exists, and that its wrappers
+reach the calls a command makes.
 
 Some names it wraps have moved out of the module it names (`properties`,
 `counting` and `digraph` list them in `_MOVED`); such a module must return
 the defining module's own object, since the tracer rebinds every module
-attribute that is that object, and so reaches every caller."""
+attribute that is that object. The tracer lists the toursid modules in
+sys.modules before it reads the names, so the defining module must be in
+that list although no scan runs it: `toursid._forward` enters it there as a
+lazy module. The traced commands below show the wrappers reaching the
+engines that a command imports only when it runs."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from toursid.constructions import directed_cycle, star
+from toursid.digraph import transitive_host
+from toursid.formats import dgf_dumps, trn_dumps
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules while being built
@@ -27,7 +40,11 @@ def _targets():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 @pytest.mark.parametrize("target", _targets(), ids=lambda t: f"{t.module}:{t.attr}")
@@ -66,3 +83,45 @@ def test_a_moved_target_is_the_defining_modules_object(target):
     assert target.attr not in vars(owner)
     assert getattr(owner, target.attr) is vars(home)[target.attr]
     assert inspect.getmodule(vars(home)[target.attr]) is home
+
+
+# command -> the counters its trace must show, as `tracing.layer_metrics`
+# computes them from the spans
+TRACED = {
+    "family-sampled": (
+        ["check", "anti", "--pattern", "star13.dgf", "--family", "two-block", "--n", "20",
+         "--c", "1/10", "--samples", "500", "--seed", "5"],
+        {"properties.sampled_density.samples": 500,
+         "properties.two_block_tournament.pairs": 190},
+    ),
+    "family-exact": (
+        ["check", "anti", "--pattern", "star22.dgf", "--family", "transitive", "--n", "4..6"],
+        {"counting.calls": 3},
+    ),
+    "count": (["count", "--pattern", "c5.dgf", "--host", "tt6.trn"], {"counting.calls": 1}),
+    "quasi-sampled": (
+        ["quasi", "--two-block", "1/10", "30", "--seed", "3", "--samples", "50"],
+        {"properties.quasirandom_epsilon.subsets": 50,
+         "properties.two_block_tournament.pairs": 435},
+    ),
+    "quasi-host": (["quasi", "--host", "tt6.trn"], {"properties.quasirandom_epsilon.subsets": 63}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_a_traced_command_counts_its_engines(tmp_path, name):
+    argv, expected = TRACED[name]
+    (tmp_path / "star13.dgf").write_text(dgf_dumps(star(1, 3)))
+    (tmp_path / "star22.dgf").write_text(dgf_dumps(star(2, 2)))
+    (tmp_path / "c5.dgf").write_text(dgf_dumps(directed_cycle(5)))
+    (tmp_path / "tt6.trn").write_text(trn_dumps(transitive_host(6)))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_cli.py"), str(spans), name, *argv,
+         "--out", "report.out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    metrics = _tracing().layer_metrics(json.loads(spans.read_text()))
+    assert {key: metrics[key] for key in expected} == expected
