@@ -73,17 +73,16 @@ def __dir__() -> list[str]:
 
 
 def _forward(owner: str, moved: dict[str, str]):
-    """The PEP 562 `__getattr__` of module `owner`, which reads each name of
-    `moved` from the submodule named beside it: the defining module's own
-    object, never a copy.
-
-    Each of those submodules not yet imported is entered in `sys.modules`
-    now as a lazy module (`importlib.util.LazyLoader`), whose code runs at
-    its first attribute read, so importing `owner` runs none of it. A tool
-    that lists `sys.modules` and then rebinds a function at every module
-    attribute holding it, as the benchmark's tracer (`perfbench/tracing.py`)
-    does for the names it reads from `owner`, so finds the defining module
-    in its list and rebinds the function there too.
+    """The PEP 562 `__getattr__` of module `owner`: it reads each name of
+    `moved` from the submodule named beside it, the defining module's own
+    object. Each such submodule not yet imported enters `sys.modules` now as
+    a lazy module (`importlib.util.LazyLoader`) whose code runs at its first
+    attribute read, so a tool that lists `sys.modules` and then rebinds a
+    function at every module attribute holding it, as the benchmark's tracer
+    (`perfbench/tracing.py`) does, finds the defining module in its list. If
+    that code raises, the module leaves `sys.modules`, as after a failed
+    plain import, and stays lazy: the import statement discards the error
+    of its first read (`__spec__`), and the next read raises it.
     """
     import importlib.util
     import sys
@@ -93,7 +92,17 @@ def _forward(owner: str, moved: dict[str, str]):
         name = f"{__name__}.{sub}"
         if name not in sys.modules:
             spec = importlib.util.find_spec(name)
-            spec.loader = importlib.util.LazyLoader(spec.loader)
+            lazy = importlib.util.LazyLoader(spec.loader)
+
+            def exec_module(module, run=spec.loader.exec_module, lazy=lazy):
+                try:
+                    run(module)
+                except BaseException:
+                    sys.modules.pop(module.__name__, None)
+                    lazy.exec_module(module)
+                    raise
+
+            spec.loader.exec_module, spec.loader = exec_module, lazy
             module = importlib.util.module_from_spec(spec)
             sys.modules[name] = module
             spec.loader.exec_module(module)

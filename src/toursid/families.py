@@ -67,7 +67,7 @@ def sampled_density(d: Digraph, t: Tournament, samples: int, seed: int) -> Sampl
     tails, heads = np.array(d.edges(), dtype=np.intp).reshape(-1, 2).T
     adj = _packed_rows(t)
     slots = np.arange(k)
-    step = _block_rows(k)
+    step = _block_rows(max(k, d.edge_count))  # k slots per map, one gather per edge
     hits = 0
     for start in range(0, samples, step):
         j = np.arange(start, min(start + step, samples))[:, None]

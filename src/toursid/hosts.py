@@ -35,25 +35,18 @@ from .digraph import SizeLimitError, Tournament, pair_count
 CLASS_COUNTS = (1, 1, 1, 2, 4, 12, 56, 456, 6880)
 REPRESENTATIVES_LIMIT = len(CLASS_COUNTS) - 1
 _CLASS_TABLE = Path(__file__).with_name("tournament_classes.bin")
-# entries of one streamed block: a coin chunk here (21 rows of 768 coins at
-# n = 768), a block of sampled maps or of sampled quasirandom subsets in
-# `families` and `quasi`, or the 2^14 subsets that the exact quasi scan bit-slices into
-# one int; bounds the temporaries independently of n, of the sample count and
-# of 2^n. 2^14 uint64 entries keep each numpy temporary within 128 KiB,
-# glibc's default mmap threshold, and each exact-scan int is 2 KiB.
+# entries of one streamed block: rows of coins here, of sampled maps or of
+# sampled quasirandom subsets in `families` and `quasi` (21 rows of 768 at
+# n = 768); the exact quasi scan bit-slices 2^14 subsets into each int
+# (2 KiB). 2^14 uint64 entries keep each numpy temporary within 128 KiB,
+# glibc's default mmap threshold, at any sample count and up to n = 2^14.
 _BLOCK = 1 << 14
-# rows of one block: at most _BLOCK_ROWS, and at least _MIN_BLOCK_ROWS however
-# wide a row is. The floor binds only for rows of more than 2^11 entries:
-# coin chunks and sampled quasi subsets, one entry per vertex, past n = 2048;
-# with fewer rows the per-block calls dominate the scan. At n = 768 a block
-# holds 21 subsets, and each temporary 21 x 768 entries, at most 126 KiB
-_BLOCK_ROWS = 1 << 10
-_MIN_BLOCK_ROWS = 8
 
 
 def _block_rows(width: int) -> int:
-    """Rows per streamed block whose rows hold `width` entries each."""
-    return min(_BLOCK_ROWS, max(_MIN_BLOCK_ROWS, _BLOCK // max(width, 1)))
+    """Rows per streamed block whose widest temporary holds `width` entries
+    per row: as many as fit in `_BLOCK` entries, and at least one."""
+    return max(1, _BLOCK // max(width, 1))
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:

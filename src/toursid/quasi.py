@@ -36,9 +36,8 @@ def quasirandom_epsilon(
     seeded random subsets A as 64-bit word masks, as many blocks of
     `hosts._block_rows(n)` subsets at a time as fit in `hosts._BLOCK` words,
     and returns the high-water value, an exact lower bound on the true eps.
-    A block meets the out-rows one word at a time: the popcounts of its
-    subsets' word w against word w of every out-row add into one subsets x
-    vertices counter, reused by every block.
+    A block adds the popcounts of its subsets' word w against word w of
+    every out-row into its subsets x vertices counter, one word at a time.
     Both modes work in fixed-size blocks, so memory stays bounded at any n.
     """
     n = t.n
@@ -57,7 +56,6 @@ def quasirandom_epsilon(
     import numpy as np
 
     from .families import _packed_rows
-    from .hosts import _BLOCK  # read per call, so a patched block size holds
     from .rng import blend_array
 
     words = (n + 63) // 64
@@ -66,10 +64,7 @@ def quasirandom_epsilon(
     step = _block_rows(n)
     # the words of as many whole blocks as fit in _BLOCK entries are drawn in
     # one `blend_array` call: one call for 1000 subsets at n = 768
-    chunk = step * max(1, _BLOCK // (step * words))
-    # the counter and its two temporaries, one subset per row and one vertex
-    # per column, allocated once and reused by every block
-    buffers = [np.empty((step, n), dtype) for dtype in (np.int32, np.uint64, np.uint8)]
+    chunk = step * _block_rows(step * words)
     best = 0
     for first in range(0, samples, chunk):
         # word w of subset A_j is blend(seed, j, w), cut to the n vertices
@@ -79,23 +74,16 @@ def quasirandom_epsilon(
             drawn[:, -1] &= np.uint64((1 << (n % 64)) - 1)
         for start in range(0, len(drawn), step):
             a = drawn[start : start + step]
-            meet, word, ones = (buf[: len(a)] for buf in buffers)
-            meet.fill(0)
+            meet = np.zeros((len(a), n), np.int32)
             for w in range(words):
-                np.bitwise_and(a[:, w, None], out_cols[w], out=word)
-                np.bitwise_count(word, out=ones)
-                meet += ones
-            # for v outside A the signed in-degree toward A is
-            # |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a
-            # tournament, written over `meet`
-            meet *= -2
-            meet += np.bitwise_count(a).sum(axis=1, dtype=np.int32)[:, None]
-            inside = np.unpackbits(
-                a.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
-            )
-            np.copyto(meet, 0, where=inside.view(bool))
-            np.maximum(meet, 0, out=meet)
-            best = max(best, int(meet.sum(axis=1).max()))
+                meet += np.bitwise_count(a[:, w, None] & out_cols[w])
+            # v outside A adds the positive part of its signed in-degree toward
+            # A, |in(v) & A| - |out(v) & A| = |A| - 2 |out(v) & A| in a tournament
+            signed = np.bitwise_count(a).sum(axis=1, dtype=np.int32)[:, None] - 2 * meet
+            little = a.astype("<u8", copy=False).view(np.uint8)  # bytes of A, LSB first
+            inside = np.unpackbits(little, axis=1, count=n, bitorder="little")
+            positive = np.maximum(signed, 0) * (inside == 0)
+            best = max(best, int(positive.sum(axis=1).max()))
     return Fraction(best, n * n)
 
 

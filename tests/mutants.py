@@ -33,6 +33,10 @@ MUTANTS = [
     ("memo-stores-count-plus-one", "src/toursid/search.py",
      "memo[key] = whole\n", "memo[key] = whole + 1\n",
      [f"{ENGINES}[directed-cycle-5-homs]"]),
+    # a pattern's edges widen a block's gathers past its k map slots
+    ("density-blocks-sized-by-slots", "src/toursid/families.py",
+     "step = _block_rows(max(k, d.edge_count))", "step = _block_rows(k)",
+     [f"{PROPERTIES}::TestSampledDensityBlocks::test_each_draw_is_one_bounded_block"]),
     ("three-sigmas-inclusive", "src/toursid/families.py",
      "self.samples > 9 * p * (1 - p)", "self.samples >= 9 * p * (1 - p)",
      [f"{PROPERTIES}::TestSampledVerdict::test_exactly_three_standard_errors_is_not_a_violation"]),
@@ -41,10 +45,14 @@ MUTANTS = [
      [f"{PROPERTIES}::TestSampledQuasiReference::test_equals_popcount_cube"]),
     # every sampled subset drawn at once: the draw grows with the samples
     ("quasi-blocks-unbounded", "src/toursid/quasi.py",
-     "chunk = step * max(1, _BLOCK // (step * words))", "chunk = samples",
+     "chunk = step * _block_rows(step * words)", "chunk = samples",
      [f"{PROPERTIES}::TestSampledQuasiBlocks::test_each_draw_is_one_bounded_block"]),
+    # every sampled subset in one counter: the counter grows with the samples
+    ("quasi-counter-unbounded", "src/toursid/quasi.py",
+     "step = _block_rows(n)", "step = samples",
+     ["tests/test_golden.py::test_sampling_streams_in_bounded_blocks"]),
     ("quasi-best-of-last-block", "src/toursid/quasi.py",
-     "best = max(best, int(meet.sum(axis=1).max()))", "best = int(meet.sum(axis=1).max())",
+     "best = max(best, int(positive.sum(axis=1).max()))", "best = int(positive.sum(axis=1).max())",
      ["tests/test_golden.py::TestScalarReference::test_quasi_sampled",
       "tests/test_golden.py::TestScalarReference::test_tiny_blocks_do_not_change_results",
       f"{PROPERTIES}::TestSampledQuasiReference::test_equals_popcount_cube"]),

@@ -538,19 +538,17 @@ class TestScalarReference:
         ]
 
     def test_quasi_sampled(self):
-        # n = 768 streams 8 subsets per block, the floor on wide rows
+        # n = 768 streams 21 subsets per block: a full block, then 19 subsets
         for n in (3, 64, 65, 130, 768):
             t = uniform_tournament(n, n)
             got = quasirandom_epsilon(t, "sampled", samples=40, seed=2)
             assert got == self.quasi_epsilon(t, self.sampled_subsets(n, 40, 2))
 
     def test_tiny_blocks_do_not_change_results(self, monkeypatch):
-        # tiny blocks split every stream into blocks of one to three rows, so
+        # 64-entry blocks split every stream into blocks of one to 21 rows, so
         # a result kept from one block only, or a row lost at a block edge,
         # shows here
         monkeypatch.setattr(hosts, "_BLOCK", 1 << 6)
-        monkeypatch.setattr(hosts, "_BLOCK_ROWS", 3)
-        monkeypatch.setattr(hosts, "_MIN_BLOCK_ROWS", 1)
         for n in (0, 5, 65, 130):
             assert coin_rows(n, 3, n // 3) == self.coin_rows(n, 3, n // 3)
         for n in (7, 70):
@@ -601,7 +599,7 @@ MEMORY_PROBE = textwrap.dedent(
     host = two_block_tournament(768, Fraction(3, 10), 5)
     before = peak_kb()
     sampled_density(star(2, 2), host, 200_000, 3)
-    quasirandom_epsilon(host, "sampled", samples=300, seed=4)
+    quasirandom_epsilon(host, "sampled", samples=1000, seed=4)
     print(peak_kb() - before)
     """
 )
@@ -609,8 +607,10 @@ MEMORY_PROBE = textwrap.dedent(
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_sampling_streams_in_bounded_blocks():
-    # an unchunked rewrite holds 200k x 5 map slots (8 MB) or 300 x 768 x 12
-    # subset words (22 MB) at once; the streamed blocks stay far below 2 MB
+    # one block of all 200k sampled maps (5 slots, 4 edge gathers each) grows
+    # the peak by over 40 MB here, and one counter of all 1000 sampled subsets
+    # (1000 x 768 entries of 4, 8 and 1 bytes) by about 12 MB; the streamed
+    # blocks grow it by about 0.15 MB, far below the 2 MB limit
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run(
         [sys.executable, "-c", MEMORY_PROBE], env=env, capture_output=True, text=True, check=True

@@ -52,8 +52,8 @@ IMPORTS = {
 }
 
 # module -> the `_`-prefixed names it imports from other toursid modules, as
-# "module.name"; `quasi` reads `hosts._BLOCK` inside `_exact_best` and
-# `quasirandom_epsilon`, and `search` walks the plan of `counting._plan`
+# "module.name"; `quasi` reads `hosts._BLOCK` inside `_exact_best`, and
+# `search` walks the plan of `counting._plan`
 PRIVATE_IMPORTS = {
     "cli": {"formats._frac"},
     "counting": {"__init__._forward", "digraph._transpose"},
@@ -90,7 +90,6 @@ LAZY = {
     "quasi": {
         ("families", "quasirandom_epsilon"),
         ("hosts", "_exact_best"),
-        ("hosts", "quasirandom_epsilon"),
         ("rng", "quasirandom_epsilon"),
     },
 }

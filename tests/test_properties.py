@@ -431,6 +431,31 @@ class TestSampledQuasiBlocks:
         assert sum(rows for rows, _ in shapes) == samples
 
 
+class TestSampledDensityBlocks:
+    """`sampled_density` draws its maps in blocks sized by a block's widest
+    temporary: k slots per map, and one gathered entry per edge, so a pattern
+    with more edges than vertices sizes its blocks by its edges."""
+
+    def test_each_draw_is_one_bounded_block(self, monkeypatch):
+        d = transitive_host(5)  # TT5: k = 5 vertices, e = 10 edges
+        samples = 20_000
+        shapes = []
+        blend_array = families.blend_array
+
+        def recorded(*args):
+            out = blend_array(*args)
+            shapes.append(out.shape)
+            return out
+
+        # the sampler binds blend_array when `families` is imported
+        monkeypatch.setattr(families, "blend_array", recorded)
+        sampled_density(d, uniform_tournament(20, 1), samples, 2)
+        assert len(shapes) > 1
+        assert all(rows * max(d.n, d.edge_count) <= hosts._BLOCK for rows, _ in shapes)
+        assert {k for _, k in shapes} == {d.n}
+        assert sum(rows for rows, _ in shapes) == samples
+
+
 class TestInterpolation:
     def test_constant_count_pattern_crosses_immediately(self):
         e = Digraph(2, [(0, 1)])

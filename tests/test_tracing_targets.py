@@ -10,15 +10,18 @@ attribute that is that object. The tracer lists the toursid modules in
 sys.modules before it reads the names, so the defining module must be in
 that list although no scan runs it: `toursid._forward` enters it there as a
 lazy module. The traced commands below show the wrappers reaching the
-engines that a command imports only when it runs."""
+engines that a command imports only when it runs, and a lazy module whose
+code raises leaves sys.modules as after a failed plain import."""
 
 import importlib
 import importlib.util
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,38 @@ def test_a_traced_command_counts_its_engines(tmp_path, name):
     assert proc.returncode in (0, 2), proc.stderr
     metrics = _tracing().layer_metrics(json.loads(spans.read_text()))
     assert {key: metrics[key] for key in expected} == expected
+
+
+# Imports the catalog twice and prints each error and whether `graphs`, which
+# `digraph` enters lazily and the catalog imports, is still in sys.modules.
+BROKEN_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    for _ in range(2):
+        try:
+            from toursid.constructions import directed_cycle
+        except Exception as error:
+            print(type(error).__name__, "toursid.graphs" in sys.modules)
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "tail, error",
+    [("def (:", "SyntaxError"), ("raise RuntimeError", "RuntimeError")],
+    ids=["syntax-error", "raises"],
+)
+def test_a_lazy_module_that_raises_leaves_sys_modules(tmp_path, tail, error):
+    # a half-run module kept in sys.modules would make each import report
+    # `cannot import name 'UndirectedGraph'` in place of the module's own error
+    package = tmp_path / "toursid"
+    shutil.copytree(ROOT / "src" / "toursid", package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "graphs.py", "a") as fh:
+        fh.write(f"\n{tail}\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_PROBE],
+        env={**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.splitlines() == [f"{error} False"] * 2, proc.stderr
