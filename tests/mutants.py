@@ -89,6 +89,12 @@ MUTANTS = [
      "        if name not in sys.modules:\n", "        if False:\n",
      ["tests/test_tracing_targets.py::test_a_traced_command_counts_its_engines[count]",
       "tests/test_tracing_targets.py::test_a_traced_command_counts_its_engines[quasi-host]"]),
+    # a lazy module whose code raised stays half-run in sys.modules
+    ("failed-lazy-module-kept", "src/toursid/__init__.py",
+     "                    sys.modules.pop(module.__name__, None)\n"
+     "                    lazy.exec_module(module)\n", "",
+     ["tests/test_tracing_targets.py::test_a_lazy_module_that_raises_leaves_sys_modules[syntax-error]",
+      "tests/test_tracing_targets.py::test_a_lazy_module_that_raises_leaves_sys_modules[raises]"]),
 ]
 
 
