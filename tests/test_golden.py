@@ -549,7 +549,8 @@ class TestScalarReference:
         # a result kept from one block only, or a row lost at a block edge,
         # shows here
         monkeypatch.setattr(hosts, "_BLOCK", 1 << 6)
-        for n in (0, 5, 65, 130):
+        # n = 20 streams its coins in blocks of three rows, and a last of two
+        for n in (0, 5, 20, 65, 130):
             assert coin_rows(n, 3, n // 3) == self.coin_rows(n, 3, n // 3)
         for n in (7, 70):
             host = uniform_tournament(n, n)
