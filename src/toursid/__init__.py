@@ -72,13 +72,13 @@ def __dir__() -> list[str]:
     return sorted(globals().keys() | _PUBLIC.keys())
 
 
-def _forward(owner: str, moved: dict[str, str]):
-    """The PEP 562 `__getattr__` of module `owner`: it reads each name of
-    `moved` from the submodule named beside it, the defining module's own
-    object. Each such submodule not yet imported enters `sys.modules` now as
-    a lazy module (`importlib.util.LazyLoader`) whose code runs at its first
-    attribute read, so a tool that lists `sys.modules` and then rebinds a
-    function at every module attribute holding it, as the benchmark's tracer
+def _forward(owner: str, *names: str):
+    """The PEP 562 `__getattr__` of module `owner`, which answers for `names`
+    with the package's own objects (each defined where `_PUBLIC` says). Each
+    defining module not yet imported enters `sys.modules` now as a lazy module
+    (`importlib.util.LazyLoader`) whose code runs at its first attribute read,
+    so a tool that lists `sys.modules` and then rebinds a function at every
+    module attribute holding it, as the benchmark's tracer
     (`perfbench/tracing.py`) does, finds the defining module in its list. If
     that code raises, the module leaves `sys.modules`, as after a failed
     plain import, and stays lazy: the import statement discards the error
@@ -88,7 +88,7 @@ def _forward(owner: str, moved: dict[str, str]):
     import sys
 
     package = sys.modules[__name__]
-    for sub in sorted(set(moved.values())):
+    for sub in sorted({_PUBLIC[name] for name in names}):
         name = f"{__name__}.{sub}"
         if name not in sys.modules:
             spec = importlib.util.find_spec(name)
@@ -109,9 +109,8 @@ def _forward(owner: str, moved: dict[str, str]):
             setattr(package, sub, module)
 
     def __getattr__(name: str):
-        sub = moved.get(name)
-        if sub is None:
+        if name not in names:
             raise AttributeError(f"module {owner!r} has no attribute {name!r}")
-        return getattr(importlib.import_module(f"{__name__}.{sub}"), name)
+        return getattr(package, name)
 
     return __getattr__

@@ -19,8 +19,7 @@ form, outside the walk.
   `density`, `CountResult`), with the oracle `oracle_count` that checks both
   engines, live in `search`, which imports this module; this module does not
   import it, so a process that only scans exhaustively never loads it. The
-  four counters can still be read here (`_MOVED`), as the defining module's
-  own objects.
+  four counters can still be read here, forwarded by `toursid._forward`.
 
 `labeled_bound` is the one baseline 2^(-e(D)) n^(v(D)-|I|) of every labeled
 count, I being the pinned set (empty unless a pinned count is given the
@@ -58,15 +57,9 @@ from .digraph import (
     vertex_mask,
 )
 
-# the single-host counters defined in `search`, still read here by name, as
-# the benchmark's tracer reads them (see `toursid._forward`)
-_MOVED = {
-    "count_homomorphisms": "search",
-    "count_labeled": "search",
-    "count_labeled_pinned": "search",
-    "density": "search",
-}
-__getattr__ = _forward(__name__, _MOVED)
+__getattr__ = _forward(
+    __name__, "count_homomorphisms", "count_labeled", "count_labeled_pinned", "density"
+)
 
 
 DEFAULT_BUDGET = 10**9

@@ -19,7 +19,8 @@ from .hosts import uniform_tournament
 from .rng import blend
 from .search import count_homomorphisms
 
-HYPERCUBE_LIMIT = 16
+# the host is built from a Python list of its 4^r vertex pairs, 0.85 GB at r = 12
+HYPERCUBE_LIMIT = 12
 
 LEADING_BOUND_NOTE = (
     "two leading terms only; the additive O(n) slack of the true bound is omitted"

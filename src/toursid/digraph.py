@@ -5,8 +5,8 @@ rows (Python ints); in-rows are obtained on demand, by one `_transpose` of the
 packed rows, and cached. `Digraph.from_rows` checks orientedness exactly on
 every input, with the same transpose instead of a loop over the edges, so
 building a large host stays pure Python and never loads numpy. Every
-constructor ends in one setter, `_set`, which holds the only check that a
-`Tournament` carries an edge on every pair.
+constructor goes through one setter, `_set`, which holds the only check that
+a `Tournament` carries an edge on every pair; `from_rows` runs it first.
 This module defines the pair order: bit p of a tournament's pair code
 (`pair_count(n)` bits) is set iff i->j for the p-th pair (i, j), i < j, in
 lexicographic order. Row i's pairs are consecutive bits, so `from_code` and
@@ -29,10 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _forward
 
-# defined in `graphs`, still read here by name, as the benchmark's tracer
-# reads it (see `toursid._forward`)
-_MOVED = {"are_isomorphic": "graphs"}
-__getattr__ = _forward(__name__, _MOVED)
+__getattr__ = _forward(__name__, "are_isomorphic")
 
 
 class SizeLimitError(ValueError):
@@ -154,13 +151,14 @@ class Digraph:
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
             m += row.bit_count()
-        cols = _transpose(rows, n)
-        for u in range(n):
-            both = rows[u] & cols[u]
+        # the edge count is checked before the transpose, kept as the in-rows
+        d = _trusted(cls, rows, m)
+        for u, col in enumerate(d.in_rows()):
+            both = rows[u] & col
             if both:
                 v = (both & -both).bit_length() - 1
                 raise ValueError(f"antiparallel pair on {{{u},{v}}}")
-        return _trusted(cls, rows, m)
+        return d
 
     # -- basic accessors ---------------------------------------------------
 

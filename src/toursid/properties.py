@@ -34,15 +34,10 @@ from .digraph import Digraph, Tournament, pair_count
 from .formats import _frac, _unfrac, dgf_dumps, dgf_loads, json_dumps, trn_dumps, trn_loads
 from .hosts import REPRESENTATIVES_LIMIT, class_codes
 
-# the engines defined elsewhere, still read here by name, as the benchmark's
-# tracer reads them (see `toursid._forward`)
-_MOVED = {
-    "check_anti_on_family": "families",
-    "sampled_density": "families",
-    "quasirandom_epsilon": "quasi",
-    "two_block_tournament": "hosts",
-}
-__getattr__ = _forward(__name__, _MOVED)
+__getattr__ = _forward(
+    __name__, "check_anti_on_family", "sampled_density", "quasirandom_epsilon",
+    "two_block_tournament",
+)
 
 
 REPORT_SCHEMA = "toursid/report-v1"

@@ -95,6 +95,20 @@ MUTANTS = [
      "                    lazy.exec_module(module)\n", "",
      ["tests/test_tracing_targets.py::test_a_lazy_module_that_raises_leaves_sys_modules[syntax-error]",
       "tests/test_tracing_targets.py::test_a_lazy_module_that_raises_leaves_sys_modules[raises]"]),
+    # a forward returns what the one public map names, not the defining object
+    ("public-map-points-elsewhere", "src/toursid/__init__.py",
+     '    "sampled_density": "families",\n', '    "sampled_density": "quasi",\n',
+     ["tests/test_tracing_targets.py::test_a_moved_target_is_the_defining_modules_object"
+      "[toursid.properties:sampled_density]"]),
+    # a host with too few edges is transposed, O(n^2), before it is refused
+    ("host-transposed-before-count", "src/toursid/digraph.py",
+     "        d = _trusted(cls, rows, m)\n",
+     "        _transpose(rows, n)\n        d = _trusted(cls, rows, m)\n",
+     ["tests/test_digraph.py::TestInvariants::test_edge_count_is_checked_before_the_transpose",
+      "tests/test_digraph.py::TestInvariants::test_from_rows_transposes_once"]),
+    ("hypercube-guard-loose", "src/toursid/covers.py",
+     "HYPERCUBE_LIMIT = 12\n", "HYPERCUBE_LIMIT = 16\n",
+     ["tests/test_covers.py::TestHypercube::test_a_cover_too_large_to_build_is_refused_first"]),
 ]
 
 

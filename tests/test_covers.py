@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from toursid import covers
 from toursid.constructions import transitive_tournament, unique_hom_digraph
 from toursid.covers import (
     BicliqueCover,
@@ -163,6 +164,15 @@ class TestHypercube:
             hypercube_cover(0, 0)
         with pytest.raises(ValueError):
             hypercube_cover(3, 4)
+
+    def test_a_cover_too_large_to_build_is_refused_first(self, monkeypatch):
+        # the host's pair list would hold 4^13 / 2 pairs: no range is walked
+        def refuse(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(covers, "range", refuse, raising=False)
+        with pytest.raises(ValueError, match="<= 12$"):
+            hypercube_cover(13, 1)
 
 
 class TestTwoPath:

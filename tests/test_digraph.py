@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from host_reference import all_oriented_graphs, pairwise_code, pairwise_from_code
+from toursid import digraph
 from toursid.constructions import (
     directed_cycle,
     directed_path,
@@ -24,7 +25,7 @@ from toursid.digraph import (
     pair_count,
     transitive_host,
 )
-from toursid.formats import trn_dumps
+from toursid.formats import host_loads, trn_dumps
 from toursid.graphs import UndirectedGraph, are_isomorphic
 from toursid.hosts import class_codes, two_block_tournament, uniform_tournament
 from toursid.rng import below
@@ -78,6 +79,26 @@ class TestInvariants:
     def test_tournament_from_rows_needs_all_pairs(self):
         with pytest.raises(ValueError, match="not a tournament"):
             Tournament.from_rows([0b10, 0, 0])
+
+    def test_edge_count_is_checked_before_the_transpose(self, monkeypatch):
+        # a DGF/1 host of n vertices and no edge is refused without O(n^2) work
+        def refuse(rows, width):
+            raise AssertionError("transposed")
+
+        monkeypatch.setattr(digraph, "_transpose", refuse)
+        with pytest.raises(ValueError, match="not a tournament"):
+            host_loads("5 0\n")
+
+    def test_from_rows_transposes_once(self, monkeypatch):
+        rows, widths = uniform_tournament(9, 2).out_rows(), []
+
+        def transpose(rows, width, run=digraph._transpose):
+            widths.append(width)
+            return run(rows, width)
+
+        monkeypatch.setattr(digraph, "_transpose", transpose)
+        t = Tournament.from_rows(rows)
+        assert t.in_rows() == t.in_rows() and widths == [9]
 
     @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])

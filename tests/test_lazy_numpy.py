@@ -16,8 +16,8 @@ loads `dataclasses` or `toursid.experiments`; `inspect` is absent until
 numpy brings it. A scan process also stays within a bound on the toursid
 source lines it compiles. A module "loads" when its code runs: the modules
 that define the names `counting`, `digraph` and `properties` forward
-(`_MOVED`) sit in sys.modules as lazy modules from then on, and run only
-when one of their names is read. Each case runs in a fresh interpreter,
+(`toursid._forward`) sit in sys.modules as lazy modules from then on, and
+run only when one of their names is read. Each case runs in a fresh interpreter,
 since this test process has long imported numpy."""
 
 import json

@@ -6,9 +6,10 @@ another module's private names, or a new import on a command's start-up path
 is made on purpose. The imports made at module level form no cycle.
 
 `counting`, `digraph` and `properties` take one helper from the package
-`__init__`, `_forward`, which enters the modules that define their `_MOVED`
-names in `sys.modules` as lazy modules; those modules run no code until one
-of their names is read, so they are not edges here."""
+`__init__`, `_forward`, which enters the modules that define the names they
+forward (as `toursid._PUBLIC` maps them) in `sys.modules` as lazy modules;
+those modules run no code until one of their names is read, so they are not
+edges here."""
 
 import ast
 from pathlib import Path

@@ -3,15 +3,16 @@
 checks here that every name it wraps still exists, and that its wrappers
 reach the calls a command makes.
 
-Some names it wraps have moved out of the module it names (`properties`,
-`counting` and `digraph` list them in `_MOVED`); such a module must return
-the defining module's own object, since the tracer rebinds every module
-attribute that is that object. The tracer lists the toursid modules in
-sys.modules before it reads the names, so the defining module must be in
-that list although no scan runs it: `toursid._forward` enters it there as a
-lazy module. The traced commands below show the wrappers reaching the
-engines that a command imports only when it runs, and a lazy module whose
-code raises leaves sys.modules as after a failed plain import."""
+Some names it wraps have moved out of the module it names: `properties`,
+`counting` and `digraph` answer for them through `toursid._forward`, and
+`toursid._PUBLIC` names the defining module. The owner must return that
+module's own object, since the tracer rebinds every module attribute that is
+that object. The tracer lists the toursid modules in sys.modules before it
+reads the names, so the defining module must be in that list although no
+scan runs it: `_forward` enters it there as a lazy module. The traced
+commands below show the wrappers reaching the engines that a command imports
+only when it runs, and a lazy module whose code raises leaves sys.modules as
+after a failed plain import."""
 
 import importlib
 import importlib.util
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import toursid
 from toursid.constructions import directed_cycle, star
 from toursid.digraph import transitive_host
 from toursid.formats import dgf_dumps, trn_dumps
@@ -61,10 +63,13 @@ def test_target_resolves(target):
         assert callable(getattr(owner, target.attr))
 
 
-MOVED = [t for t in _targets() if t.attr in getattr(importlib.import_module(t.module), "_MOVED", {})]
+MOVED = [
+    t for t in _targets()
+    if "." not in t.attr and t.attr not in vars(importlib.import_module(t.module))
+]
 
 
-def test_the_moved_targets_are_those_of_the_three_tables():
+def test_the_moved_targets_are_those_of_the_three_forwards():
     assert sorted(f"{t.module}:{t.attr}" for t in MOVED) == [
         "toursid.counting:count_homomorphisms",
         "toursid.counting:count_labeled",
@@ -81,7 +86,7 @@ def test_the_moved_targets_are_those_of_the_three_tables():
 @pytest.mark.parametrize("target", MOVED, ids=lambda t: f"{t.module}:{t.attr}")
 def test_a_moved_target_is_the_defining_modules_object(target):
     owner = importlib.import_module(target.module)
-    home = importlib.import_module(f"toursid.{owner._MOVED[target.attr]}")
+    home = importlib.import_module(f"toursid.{toursid._PUBLIC[target.attr]}")
     # read through the forward, not a copy: the old module holds no binding
     assert target.attr not in vars(owner)
     assert getattr(owner, target.attr) is vars(home)[target.attr]
