@@ -3,7 +3,7 @@
 Vertices are the dense integers 0..n-1. Out-adjacency is stored as packed bit
 rows (Python ints); in-rows are obtained on demand, by one `_transpose` of the
 packed rows, and cached. `Digraph.from_rows` checks orientedness exactly on
-every input, with the same transpose instead of a loop over the edges, so
+every input, with that transpose (kept) instead of a loop over the edges, so
 building a large host stays pure Python and never loads numpy. Every
 constructor goes through one setter, `_set`, which holds the only check that
 a `Tournament` carries an edge on every pair; `from_rows` runs it first.
@@ -102,7 +102,7 @@ def _set(d: "Digraph", rows: tuple[int, ...], m: int) -> "Digraph":
 
 
 def _trusted(cls, rows: tuple[int, ...], m: int):
-    """An instance of cls over out-rows already known to be oriented, with m edges."""
+    """An instance of cls over out-rows with m edges, checked only by `_set`."""
     return _set(cls.__new__(cls), rows, m)
 
 
